@@ -34,13 +34,20 @@ class ChebyshevKind(str, Enum):
 
 
 def _clenshaw(coeffs: Sequence[float], x: np.ndarray, second_kind: bool) -> np.ndarray:
+    # Three rotating buffers; each step computes (2x * b1) + c - b2 in that
+    # order, so results match the textbook recurrence bit for bit.
+    x2 = 2.0 * x
     b1 = np.zeros_like(x)
     b2 = np.zeros_like(x)
+    spare = np.empty_like(x)
     for c in coeffs[:0:-1]:
-        b1, b2 = c + 2.0 * x * b1 - b2, b1
+        np.multiply(x2, b1, out=spare)
+        spare += c
+        spare -= b2
+        b1, b2, spare = spare, b1, b2
     c0 = coeffs[0] if len(coeffs) else 0.0
     if second_kind:
-        return c0 + 2.0 * x * b1 - b2
+        return c0 + x2 * b1 - b2
     return c0 + x * b1 - b2
 
 
@@ -102,13 +109,13 @@ def differentiate_first_kind(series: ChebyshevSeries) -> ChebyshevSeries:
 
 def second_to_first_coeffs(coeffs: Sequence[float]) -> tuple[float, ...]:
     """Re-express sum c_k U_k as a first-kind coefficient vector."""
-    out = [0.0] * len(coeffs)
+    # one slice-add per k keeps the ascending-k summation order of every out[j]
+    out = np.zeros(len(coeffs))
     for k, c in enumerate(coeffs):
-        for j in range(k, 0, -2):
-            out[j] += 2.0 * c
+        out[k:0:-2] += 2.0 * c
         if k % 2 == 0:
             out[0] += c
-    return tuple(out)
+    return tuple(out.tolist())
 
 
 def differentiate_second_kind(series: ChebyshevSeries) -> ChebyshevSeries:

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -58,7 +60,57 @@ CONSTITUTIVE_POINTS = 1001
 
 
 def _dump_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """``json.dumps(doc, indent=2) + "\\n"``, byte for byte.
+
+    The standard library indents with its pure-Python encoder, which walks
+    every float through a chain of generators.  Coefficient lists make up
+    most of memsynth's documents, so a list of floats is joined in one pass.
+    Keys must be strings, as they are in every memsynth document.
+    """
+    out: list[str] = []
+    _encode_json(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _json_float(value: float) -> str:
+    if math.isfinite(value):
+        return float.__repr__(value)
+    return "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity")
+
+
+def _encode_json(value, newline: str, out: list[str]) -> None:
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None or isinstance(value, bool):
+        out.append("null" if value is None else ("true" if value else "false"))
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_json_float(value))
+    elif isinstance(value, (list, tuple, dict)):
+        is_dict = isinstance(value, dict)
+        if not value:
+            out.append("{}" if is_dict else "[]")
+            return
+        inner = newline + "  "
+        if not is_dict and all(isinstance(v, float) for v in value):
+            out.append("[" + inner + ("," + inner).join(map(_json_float, value)) + newline + "]")
+            return
+        out.append("{" if is_dict else "[")
+        separator = inner
+        for item in value.items() if is_dict else value:
+            out.append(separator)
+            if is_dict:
+                key, item = item
+                if not isinstance(key, str):
+                    raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+                out.append(encode_basestring_ascii(key) + ": ")
+            _encode_json(item, inner, out)
+            separator = "," + inner
+        out.append(newline + ("}" if is_dict else "]"))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit(text: str, path: Optional[str]) -> None:

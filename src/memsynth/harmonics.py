@@ -132,16 +132,34 @@ class HarmonicSpectrum:
     @classmethod
     def from_dict(cls, doc: dict) -> "HarmonicSpectrum":
         try:
-            omega = doc["omega"]
-            dc = doc.get("dc", 0.0)
+            omega = _real(doc["omega"], "omega")
+            dc = _real(doc.get("dc", 0.0), "dc")
             harmonics = doc["harmonics"]
         except (TypeError, KeyError) as exc:
             raise ValidationError(f"spectrum document missing key: {exc}") from exc
+        if not isinstance(harmonics, list):
+            raise ValidationError("harmonics must be a list")
         try:
-            terms = tuple((h["n"], h["a"], h["b"]) for h in harmonics)
+            terms = tuple(
+                (_order(h["n"]), _real(h["a"], "a"), _real(h["b"], "b")) for h in harmonics
+            )
         except (TypeError, KeyError) as exc:
             raise ValidationError("each harmonic needs keys n, a, b") from exc
         return cls(omega=omega, dc=dc, terms=terms)
+
+
+def _real(value, name: str) -> float:
+    """A JSON number; strings and booleans are rejected, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    return value
+
+
+def _order(value) -> int:
+    """A JSON integer harmonic order; 1.7, 2.0 and true are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"harmonic order n must be an integer, got {value!r}")
+    return value
 
 
 def _check_frequency(omega_left: float, omega_right: float) -> None:
@@ -173,6 +191,11 @@ def project_waveform(samples, omega: float, n_max: int) -> HarmonicSpectrum:
     (endpoint excluded; the periodic closure makes the composite trapezoid
     rule collapse to the plain mean).  Requires ``N >= 4 * n_max`` so every
     requested order is safely below the aliasing limit.
+
+    The trapezoid sums ``(2/N) sum_k x_k cos(n theta_k)`` and
+    ``(2/N) sum_k x_k sin(n theta_k)`` are the scaled real part and the
+    negated scaled imaginary part of the discrete Fourier transform, so one
+    real FFT computes all orders at O(N log N) cost.
     """
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 1:
@@ -186,13 +209,9 @@ def project_waveform(samples, omega: float, n_max: int) -> HarmonicSpectrum:
         raise ValidationError(
             f"need at least {4 * n_max} samples for n_max={n_max}, got {arr.size}"
         )
-    theta = 2.0 * np.pi * np.arange(arr.size) / arr.size
-    dc = float(arr.mean())
-    terms = []
-    for n in range(1, n_max + 1):
-        c = np.cos(n * theta)
-        s = np.sin(n * theta)
-        terms.append((n, 2.0 * float(arr @ c) / arr.size, 2.0 * float(arr @ s) / arr.size))
+    spectrum = np.fft.rfft(arr)[: n_max + 1] * (2.0 / arr.size)
+    dc = float(spectrum[0].real) / 2.0
+    terms = zip(range(1, n_max + 1), spectrum.real[1:].tolist(), (-spectrum.imag[1:]).tolist())
     return HarmonicSpectrum(omega=omega, dc=dc, terms=tuple(terms))
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -158,7 +159,14 @@ class SimulationTrace:
     states: SupplyStates
     branches: tuple[TraceBranch, ...]
     i_total: np.ndarray
-    capacitance: Optional[np.ndarray] = None
+
+    @cached_property
+    def capacitance(self) -> Optional[np.ndarray]:
+        """C_M(phi) of the memcapacitor branch, or None; evaluated on first use."""
+        for branch in reversed(self.branches):
+            if branch.element.kind is ElementKind.MEMCAPACITOR:
+                return branch.element.incremental.evaluate(self.states.phi)
+        return None
 
     @property
     def t(self) -> np.ndarray:
@@ -182,16 +190,11 @@ def simulate(
     states = supply_states(decomposition.supply, config)
     branches = []
     total = np.zeros_like(states.u)
-    capacitance = None
     for label, element in decomposition.branches():
         current, charge = branch_current(element, states)
         branches.append(TraceBranch(label, element, current, charge))
         total = total + current
-        if element.kind is ElementKind.MEMCAPACITOR:
-            capacitance = element.incremental.evaluate(states.phi)
-    return SimulationTrace(
-        states=states, branches=tuple(branches), i_total=total, capacitance=capacitance
-    )
+    return SimulationTrace(states=states, branches=tuple(branches), i_total=total)
 
 
 def branch_average_power(trace: SimulationTrace, label: str) -> float:

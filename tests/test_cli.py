@@ -47,6 +47,28 @@ def test_load_model_bridge_validation(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", [
+    {},
+    [],
+    {"a": [], "b": {}, "c": [[], {}, [[]]]},
+    {"floats": [0.1, -0.0, 1e-310, 1e300, 1e16, 1e-05, np.float64(2.5)]},
+    {"non_finite": [float("nan"), float("inf"), -float("inf")], "x": float("nan")},
+    {"mixed": [1.5, 2, True, None, "s", (0.25, 0.5)], "int": 2**70, "flag": False},
+    {"text": 'h\u00e9llo "q" \\ \n\t\u2603 \U0001f600', "n": np.float64(3.25)},
+    {"deep": {"er": {"est": [1.5, {"k": [0.1, 0.2]}]}}},
+])
+def test_dump_json_matches_stdlib_indent_2(doc):
+    assert cli._dump_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_dump_json_rejects_what_stdlib_rejects():
+    for doc in ({"k": np.int64(3)}, {"k": object()}, [np.arange(2)]):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2)
+        with pytest.raises(TypeError):
+            cli._dump_json(doc)
+
+
 def test_byte_determinism(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -79,6 +101,31 @@ def test_characterize_branches_and_verification(tmp_path):
     assert ver["max_coefficient_error"] <= 1e-9
     assert ver["n_max"] == 2
     assert ver["samples_per_period"] == 8192
+
+
+@pytest.mark.parametrize("n_max", [3000, 4000])
+def test_characterize_high_orders_grow_the_verify_grid(tmp_path, n_max):
+    spec = tmp_path / "spec.json"
+    out = tmp_path / "dec.json"
+    assert cli.main(["load-model", "rectifier", "--nmax", str(n_max), "-o", str(spec)]) == 0
+    assert cli.main(["characterize", str(spec), "-o", str(out)]) == 0
+    ver = json.loads(out.read_text())["verification"]
+    assert ver["samples_per_period"] == 16384
+    assert ver["max_rel_rms_error"] <= 1e-12
+
+
+@pytest.mark.parametrize("harmonic", [
+    {"n": 1.7, "a": 0.0, "b": 1.0},
+    {"n": True, "a": 0.0, "b": 1.0},
+    {"n": 1, "a": "2", "b": 1.0},
+    {"n": 1, "a": 0.0, "b": False},
+])
+def test_characterize_rejects_malformed_spectrum(tmp_path, capsys, harmonic):
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps({"omega": OMEGA, "supply_amplitude": AMP,
+                                "harmonics": [harmonic]}))
+    assert cli.main(["characterize", str(spec)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_characterize_policy_flags(tmp_path):

@@ -1,5 +1,6 @@
 """Spectra, waveforms, Fourier projection, powers, and the Fryze split."""
 
+import copy
 import math
 
 import numpy as np
@@ -78,6 +79,40 @@ def test_spectrum_from_dict_validation():
         HarmonicSpectrum.from_dict({"omega": 1.0})
     with pytest.raises(ValidationError):
         HarmonicSpectrum.from_dict({"omega": 1.0, "harmonics": [{"n": 1, "a": 0.0}]})
+
+
+_GOOD_DOC = {"omega": 1.0, "dc": 0.5, "harmonics": [{"n": 1, "a": 0.0, "b": 2}]}
+
+
+def _with(key, value):
+    doc = copy.deepcopy(_GOOD_DOC)
+    (doc if key in ("omega", "dc") else doc["harmonics"][0])[key] = value
+    return doc
+
+
+def test_spectrum_from_dict_accepts_json_integers():
+    spec = HarmonicSpectrum.from_dict(_GOOD_DOC)
+    assert spec.terms == (HarmonicTerm(1, 0.0, 2.0),)
+    assert spec.dc == 0.5
+
+
+@pytest.mark.parametrize("value", [1.7, 1.0, True, "1", None])
+def test_spectrum_from_dict_rejects_non_integer_order(value):
+    with pytest.raises(ValidationError, match="integer"):
+        HarmonicSpectrum.from_dict(_with("n", value))
+
+
+@pytest.mark.parametrize("key", ["a", "b", "omega", "dc"])
+@pytest.mark.parametrize("value", ["2", True, False, None, [1.0]])
+def test_spectrum_from_dict_rejects_non_numbers(key, value):
+    with pytest.raises(ValidationError, match="number"):
+        HarmonicSpectrum.from_dict(_with(key, value))
+
+
+@pytest.mark.parametrize("harmonics", [{}, "", {"n": 1, "a": 0.0, "b": 1.0}, [[1, 0.0, 1.0]]])
+def test_spectrum_from_dict_rejects_malformed_harmonics(harmonics):
+    with pytest.raises(ValidationError):
+        HarmonicSpectrum.from_dict({"omega": 1.0, "harmonics": harmonics})
 
 
 def test_evaluate_pure_sine():

@@ -22,6 +22,7 @@ from memsynth.loads import (
     rectifier_spectrum,
 )
 from memsynth.simulation import SimulationConfig, simulate
+from memsynth import synthesis
 from memsynth.synthesis import (
     AssignmentPolicy,
     EvenSineRoute,
@@ -29,6 +30,7 @@ from memsynth.synthesis import (
     PolicyMode,
     decompose_load,
     synthesize_conditioner,
+    verification_grid,
     verify_decomposition,
 )
 
@@ -256,3 +258,54 @@ def test_compensated_powers_reach_unity():
     combined = project_waveform(load_i + cond_i, OMEGA, 2)
     summary = compute_powers(SUPPLY, combined)
     assert summary.power_factor == pytest.approx(1.0, abs=1e-9)
+
+
+def test_verification_grid_rule():
+    assert [verification_grid(n) for n in (1, 199, 2048)] == [8192] * 3
+    assert verification_grid(2049) == 16384
+    assert verification_grid(4096) == 16384
+    assert verification_grid(4097) == 32768
+
+
+def test_verify_grows_grid_for_high_orders():
+    spectrum = rectifier_spectrum(AMP, OMEGA, n_max=3000)
+    report = verify_decomposition(decompose_load(SUPPLY, spectrum), spectrum)
+    assert report.samples_per_period == 16384
+    assert report.rel_rms_error <= 1e-12
+    assert report.max_coefficient_error <= 1e-12
+
+
+def test_verify_simulates_exactly_one_period(monkeypatch):
+    seen = []
+
+    def spy(decomposition, config=None):
+        seen.append(config)
+        return simulate(decomposition, config)
+
+    monkeypatch.setattr(synthesis, "simulate", spy)
+    spectrum = motivating_spectrum()
+    dec = decompose_load(SUPPLY, spectrum)
+    verify_decomposition(dec, spectrum, SimulationConfig(periods=3, samples_per_period=512))
+    verify_decomposition(dec, spectrum)
+    assert [c.periods for c in seen] == [1, 1]
+    assert [c.samples_per_period for c in seen] == [512, 8192]
+
+
+def test_verify_rejects_non_finite_current_through_projection(monkeypatch):
+    projected = []
+
+    def corrupt(decomposition, config=None):
+        trace = simulate(decomposition, config)
+        trace.i_total[7] = np.nan
+        return trace
+
+    def spy_project(samples, omega, n_max):
+        projected.append(n_max)
+        return project_waveform(samples, omega, n_max)
+
+    monkeypatch.setattr(synthesis, "simulate", corrupt)
+    monkeypatch.setattr(synthesis, "project_waveform", spy_project)
+    spectrum = motivating_spectrum()
+    with pytest.raises(ValidationError, match="finite"):
+        verify_decomposition(decompose_load(SUPPLY, spectrum), spectrum)
+    assert projected == [2]
