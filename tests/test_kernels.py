@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from memsynth.chebyshev import _clenshaw, second_to_first_coeffs
+from memsynth.errors import ValidationError
 from memsynth.harmonics import project_waveform
 
 
@@ -55,13 +56,13 @@ def test_fft_projection_matches_direct_sums(n_max, samples):
 
 
 def test_fft_projection_keeps_its_guards():
-    with pytest.raises(ValueError, match="at least 800"):
+    with pytest.raises(ValidationError, match="at least 800"):
         project_waveform(np.zeros(799), 1.0, 200)
-    with pytest.raises(ValueError, match="n_max"):
+    with pytest.raises(ValidationError, match="n_max"):
         project_waveform(np.zeros(64), 1.0, 0)
-    with pytest.raises(ValueError, match="1-D"):
+    with pytest.raises(ValidationError, match="1-D"):
         project_waveform(np.zeros((8, 8)), 1.0, 1)
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValidationError, match="finite"):
         project_waveform(np.array([0.0, 1.0, np.inf, 0.0]), 1.0, 1)
 
 
