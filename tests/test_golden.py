@@ -35,25 +35,60 @@ def _without_verification(path):
     return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
 
-def golden_digests(load_args, workdir):
-    """sha256 of every output of the command chain, keyed by file name."""
+def _prepare(load_args, workdir):
+    """Spectrum, decomposition, conditioner and power report of one load."""
     spec = workdir / "spec.json"
     _run("load-model", *load_args, "-o", spec)
     _run("characterize", spec, "-o", workdir / "dec.json")
     _run("compensate", spec, "-o", workdir / "cond.json", "--report", workdir / "report.json")
-    for network in ("dec", "cond"):
-        doc_path = workdir / f"{network}.json"
-        _run("simulate", doc_path, "--periods", "1", "-o", workdir / f"{network}.csv")
-        labels = [b["label"] for b in json.loads(doc_path.read_text())["branches"]]
-        for label in labels:
-            if label in MEMORY_LABELS:
-                _run("hysteresis", doc_path, "--branch", label,
-                     "-o", workdir / f"{network}_{label}.csv")
+    return spec
+
+
+def _memory_labels(doc_path):
+    labels = [b["label"] for b in json.loads(doc_path.read_text())["branches"]]
+    return [label for label in labels if label in MEMORY_LABELS]
+
+
+def _digests(paths):
     digests = {}
-    for path in sorted(workdir.iterdir()):
+    for path in sorted(paths):
         data = _without_verification(path) if path.name == "dec.json" else path.read_bytes()
         digests[path.name] = hashlib.sha256(data).hexdigest()
     return digests
+
+
+def golden_digests(load_args, workdir):
+    """sha256 of every output of the command chain, keyed by file name."""
+    _prepare(load_args, workdir)
+    for network in ("dec", "cond"):
+        doc_path = workdir / f"{network}.json"
+        _run("simulate", doc_path, "--periods", "1", "-o", workdir / f"{network}.csv")
+        for label in _memory_labels(doc_path):
+            _run("hysteresis", doc_path, "--branch", label,
+                 "-o", workdir / f"{network}_{label}.csv")
+    return _digests(workdir.iterdir())
+
+
+def more_digests(load_args, workdir):
+    """sha256 of the outputs of the flags the chain above leaves at one value.
+
+    ``simulate`` at the default two periods and once with the trapezoid
+    integrator, ``hysteresis --periods 1`` (the loop closes by wrapping to
+    sample 0) and ``report --pf-convention both``.  Files the chain above
+    pins already are left out.
+    """
+    spec = _prepare(load_args, workdir)
+    pinned = set(workdir.iterdir())
+    _run("report", spec, "--pf-convention", "both", "-o", workdir / "powers.json")
+    _run("simulate", workdir / "dec.json", "--integrator", "trapezoid",
+         "-o", workdir / "dec_trapezoid.csv")
+    for network in ("dec", "cond"):
+        doc_path = workdir / f"{network}.json"
+        _run("simulate", doc_path, "-o", workdir / f"{network}_2p.csv")
+        for label in _memory_labels(doc_path):
+            _run("hysteresis", doc_path, "--branch", label, "--periods", "1",
+                 "-o", workdir / f"{network}_{label}_1p.csv")
+    return _digests(set(workdir.iterdir()) - pinned)
 
 
 #: recorded from the direct cos/sin projection build
@@ -122,3 +157,41 @@ GOLDEN = {'bridge-1100': {'cond.csv': '8fbd06f34f6f464e68c4969980872d1ab4e48b5d9
 @pytest.mark.parametrize("load", sorted(LOADS))
 def test_cli_outputs_match_golden_digests(load, tmp_path):
     assert golden_digests(LOADS[load], tmp_path) == GOLDEN[load]
+
+
+#: recorded on the build with the per-row CSV loops
+GOLDEN_MORE = {'bridge-199': {'cond_2p.csv': '50ea1871a17290e9b3400c8b4fd72a704b062a6c0093fe95b53ec9d19a48bd86',
+                'cond_memcapacitor_1p.csv': '77a3ba39933f8d7c2732a596f1feb55c4eb3ef62af88312b0cfbb9a6e7587af3',
+                'cond_memcapacitor_1p_constitutive.csv': '31d778279ef7288e753da65ba347a80ae44273d624574626b207952cf4f8e377',
+                'cond_memristor_1p.csv': '69fac88cd4982b507c741d12e0a58fe94b6e7f3b3a4ede491c93d97c5bf0b14d',
+                'cond_memristor_1p_constitutive.csv': '3707a05bdad84b073a48a61390a8fbbc3e7fc969f6b537f0dcf2acffa2a8c24b',
+                'dec_2p.csv': '8680dc0ea0f8a5a888442973ca5c08dd9781fec3f73e08f26376f0acd707e8eb',
+                'dec_meminductor_1p.csv': '80a63567c2d151e1363960c250fdb01bb641a89b5d6ff9fb099bd984654498a9',
+                'dec_meminductor_1p_constitutive.csv': '494769c5cc98e280f0769be4fb7d589b2421e6329d2463bc6e4a6d44f99d06a3',
+                'dec_memristor_1p.csv': 'b782a9e4b0f60ddfb5f2d78f4d903b56ec07c4da9b1aaf566b70973a69954db2',
+                'dec_memristor_1p_constitutive.csv': '7287085d9de55584e9d2e49431ff37e9d0a9d82aa149064b8429850b7c999b41',
+                'dec_trapezoid.csv': 'cac66f643a946016a224f737af4bafb2ba2e5c733c7f8acea9939e55836f3f74',
+                'powers.json': '09cd92f676fcdd478de3c63fdef270fd108ef54cfe866b781354080dca6e0b74'},
+ 'motivating': {'cond_2p.csv': '7a717876aae3b02e13cbf83f98296b0eb7c195e8050ebdc6e41a60b6620c1fe4',
+                'cond_memcapacitor_1p.csv': '945b78bf54185f9441658eb420daba7317677d828fc113658f235bf4fd502c17',
+                'cond_memcapacitor_1p_constitutive.csv': '82b9dac31db99ad2addbee95091d9f751c6d576558d73d36100f66d7c1bfcbef',
+                'dec_2p.csv': 'bea45160f8533dc5229ae9c16ab5db4dae338f81232a4034df9e77e17847e28b',
+                'dec_memcapacitor_1p.csv': '2e4e29b2564e6c179a59cc9f89ec37a6ad718eeb728abb1740e254a76b5f562b',
+                'dec_memcapacitor_1p_constitutive.csv': 'a13f52aec3c65a4daa9dce81adb0be3952d93ac53faa554ef5b40394c05410ac',
+                'dec_meminductor_1p.csv': '7e5d3d08da3408384b18b1b5667eb2697b6e97a6c43ee9e8934917735eabb643',
+                'dec_meminductor_1p_constitutive.csv': '8ab72f156bb885c0c2f06210834eadf0228ad0b8ff69e73b7fb2e525a0cd4a9e',
+                'dec_trapezoid.csv': 'c785fab4d8a0495f8141e2b490cac67dfbc9a10eca3cc121bdb884cd7972184d',
+                'powers.json': 'ebcc960782ed2df2e296a5d4c3b31c10ecd8af53dc622e39cf411bc72c05f7b4'},
+ 'rectifier-199': {'cond_2p.csv': '3e8b52c11158c45cecd47a7ca84484c553aa74bf64856eeaca5f60d51726fc6e',
+                   'cond_memcapacitor_1p.csv': '9503b7401a252ede01093a47354d199b942158a54afc9ef0bf4f18013ccaef91',
+                   'cond_memcapacitor_1p_constitutive.csv': 'a0f55b88335ce78e67c2eaafcf040d3662d7527fa4b6066d17d5b491039b56a3',
+                   'dec_2p.csv': '1874028d200722f2cc065d506eac29708b3bbd6920aa365f94823e0092b2aa89',
+                   'dec_memcapacitor_1p.csv': 'a5a726f86f9adfd8e9f935665bd4c585ecfde683a9e5aa1e5c527a6289d75bf9',
+                   'dec_memcapacitor_1p_constitutive.csv': '4fdcaddee3affdc05f2897a8f34003c981e781c946ebb9d7c7894e5d95a55ced',
+                   'dec_trapezoid.csv': 'e4be3bb517926452cb436d8764bb0d5e1b4ca8d97fd3d899628dbb2f86907318',
+                   'powers.json': '432216b0993e54262a4e6b92502a0fa3fe5b02a167a0391f38c8da73fa66f40a'}}
+
+
+@pytest.mark.parametrize("load", sorted(GOLDEN_MORE))
+def test_more_cli_outputs_match_golden_digests(load, tmp_path):
+    assert more_digests(LOADS[load], tmp_path) == GOLDEN_MORE[load]
