@@ -25,6 +25,7 @@ from .errors import NumericalError, ValidationError
 from .harmonics import (
     HarmonicSpectrum,
     SupplyVoltage,
+    _real,
     compute_powers,
     fryze_split,
 )
@@ -38,6 +39,7 @@ from .loads import (
 from .simulation import (
     Integrator,
     SimulationConfig,
+    columns_to_csv,
     hysteresis_loop,
     simulate,
     supply_states,
@@ -133,10 +135,11 @@ def _read_spectrum(path: str, amplitude: Optional[float]) -> tuple[SupplyVoltage
     spectrum = HarmonicSpectrum.from_dict(doc)
     if amplitude is None:
         amplitude = doc.get("supply_amplitude")
-    if amplitude is None:
-        raise ValidationError(
-            f"{path} carries no supply_amplitude; pass --A explicitly"
-        )
+        if amplitude is None:
+            raise ValidationError(
+                f"{path} carries no supply_amplitude; pass --A explicitly"
+            )
+        amplitude = _real(amplitude, "supply_amplitude")
     return SupplyVoltage(amplitude, spectrum.omega), spectrum
 
 
@@ -268,25 +271,18 @@ def cmd_hysteresis(args: argparse.Namespace) -> int:
         raise ValidationError(f"decomposition has no branch labelled {args.branch!r}")
     states = supply_states(decomposition.supply, _sim_config(args))
     drive, response = hysteresis_loop(element, states)
-    header = _LOOP_HEADERS[element.kind.value]
-    lines = [header]
-    for x, y in zip(drive, response):
-        lines.append(f"{float(x)!r},{float(y)!r}")
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(columns_to_csv(_LOOP_HEADERS[element.kind.value], [drive, response]), args.output)
 
     # single-valued constitutive curve over the steady-state control range
     series = element.constitutive
     span = 1.0 / abs(series.scale)
     grid = np.linspace(-span, span, CONSTITUTIVE_POINTS)
-    values = series.evaluate(grid)
-    lines = ["control,value"]
-    for x, y in zip(grid, values):
-        lines.append(f"{float(x)!r},{float(y)!r}")
+    table = columns_to_csv("control,value", [grid, series.evaluate(grid)])
     constitutive_path = args.constitutive_output
     if constitutive_path is None and args.output is not None:
         base = Path(args.output)
         constitutive_path = str(base.with_name(base.stem + "_constitutive" + base.suffix))
-    _emit("\n".join(lines) + "\n", constitutive_path)
+    _emit(table, constitutive_path)
     return 0
 
 

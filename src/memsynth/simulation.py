@@ -18,6 +18,12 @@ Branch currents are evaluated element by element:
 
 Charge columns exist where a charge is defined without integrating the
 current: the memcapacitor (q = C_M(phi) u) and the LTI capacitor (q = C u).
+Each Chebyshev series is evaluated once per output: the memcapacitor's
+``C_M(phi)`` samples feed its current, its charge and the trace's ``C_of_t``
+column alike.
+
+CSV is written column by column (:func:`columns_to_csv`): every cell is the
+shortest round-trip ``repr`` of its float64 sample.
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from typing import TYPE_CHECKING, Optional
+from itertools import repeat
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -36,6 +42,11 @@ from .harmonics import SupplyVoltage
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .synthesis import LoadDecomposition
+
+
+#: largest ``periods * samples_per_period`` a simulation grid may hold; at
+#: the limit every waveform array (t, u, phi, sigma, each branch) is 32 MiB
+MAX_GRID_SAMPLES = 2**22
 
 
 class Integrator(str, Enum):
@@ -50,6 +61,8 @@ class SimulationConfig:
     ``phi0`` defaults to the zero-mean steady state value -A/w (matching the
     closed forms at t = 0) and ``sigma0`` to 0; both are only consumed by the
     trapezoid integrator, the closed-form path is exact by construction.
+    The grid holds at most :data:`MAX_GRID_SAMPLES` samples, checked here,
+    before anything is allocated.
     """
 
     periods: int = 2
@@ -66,6 +79,11 @@ class SimulationConfig:
             raise ValidationError("samples_per_period must be an integer >= 64")
         object.__setattr__(self, "periods", int(self.periods))
         object.__setattr__(self, "samples_per_period", int(self.samples_per_period))
+        if self.periods * self.samples_per_period > MAX_GRID_SAMPLES:
+            raise ValidationError(
+                f"periods * samples_per_period = {self.periods * self.samples_per_period}"
+                f" exceeds the grid limit of {MAX_GRID_SAMPLES} samples"
+            )
         if self.phi0 is not None and not math.isfinite(float(self.phi0)):
             raise ValidationError("phi0 must be finite")
         if not math.isfinite(float(self.sigma0)):
@@ -108,39 +126,50 @@ def supply_states(supply: SupplyVoltage, config: Optional[SimulationConfig] = No
     return SupplyStates(supply=supply, config=config, t=t, u=u, phi=phi, sigma=sigma)
 
 
-def branch_current(
-    element: MemoryElement, states: SupplyStates
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Current (and charge, where defined) of one branch on given states."""
+class BranchWaveforms(NamedTuple):
+    """What one branch evaluation yields on a state grid."""
+
+    current: np.ndarray
+    #: q where it is defined without integrating i (capacitors), else None
+    charge: Optional[np.ndarray] = None
+    #: the memcapacitor's C_M(phi) samples, else None
+    capacitance: Optional[np.ndarray] = None
+
+
+def _memcapacitance(element: MemoryElement, phi: np.ndarray) -> np.ndarray:
+    if element.control is not ControlVariable.FLUX:
+        raise ValidationError("memcapacitor control not derivable from supply states")
+    return element.incremental.evaluate(phi)
+
+
+def branch_current(element: MemoryElement, states: SupplyStates) -> BranchWaveforms:
+    """Current, charge and capacitance (where defined) of one branch."""
     supply = states.supply
     kind = element.kind
     if kind is ElementKind.DC_SOURCE:
-        return np.full_like(states.u, element.scalar_value), None
+        return BranchWaveforms(np.full_like(states.u, element.scalar_value))
     if kind is ElementKind.RESISTOR:
-        return states.u / element.scalar_value, None
+        return BranchWaveforms(states.u / element.scalar_value)
     if kind is ElementKind.INDUCTOR:
         phi = states.phi - states.phi.mean()  # no dc flux offset in steady state
-        return phi / element.scalar_value, None
+        return BranchWaveforms(phi / element.scalar_value)
     if kind is ElementKind.CAPACITOR:
         du = supply.amplitude * supply.omega * np.cos(supply.omega * states.t)
-        return element.scalar_value * du, element.scalar_value * states.u
+        return BranchWaveforms(element.scalar_value * du, element.scalar_value * states.u)
     if kind is ElementKind.MEMRISTOR:
         if element.control is not ControlVariable.FLUX:
             raise ValidationError("memristor control not derivable from supply states")
-        return element.incremental.evaluate(states.phi) * states.u, None
+        return BranchWaveforms(element.incremental.evaluate(states.phi) * states.u)
     if kind is ElementKind.MEMINDUCTOR:
         if element.control is not ControlVariable.TIME_INTEGRATED_FLUX:
             raise ValidationError("meminductor control not derivable from supply states")
-        return element.incremental.evaluate(states.sigma) * states.phi, None
+        return BranchWaveforms(element.incremental.evaluate(states.sigma) * states.phi)
     if kind is ElementKind.MEMCAPACITOR:
-        if element.control is not ControlVariable.FLUX:
-            raise ValidationError("memcapacitor control not derivable from supply states")
-        cap = element.incremental.evaluate(states.phi)
+        cap = _memcapacitance(element, states.phi)
         dcap = element.incremental.derivative().evaluate(states.phi)
         du = supply.amplitude * supply.omega * np.cos(supply.omega * states.t)
-        charge = cap * states.u
         current = cap * du + states.u * states.u * dcap
-        return current, charge
+        return BranchWaveforms(current, cap * states.u, cap)
     raise ValidationError(f"unsupported element kind {kind!r}")
 
 
@@ -150,6 +179,7 @@ class TraceBranch:
     element: MemoryElement
     current: np.ndarray
     charge: Optional[np.ndarray] = None
+    capacitance: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -160,12 +190,12 @@ class SimulationTrace:
     branches: tuple[TraceBranch, ...]
     i_total: np.ndarray
 
-    @cached_property
+    @property
     def capacitance(self) -> Optional[np.ndarray]:
-        """C_M(phi) of the memcapacitor branch, or None; evaluated on first use."""
+        """C_M(phi) of the memcapacitor branch, or None."""
         for branch in reversed(self.branches):
             if branch.element.kind is ElementKind.MEMCAPACITOR:
-                return branch.element.incremental.evaluate(self.states.phi)
+                return branch.capacitance
         return None
 
     @property
@@ -191,9 +221,9 @@ def simulate(
     branches = []
     total = np.zeros_like(states.u)
     for label, element in decomposition.branches():
-        current, charge = branch_current(element, states)
-        branches.append(TraceBranch(label, element, current, charge))
-        total = total + current
+        waves = branch_current(element, states)
+        branches.append(TraceBranch(label, element, *waves))
+        total = total + waves.current
     return SimulationTrace(states=states, branches=tuple(branches), i_total=total)
 
 
@@ -213,30 +243,21 @@ def hysteresis_loop(
     """
     if not element.is_memory:
         raise ValidationError("hysteresis loops are defined for memory elements")
-    spp = states.config.samples_per_period
-    if len(states.t) > spp:
-        sel = slice(0, spp + 1)
-        t = states.t[sel]
-        u = states.u[sel]
-        phi = states.phi[sel]
-        sigma = states.sigma[sel]
-    else:
-        idx = np.concatenate([np.arange(spp), [0]])
-        t = states.t[idx]
-        u = states.u[idx]
-        phi = states.phi[idx]
-        sigma = states.sigma[idx]
+    # sample spp is t = T when the grid holds it, else sample 0 wraps around
+    idx = np.arange(states.config.samples_per_period + 1) % len(states.t)
+    u = states.u[idx]
+    phi = states.phi[idx]
+    if element.kind is ElementKind.MEMCAPACITOR:
+        return u, _memcapacitance(element, phi) * u
     one = SupplyStates(
         supply=states.supply,
         config=states.config,
-        t=t,
+        t=states.t[idx],
         u=u,
         phi=phi,
-        sigma=sigma,
+        sigma=states.sigma[idx],
     )
-    current, charge = branch_current(element, one)
-    if element.kind is ElementKind.MEMCAPACITOR:
-        return u, charge
+    current = branch_current(element, one).current
     if element.kind is ElementKind.MEMINDUCTOR:
         return phi, current
     return u, current
@@ -248,6 +269,34 @@ _CM_KINDS = (ElementKind.MEMCAPACITOR, ElementKind.CAPACITOR)
 
 TRACE_HEADER = "t,u,phi,sigma,i_total,i_dc,i_GM,i_GammaM,i_CM,q_CM,C_of_t"
 
+#: rows rendered at a time by :func:`columns_to_csv`; bounds the Python
+#: floats and strings alive at once to one chunk's worth
+CSV_CHUNK_ROWS = 1024
+
+
+def columns_to_csv(header: str, columns: Sequence[Optional[np.ndarray]]) -> str:
+    """CSV text with one row per sample of equal-length float columns.
+
+    A ``None`` column gives empty cells, so at least one column must be an
+    array.  Every other cell is ``repr(float(column[k]))``, the shortest
+    string that reads back as the same float64.
+    """
+    arrays = [None if col is None else np.asarray(col, dtype=float) for col in columns]
+    lengths = {len(col) for col in arrays if col is not None}
+    if len(lengths) != 1:
+        raise ValueError("CSV columns must be arrays of one length, at least one of them")
+    n = lengths.pop()
+    chunks = [header]
+    for start in range(0, n, CSV_CHUNK_ROWS):
+        stop = start + CSV_CHUNK_ROWS
+        cells = [
+            repeat("") if col is None else map(float.__repr__, col[start:stop].tolist())
+            for col in arrays
+        ]
+        chunks.append("\n".join(map(",".join, zip(*cells))))
+    chunks.append("")
+    return "\n".join(chunks)
+
 
 def trace_to_csv(trace: SimulationTrace) -> str:
     """Render a trace with the fixed column layout.
@@ -257,7 +306,8 @@ def trace_to_csv(trace: SimulationTrace) -> str:
     i_total = i_dc + i_GM + i_GammaM + i_CM.  q_CM and C_of_t describe the
     memcapacitor element itself.  Families with no branch yield empty cells.
     """
-    n = len(trace.t)
+    if not trace.branches:
+        return TRACE_HEADER + "\n"
 
     def family(kinds) -> Optional[np.ndarray]:
         picked = [b.current for b in trace.branches if b.element.kind in kinds]
@@ -268,19 +318,11 @@ def trace_to_csv(trace: SimulationTrace) -> str:
             out += extra
         return out
 
-    i_dc = family((ElementKind.DC_SOURCE,))
-    i_gm = family(_GM_KINDS)
-    i_gamma = family(_GAMMA_KINDS)
-    i_cm = family(_CM_KINDS)
     q_cm = None
     for branch in trace.branches:
         if branch.element.kind is ElementKind.MEMCAPACITOR:
             q_cm = branch.charge
     columns = [trace.t, trace.u, trace.states.phi, trace.states.sigma, trace.i_total,
-               i_dc, i_gm, i_gamma, i_cm, q_cm, trace.capacitance]
-    lines = [TRACE_HEADER]
-    if trace.branches:
-        for k in range(n):
-            cells = ["" if col is None else repr(float(col[k])) for col in columns]
-            lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+               family((ElementKind.DC_SOURCE,)), family(_GM_KINDS), family(_GAMMA_KINDS),
+               family(_CM_KINDS), q_cm, trace.capacitance]
+    return columns_to_csv(TRACE_HEADER, columns)

@@ -300,7 +300,7 @@ def verify_decomposition(
     _check_frequency(decomposition.supply.omega, target.omega)
     n_max = max(target.n_max, 1)
     if config is None:
-        config = SimulationConfig(samples_per_period=verification_grid(n_max))
+        config = SimulationConfig(periods=1, samples_per_period=verification_grid(n_max))
     spp = config.samples_per_period
     if spp < 4 * n_max:
         raise ValidationError("samples_per_period too small to resolve the target spectrum")

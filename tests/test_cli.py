@@ -270,6 +270,31 @@ def test_exit_codes_for_bad_input(tmp_path, capsys):
     assert cli.main(["report", str(no_amp), "--A", str(AMP)]) == 0
 
 
+@pytest.mark.parametrize("amplitude", [True, False, "325", [325.0], {"value": 325.0}])
+@pytest.mark.parametrize("command", ["report", "characterize", "compensate"])
+def test_spectrum_supply_amplitude_must_be_a_number(tmp_path, capsys, command, amplitude):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "omega": OMEGA, "harmonics": [{"n": 1, "a": 0.0, "b": 1.0}],
+        "supply_amplitude": amplitude,
+    }))
+    assert cli.main([command, str(spec), "-o", str(tmp_path / "out.json")]) == 2
+    assert "supply_amplitude must be a number" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+    # an explicit --A overrides the document's value
+    assert cli.main([command, str(spec), "--A", str(AMP), "-o", str(tmp_path / "out.json")]) == 0
+
+
+@pytest.mark.parametrize("command", ["simulate", "hysteresis"])
+def test_oversized_grid_exits_2_before_allocating(tmp_path, capsys, command):
+    dec = _dec_file(tmp_path)
+    branch = ["--branch", "memcapacitor"] if command == "hysteresis" else []
+    assert cli.main([command, str(dec), *branch, "--periods", str(10**9),
+                     "--samples-per-period", str(10**9), "-o", str(tmp_path / "x.csv")]) == 2
+    assert "grid limit" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_env_var_controls_default_truncation(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("MEMSYNTH_NMAX_DEFAULT", "7")
     assert cli.main(["load-model", "rectifier", "--A", "1.0"]) == 0

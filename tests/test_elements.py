@@ -239,9 +239,9 @@ def test_regularized_pair_cancels_in_current():
     from memsynth.simulation import SimulationConfig, branch_current, supply_states
 
     states = supply_states(SUPPLY, SimulationConfig(periods=1, samples_per_period=2048))
-    i_raw, _ = branch_current(element, states)
-    i_reg, _ = branch_current(reg.element, states)
-    i_comp, _ = branch_current(reg.companion, states)
+    i_raw, _, _ = branch_current(element, states)
+    i_reg, _, _ = branch_current(reg.element, states)
+    i_comp, _, _ = branch_current(reg.companion, states)
     residue = i_reg + i_comp - i_raw
     assert float(np.sqrt(np.mean(residue**2))) <= 1e-9 * reg.gamma
 

@@ -6,6 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from memsynth.chebyshev import ChebyshevSeries
 
 from memsynth.elements import (
     ElementKind,
@@ -23,11 +27,14 @@ from memsynth.loads import (
     rectifier_spectrum,
 )
 from memsynth.simulation import (
+    CSV_CHUNK_ROWS,
+    MAX_GRID_SAMPLES,
     TRACE_HEADER,
     Integrator,
     SimulationConfig,
     branch_average_power,
     branch_current,
+    columns_to_csv,
     hysteresis_loop,
     simulate,
     supply_states,
@@ -82,30 +89,42 @@ def test_config_validation():
         SimulationConfig(sigma0=float("nan"))
 
 
+def test_config_bounds_the_grid_before_allocating():
+    # only configs are built here: no grid of this size is ever allocated
+    assert MAX_GRID_SAMPLES == 2**22
+    SimulationConfig(periods=512, samples_per_period=8192)  # exactly at the limit
+    for periods, spp in [(513, 8192), (1, MAX_GRID_SAMPLES + 1), (10**9, 10**9)]:
+        with pytest.raises(ValidationError, match="grid limit"):
+            SimulationConfig(periods=periods, samples_per_period=spp)
+
+
 def test_lti_branch_currents():
     states = supply_states(SUPPLY, SimulationConfig(periods=1, samples_per_period=1024))
-    i_r, q_r = branch_current(MemoryElement(kind=ElementKind.RESISTOR, scalar_value=2.0), states)
+    i_r, q_r, c_r = branch_current(
+        MemoryElement(kind=ElementKind.RESISTOR, scalar_value=2.0), states
+    )
     np.testing.assert_array_equal(i_r, states.u / 2.0)
-    assert q_r is None
+    assert q_r is None and c_r is None
 
-    i_l, _ = branch_current(MemoryElement(kind=ElementKind.INDUCTOR, scalar_value=0.5), states)
+    i_l, _, _ = branch_current(MemoryElement(kind=ElementKind.INDUCTOR, scalar_value=0.5), states)
     expected = -(AMP / (OMEGA * 0.5)) * np.cos(OMEGA * states.t)
     np.testing.assert_allclose(i_l, expected, atol=1e-9 * AMP / OMEGA)
 
     cap = MemoryElement(kind=ElementKind.CAPACITOR, scalar_value=1e-4)
-    i_c, q_c = branch_current(cap, states)
+    i_c, q_c, c_c = branch_current(cap, states)
+    assert c_c is None
     np.testing.assert_allclose(i_c, 1e-4 * AMP * OMEGA * np.cos(OMEGA * states.t), atol=1e-9)
     np.testing.assert_array_equal(q_c, 1e-4 * states.u)
 
-    i_dc, _ = branch_current(MemoryElement(kind=ElementKind.DC_SOURCE, scalar_value=-3.0), states)
+    i_dc, _, _ = branch_current(MemoryElement(kind=ElementKind.DC_SOURCE, scalar_value=-3.0), states)
     assert np.all(i_dc == -3.0)
 
 
 def test_memristor_current_vanishes_with_voltage():
     element = memductance_from_sines(SUPPLY, [(1, 3.0), (3, -1.0)])
     states = supply_states(SUPPLY)
-    current, charge = branch_current(element, states)
-    assert charge is None
+    current, charge, capacitance = branch_current(element, states)
+    assert charge is None and capacitance is None
     mask = states.u == 0.0
     assert np.any(mask)
     assert np.all(current[mask] == 0.0)
@@ -263,3 +282,96 @@ def test_trace_csv_empty_families_and_exact_cells():
 def test_trace_csv_header_only_when_empty():
     trace = simulate(decompose_load(SUPPLY, HarmonicSpectrum(OMEGA)))
     assert trace_to_csv(trace) == TRACE_HEADER + "\n"
+
+
+SPECIAL_FLOATS = [
+    0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e-5, 1e16, 1.7976931348623157e308,
+    0.1, -1.0 / 3.0, float("inf"), float("-inf"), float("nan"),
+]
+
+
+def _reference_csv(header, columns):
+    """The per-cell loop the columnar writer replaced."""
+    n = len(next(col for col in columns if col is not None))
+    lines = [header]
+    for k in range(n):
+        lines.append(",".join("" if col is None else repr(float(col[k])) for col in columns))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("rows", [0, 1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1])
+def test_columns_to_csv_matches_per_cell_repr_on_special_floats(rows):
+    specials = np.resize(np.array(SPECIAL_FLOATS), rows)
+    columns = [specials, None, -specials[::-1].copy(), None]
+    text = columns_to_csv("a,b,c,d", columns)
+    assert text == _reference_csv("a,b,c,d", columns)
+    assert text.count("\n") == rows + 1
+
+
+@st.composite
+def _csv_columns(draw):
+    rows = draw(st.sampled_from(
+        [0, 1, 2, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS + 5]
+    ))
+    present = draw(st.lists(st.booleans(), min_size=1, max_size=6).filter(any))
+    pool = np.array(draw(st.lists(
+        st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()), min_size=1, max_size=12
+    )))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for keep in present:
+        if not keep:
+            columns.append(None)
+            continue
+        # drawn values, mixed with random bit patterns (subnormals, nan payloads)
+        bits = rng.integers(0, 2**64, rows, dtype=np.uint64, endpoint=False).view(np.float64)
+        picked = pool[rng.integers(0, len(pool), rows)]
+        columns.append(np.where(rng.random(rows) < 0.5, picked, bits))
+    return columns
+
+
+@settings(max_examples=60, deadline=None)
+@given(_csv_columns())
+def test_columns_to_csv_matches_per_cell_repr(columns):
+    header = ",".join(f"c{j}" for j in range(len(columns)))
+    assert columns_to_csv(header, columns) == _reference_csv(header, columns)
+
+
+def test_columns_to_csv_rejects_unequal_or_missing_columns():
+    with pytest.raises(ValueError):
+        columns_to_csv("a,b", [np.zeros(3), np.zeros(4)])
+    with pytest.raises(ValueError):
+        columns_to_csv("a", [None])
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """Every series ``ChebyshevSeries.evaluate`` is called on, in call order."""
+    calls = []
+    original = ChebyshevSeries.evaluate
+
+    def spy(self, v):
+        calls.append(self)
+        return original(self, v)
+
+    monkeypatch.setattr(ChebyshevSeries, "evaluate", spy)
+    return calls
+
+
+def test_simulate_and_trace_csv_evaluate_memcapacitance_once(evaluated):
+    dec = decompose_load(SUPPLY, motivating_spectrum())
+    cm = dec.memcapacitor.incremental
+    trace = simulate(dec, SimulationConfig(periods=2, samples_per_period=256))
+    trace_to_csv(trace)
+    memcap_calls = [series for series in evaluated if series in (cm, cm.derivative())]
+    assert memcap_calls == [cm, cm.derivative()]
+    assert memcap_calls[0] is cm
+
+
+def test_memcapacitor_hysteresis_evaluates_only_memcapacitance(evaluated):
+    dec = decompose_load(SUPPLY, motivating_spectrum())
+    states = supply_states(SUPPLY, SimulationConfig(periods=1, samples_per_period=256))
+    u, q = hysteresis_loop(dec.memcapacitor, states)
+    assert len(evaluated) == 1 and evaluated[0] is dec.memcapacitor.incremental
+    idx = np.arange(257) % 256
+    np.testing.assert_array_equal(q, branch_current(dec.memcapacitor, states).charge[idx])
