@@ -11,8 +11,6 @@ simulation.
 from .chebyshev import (
     ChebyshevKind,
     ChebyshevSeries,
-    IdentityReport,
-    chebyshev_identity_suite,
     differentiate_first_kind,
     differentiate_second_kind,
     second_to_first_coeffs,
@@ -23,7 +21,6 @@ from .elements import (
     MemoryElement,
     RegularizedElement,
     default_gamma,
-    dualize,
     element_from_dict,
     element_to_dict,
     inverse_meminductance_from_spectrum,
@@ -36,7 +33,6 @@ from .elements import (
 from .errors import NumericalError, ValidationError
 from .harmonics import (
     HarmonicSpectrum,
-    HarmonicTerm,
     PowerSummary,
     SupplyVoltage,
     compute_powers,
@@ -91,8 +87,6 @@ __all__ = [
     "ElementKind",
     "EvenSineRoute",
     "HarmonicSpectrum",
-    "HarmonicTerm",
-    "IdentityReport",
     "Integrator",
     "LoadDecomposition",
     "LoadKind",
@@ -112,14 +106,12 @@ __all__ = [
     "branch_average_power",
     "branch_current",
     "bridge_spectrum",
-    "chebyshev_identity_suite",
     "compute_powers",
     "decompose_load",
     "default_gamma",
     "default_n_max",
     "differentiate_first_kind",
     "differentiate_second_kind",
-    "dualize",
     "element_from_dict",
     "element_to_dict",
     "evaluate_waveform",

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 invalid input, 3 numerical verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -30,11 +31,12 @@ from .harmonics import (
     fryze_split,
 )
 from .loads import (
+    DEFAULT_N_MAX,
     MOTIVATING_AMPLITUDE,
     MOTIVATING_OMEGA,
+    N_MAX_ENV_VAR,
     LoadKind,
     LoadModel,
-    default_n_max,
 )
 from .simulation import (
     Integrator,
@@ -194,15 +196,15 @@ def cmd_characterize(args: argparse.Namespace) -> int:
     report = verify_decomposition(decomposition, spectrum)
     doc = decomposition.to_dict()
     doc["verification"] = {
-        "max_rel_rms_error": report.max_rel_rms_error,
+        "max_rel_rms_error": report.rel_rms_error,
         "max_coefficient_error": report.max_coefficient_error,
         "n_max": report.n_max,
         "samples_per_period": report.samples_per_period,
     }
     _emit(_dump_json(doc), args.output)
-    if report.max_rel_rms_error > VERIFY_GATE:
+    if report.rel_rms_error > VERIFY_GATE:
         print(
-            f"verification failed: max_rel_rms_error={report.max_rel_rms_error:.3e}"
+            f"verification failed: max_rel_rms_error={report.rel_rms_error:.3e}"
             f" > {VERIFY_GATE:.0e}",
             file=sys.stderr,
         )
@@ -214,7 +216,7 @@ def cmd_compensate(args: argparse.Namespace) -> int:
     supply, spectrum = _read_spectrum(args.spectrum, args.amplitude)
     conditioner = synthesize_conditioner(supply, spectrum, _policy(args))
     active, _, dc = fryze_split(supply, spectrum)
-    compensated = HarmonicSpectrum(spectrum.omega, dc, active.terms)
+    compensated = HarmonicSpectrum(spectrum.omega, dc, active.cos, active.sin)
     report = {
         "supply": {"amplitude": supply.amplitude, "omega": supply.omega},
         "dc_component": dc,
@@ -305,7 +307,9 @@ def _add_policy_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="memsynth",
         description="Characterize distorting loads and synthesize memory-element conditioners.",
@@ -317,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--A", dest="amplitude", type=float, default=None)
     p.add_argument("--omega", type=float, default=None)
     p.add_argument("--nmax", type=int, default=None,
-                   help=f"truncation order (default {default_n_max()}, env MEMSYNTH_NMAX_DEFAULT)")
+                   help=f"truncation order (default {DEFAULT_N_MAX}, env {N_MAX_ENV_VAR})")
     p.add_argument("--idc", type=float, default=1.0)
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("-o", "--output", default=None)
@@ -365,8 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)

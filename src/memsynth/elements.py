@@ -53,17 +53,18 @@ class ElementKind(str, Enum):
     DC_SOURCE = "dc_source"
 
 
-MEMORY_KINDS = frozenset(
-    {ElementKind.MEMRISTOR, ElementKind.MEMINDUCTOR, ElementKind.MEMCAPACITOR}
-)
-LTI_KINDS = frozenset({ElementKind.RESISTOR, ElementKind.INDUCTOR, ElementKind.CAPACITOR})
-
-
 class ControlVariable(str, Enum):
     FLUX = "flux"
     TIME_INTEGRATED_FLUX = "time_integrated_flux"
-    CHARGE = "charge"
-    TIME_INTEGRATED_CHARGE = "time_integrated_charge"
+
+
+#: the memory kinds, each with the one control a voltage supply drives it by
+CONTROL_OF_KIND = {
+    ElementKind.MEMRISTOR: ControlVariable.FLUX,
+    ElementKind.MEMCAPACITOR: ControlVariable.FLUX,
+    ElementKind.MEMINDUCTOR: ControlVariable.TIME_INTEGRATED_FLUX,
+}
+LTI_KINDS = frozenset({ElementKind.RESISTOR, ElementKind.INDUCTOR, ElementKind.CAPACITOR})
 
 
 @dataclass(frozen=True)
@@ -72,8 +73,10 @@ class MemoryElement:
 
     Memory kinds carry ``incremental`` (second-kind series, the state
     dependent G/Gamma/C value) and ``constitutive`` (first-kind series, its
-    exact antiderivative) in the listed control variable.  LTI kinds carry
-    only ``scalar_value`` (ohms, henry, farad, or amperes for a dc source).
+    exact antiderivative) in the control variable of their kind: flux for
+    memristors and memcapacitors, time-integrated flux for meminductors.
+    LTI kinds carry only ``scalar_value`` (ohms, henry, farad, or amperes for
+    a dc source).
     """
 
     kind: ElementKind
@@ -88,9 +91,12 @@ class MemoryElement:
             object.__setattr__(self, "control", ControlVariable(self.control))
         if self.scalar_value is not None:
             object.__setattr__(self, "scalar_value", float(self.scalar_value))
-        if self.kind in MEMORY_KINDS:
-            if self.control is None:
-                raise ValidationError(f"{self.kind.value} needs a control variable")
+        if self.kind in CONTROL_OF_KIND:
+            if self.control is not CONTROL_OF_KIND[self.kind]:
+                raise ValidationError(
+                    f"{self.kind.value} needs control {CONTROL_OF_KIND[self.kind].value!r},"
+                    f" got {getattr(self.control, 'value', None)!r}"
+                )
             if self.incremental is None or self.incremental.kind is not ChebyshevKind.SECOND:
                 raise ValidationError("memory element needs a second-kind incremental series")
             if self.constitutive is None or self.constitutive.kind is not ChebyshevKind.FIRST:
@@ -109,7 +115,7 @@ class MemoryElement:
 
     @property
     def is_memory(self) -> bool:
-        return self.kind in MEMORY_KINDS
+        return self.kind in CONTROL_OF_KIND
 
 
 @dataclass(frozen=True)
@@ -243,37 +249,6 @@ def memcapacitance_from_cosines(
     )
 
 
-_DUAL_KIND = {
-    ElementKind.MEMRISTOR: ElementKind.MEMRISTOR,
-    ElementKind.MEMCAPACITOR: ElementKind.MEMINDUCTOR,
-    ElementKind.MEMINDUCTOR: ElementKind.MEMCAPACITOR,
-}
-_DUAL_CONTROL = {
-    ControlVariable.FLUX: ControlVariable.CHARGE,
-    ControlVariable.CHARGE: ControlVariable.FLUX,
-    ControlVariable.TIME_INTEGRATED_FLUX: ControlVariable.TIME_INTEGRATED_CHARGE,
-    ControlVariable.TIME_INTEGRATED_CHARGE: ControlVariable.TIME_INTEGRATED_FLUX,
-}
-
-
-def dualize(element: MemoryElement) -> MemoryElement:
-    """Swap voltage-driven and current-driven roles of a memory element.
-
-    The series are reused unchanged while the control variable moves to its
-    dual (flux <-> charge, integrated flux <-> integrated charge); a
-    flux-controlled memcapacitance doubles as a charge-controlled
-    meminductance and vice versa.  Applying it twice returns the original.
-    """
-    if element.kind not in _DUAL_KIND:
-        raise ValidationError(f"no dual defined for kind {element.kind.value}")
-    return MemoryElement(
-        kind=_DUAL_KIND[element.kind],
-        control=_DUAL_CONTROL[element.control],
-        incremental=element.incremental,
-        constitutive=element.constitutive,
-    )
-
-
 def needs_regularization(element: MemoryElement) -> bool:
     """True when the incremental series lacks its linear (U_0) term.
 
@@ -391,7 +366,7 @@ def element_from_dict(doc: dict) -> MemoryElement:
         kind = ElementKind(doc["kind"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad element kind: {exc}") from exc
-    if kind in MEMORY_KINDS:
+    if kind in CONTROL_OF_KIND:
         try:
             scale = float(doc["scale"])
             inc = tuple(doc["coeffs"])

@@ -8,7 +8,9 @@ Conventions used throughout the package:
 
       i(t) = dc + sum_n [ a_n cos(n w t) + b_n sin(n w t) ],
 
-  with a sparse, strictly increasing list of harmonic orders ``n >= 1``;
+  stored densely: ``cos[n-1]`` holds ``a_n`` and ``sin[n-1]`` holds ``b_n``
+  for every order ``n = 1..n_max``; sparse ``(n, a, b)`` triples exist only
+  in the JSON form (:meth:`HarmonicSpectrum.from_terms`, ``to_dict``);
 * the supply flux linkage is the integral of ``u`` with the periodic
   (zero-mean) constant of integration, ``phi(t) = -(A/w) cos(w t)``, and its
   time integral is ``sigma(t) = -(A/w^2) sin(w t)`` with ``sigma(0) = 0``.
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -36,6 +38,10 @@ FREQUENCY_RTOL = 1e-12
 #: into the half-weighted ac sum, reproducing the rectifier-literature
 #: figure PF = b1 / sqrt(a0^2 + b1^2 + sum a_n^2).
 PF_CONVENTIONS = {"rms": 1.0, "paper": 0.5}
+
+#: highest harmonic order :meth:`HarmonicSpectrum.from_terms` accepts: the
+#: verification grid holds at most 2^22 samples and needs four per order
+MAX_HARMONIC_ORDER = 2**20
 
 
 @dataclass(frozen=True)
@@ -75,58 +81,85 @@ class SupplyVoltage:
         return -(self.amplitude / w**2) * np.sin(w * np.asarray(t, dtype=float))
 
 
-class HarmonicTerm(NamedTuple):
-    n: int
-    a: float  # cosine amplitude, peak
-    b: float  # sine amplitude, peak
-
-
 @dataclass(frozen=True)
 class HarmonicSpectrum:
-    """Sparse trigonometric polynomial describing one periodic current."""
+    """Dense trigonometric polynomial describing one periodic current.
+
+    ``cos[n-1]`` and ``sin[n-1]`` are the peak amplitudes ``a_n`` and ``b_n``
+    of order ``n``; the two tuples have one length, ``n_max``.  Any entry may
+    be zero, the top order included.
+    """
 
     omega: float
     dc: float = 0.0
-    terms: tuple[HarmonicTerm, ...] = ()
+    cos: tuple[float, ...] = ()
+    sin: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "omega", float(self.omega))
         object.__setattr__(self, "dc", float(self.dc))
-        terms = tuple(HarmonicTerm(int(t[0]), float(t[1]), float(t[2])) for t in self.terms)
-        object.__setattr__(self, "terms", terms)
         if not (math.isfinite(self.omega) and self.omega > 0):
             raise ValidationError("spectrum omega must be positive and finite")
         if not math.isfinite(self.dc):
             raise ValidationError("dc component must be finite")
+        cos = np.asarray(self.cos, dtype=float)
+        sin = np.asarray(self.sin, dtype=float)
+        if cos.ndim != 1 or cos.shape != sin.shape:
+            raise ValidationError("cos and sin amplitudes must be flat and of one length")
+        if not (np.isfinite(cos).all() and np.isfinite(sin).all()):
+            raise ValidationError("harmonic amplitudes must be finite")
+        object.__setattr__(self, "cos", tuple(cos.tolist()))
+        object.__setattr__(self, "sin", tuple(sin.tolist()))
+
+    @classmethod
+    def from_terms(
+        cls, omega: float, dc: float, terms: Iterable[tuple[int, float, float]]
+    ) -> "HarmonicSpectrum":
+        """Spectrum of sparse ``(n, a, b)`` triples; orders left out are zero.
+
+        Orders must be strictly increasing, at least 1 and at most
+        :data:`MAX_HARMONIC_ORDER`; the largest one given sets ``n_max``.
+        """
+        terms = list(terms)
         last = 0
-        for term in terms:
-            if term.n <= last:
+        for n, _, _ in terms:
+            if n <= last:
                 raise ValidationError("harmonic orders must be strictly increasing and >= 1")
-            if not (math.isfinite(term.a) and math.isfinite(term.b)):
-                raise ValidationError("harmonic amplitudes must be finite")
-            last = term.n
+            last = n
+        if last > MAX_HARMONIC_ORDER:
+            raise ValidationError(
+                f"harmonic order {last} exceeds the limit of {MAX_HARMONIC_ORDER}"
+            )
+        cos = [0.0] * last
+        sin = [0.0] * last
+        for n, a, b in terms:
+            cos[n - 1] = a
+            sin[n - 1] = b
+        return cls(omega, dc, cos, sin)
 
     @property
     def n_max(self) -> int:
-        return self.terms[-1].n if self.terms else 0
+        return len(self.cos)
 
     def a(self, n: int) -> float:
-        for term in self.terms:
-            if term.n == n:
-                return term.a
-        return 0.0
+        """Cosine amplitude of order n; 0.0 outside 1..n_max."""
+        return self.cos[n - 1] if 1 <= n <= len(self.cos) else 0.0
 
     def b(self, n: int) -> float:
-        for term in self.terms:
-            if term.n == n:
-                return term.b
-        return 0.0
+        """Sine amplitude of order n; 0.0 outside 1..n_max."""
+        return self.sin[n - 1] if 1 <= n <= len(self.sin) else 0.0
 
     def to_dict(self) -> dict:
+        """Sparse JSON form: every order with a nonzero a or b, and order n_max."""
+        top = self.n_max
         return {
             "omega": self.omega,
             "dc": self.dc,
-            "harmonics": [{"n": t.n, "a": t.a, "b": t.b} for t in self.terms],
+            "harmonics": [
+                {"n": n, "a": a, "b": b}
+                for n, a, b in zip(range(1, top + 1), self.cos, self.sin)
+                if a or b or n == top
+            ],
         }
 
     @classmethod
@@ -140,12 +173,12 @@ class HarmonicSpectrum:
         if not isinstance(harmonics, list):
             raise ValidationError("harmonics must be a list")
         try:
-            terms = tuple(
+            terms = [
                 (_order(h["n"]), _real(h["a"], "a"), _real(h["b"], "b")) for h in harmonics
-            )
+            ]
         except (TypeError, KeyError) as exc:
             raise ValidationError("each harmonic needs keys n, a, b") from exc
-        return cls(omega=omega, dc=dc, terms=terms)
+        return cls.from_terms(omega, dc, terms)
 
 
 def _real(value, name: str) -> float:
@@ -174,7 +207,7 @@ def evaluate_waveform(spectrum: HarmonicSpectrum, t):
     arr = np.asarray(t, dtype=float)
     theta = spectrum.omega * arr
     out = np.full_like(arr, spectrum.dc, dtype=float)
-    for n, a, b in spectrum.terms:
+    for n, (a, b) in enumerate(zip(spectrum.cos, spectrum.sin), 1):
         if a:
             out = out + a * np.cos(n * theta)
         if b:
@@ -209,10 +242,8 @@ def project_waveform(samples, omega: float, n_max: int) -> HarmonicSpectrum:
         raise ValidationError(
             f"need at least {4 * n_max} samples for n_max={n_max}, got {arr.size}"
         )
-    spectrum = np.fft.rfft(arr)[: n_max + 1] * (2.0 / arr.size)
-    dc = float(spectrum[0].real) / 2.0
-    terms = zip(range(1, n_max + 1), spectrum.real[1:].tolist(), (-spectrum.imag[1:]).tolist())
-    return HarmonicSpectrum(omega=omega, dc=dc, terms=tuple(terms))
+    coeffs = np.fft.rfft(arr)[: n_max + 1] * (2.0 / arr.size)
+    return HarmonicSpectrum(omega, coeffs[0].real / 2.0, coeffs.real[1:], -coeffs.imag[1:])
 
 
 @dataclass(frozen=True)
@@ -241,7 +272,8 @@ def compute_powers(
     _check_frequency(supply.omega, spectrum.omega)
     dc_weight = PF_CONVENTIONS[convention]
     active = supply.amplitude * spectrum.b(1) / 2.0
-    ac_sum = sum(t.a * t.a + t.b * t.b for t in spectrum.terms)
+    # a left-to-right scalar sum: zero entries leave it bit-identical
+    ac_sum = sum(a * a + b * b for a, b in zip(spectrum.cos, spectrum.sin))
     rms_i = math.sqrt(dc_weight * spectrum.dc**2 + 0.5 * ac_sum)
     apparent = supply.rms * rms_i
     pf = active / apparent if apparent > 0.0 else 0.0
@@ -267,22 +299,16 @@ def fryze_split(
     returned separately (a dc component is sourced, never compensated).
     """
     _check_frequency(supply.omega, spectrum.omega)
-    b1 = spectrum.b(1)
-    active_terms = ((HarmonicTerm(1, 0.0, b1),) if b1 != 0.0 else ())
-    active = HarmonicSpectrum(spectrum.omega, 0.0, active_terms)
-    residual = []
-    for n, a, b in spectrum.terms:
-        if n == 1:
-            b = 0.0
-        if a != 0.0 or b != 0.0:
-            residual.append(HarmonicTerm(n, a, b))
-    nonactive = HarmonicSpectrum(spectrum.omega, 0.0, tuple(residual))
+    zeros = (0.0,) * spectrum.n_max
+    active = HarmonicSpectrum(spectrum.omega, 0.0, zeros, spectrum.sin[:1] + zeros[1:])
+    nonactive = HarmonicSpectrum(spectrum.omega, 0.0, spectrum.cos, zeros[:1] + spectrum.sin[1:])
     return active, nonactive, spectrum.dc
 
 
 def spectrum_negate(spectrum: HarmonicSpectrum) -> HarmonicSpectrum:
-    terms = tuple(HarmonicTerm(n, -a, -b) for n, a, b in spectrum.terms)
-    return HarmonicSpectrum(spectrum.omega, -spectrum.dc, terms)
+    return HarmonicSpectrum(
+        spectrum.omega, -spectrum.dc, np.negative(spectrum.cos), np.negative(spectrum.sin)
+    )
 
 
 def spectrum_add(*spectra: HarmonicSpectrum) -> HarmonicSpectrum:
@@ -290,18 +316,13 @@ def spectrum_add(*spectra: HarmonicSpectrum) -> HarmonicSpectrum:
     if not spectra:
         raise ValidationError("spectrum_add needs at least one spectrum")
     omega = spectra[0].omega
+    top = max(spec.n_max for spec in spectra)
     dc = 0.0
-    acc: dict[int, list[float]] = {}
+    cos = np.zeros(top)
+    sin = np.zeros(top)
     for spec in spectra:
         _check_frequency(omega, spec.omega)
         dc += spec.dc
-        for n, a, b in spec.terms:
-            slot = acc.setdefault(n, [0.0, 0.0])
-            slot[0] += a
-            slot[1] += b
-    terms = tuple(
-        HarmonicTerm(n, ab[0], ab[1])
-        for n, ab in sorted(acc.items())
-        if ab[0] != 0.0 or ab[1] != 0.0
-    )
-    return HarmonicSpectrum(omega, dc, terms)
+        cos[: spec.n_max] += spec.cos
+        sin[: spec.n_max] += spec.sin
+    return HarmonicSpectrum(omega, dc, cos, sin)

@@ -21,8 +21,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+import numpy as np
+
 from .errors import ValidationError
-from .harmonics import HarmonicSpectrum, HarmonicTerm, SupplyVoltage
+from .harmonics import HarmonicSpectrum, SupplyVoltage
 
 #: truncation order used when none is requested
 DEFAULT_N_MAX = 199
@@ -58,10 +60,8 @@ def motivating_spectrum() -> HarmonicSpectrum:
     return HarmonicSpectrum(
         omega=MOTIVATING_OMEGA,
         dc=0.0,
-        terms=(
-            HarmonicTerm(1, -100.0 * s2, 80.0 * s2),
-            HarmonicTerm(2, 50.0 * s2, 0.0),
-        ),
+        cos=(-100.0 * s2, 50.0 * s2),
+        sin=(80.0 * s2, 0.0),
     )
 
 
@@ -76,10 +76,13 @@ def rectifier_spectrum(
     n_max = default_n_max() if n_max is None else int(n_max)
     if n_max < 2:
         raise ValidationError("rectifier spectrum needs n_max >= 2")
-    terms = [HarmonicTerm(1, 0.0, amplitude / 2.0)]
-    for n in range(2, n_max + 1, 2):
-        terms.append(HarmonicTerm(n, -2.0 * amplitude / (math.pi * (n * n - 1)), 0.0))
-    return HarmonicSpectrum(omega=omega, dc=amplitude / math.pi, terms=tuple(terms))
+    top = n_max - n_max % 2  # the highest even order
+    cos = np.zeros(top)
+    sin = np.zeros(top)
+    sin[0] = amplitude / 2.0
+    n = np.arange(2, top + 1, 2)
+    cos[n - 1] = -2.0 * amplitude / (math.pi * (n * n - 1))
+    return HarmonicSpectrum(omega, amplitude / math.pi, cos, sin)
 
 
 def bridge_spectrum(
@@ -102,8 +105,8 @@ def bridge_spectrum(
         b = base * math.cos(n * delta)
         if abs(a) < 1e-15 and abs(b) < 1e-15:
             continue
-        terms.append(HarmonicTerm(n, a, b))
-    return HarmonicSpectrum(omega=omega, dc=0.0, terms=tuple(terms))
+        terms.append((n, a, b))
+    return HarmonicSpectrum.from_terms(omega, 0.0, terms)
 
 
 class LoadKind(str, Enum):

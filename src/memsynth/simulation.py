@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .elements import ControlVariable, ElementKind, MemoryElement
+from .elements import ElementKind, MemoryElement
 from .errors import ValidationError
 from .harmonics import SupplyVoltage
 
@@ -136,12 +136,6 @@ class BranchWaveforms(NamedTuple):
     capacitance: Optional[np.ndarray] = None
 
 
-def _memcapacitance(element: MemoryElement, phi: np.ndarray) -> np.ndarray:
-    if element.control is not ControlVariable.FLUX:
-        raise ValidationError("memcapacitor control not derivable from supply states")
-    return element.incremental.evaluate(phi)
-
-
 def branch_current(element: MemoryElement, states: SupplyStates) -> BranchWaveforms:
     """Current, charge and capacitance (where defined) of one branch."""
     supply = states.supply
@@ -157,15 +151,11 @@ def branch_current(element: MemoryElement, states: SupplyStates) -> BranchWavefo
         du = supply.amplitude * supply.omega * np.cos(supply.omega * states.t)
         return BranchWaveforms(element.scalar_value * du, element.scalar_value * states.u)
     if kind is ElementKind.MEMRISTOR:
-        if element.control is not ControlVariable.FLUX:
-            raise ValidationError("memristor control not derivable from supply states")
         return BranchWaveforms(element.incremental.evaluate(states.phi) * states.u)
     if kind is ElementKind.MEMINDUCTOR:
-        if element.control is not ControlVariable.TIME_INTEGRATED_FLUX:
-            raise ValidationError("meminductor control not derivable from supply states")
         return BranchWaveforms(element.incremental.evaluate(states.sigma) * states.phi)
     if kind is ElementKind.MEMCAPACITOR:
-        cap = _memcapacitance(element, states.phi)
+        cap = element.incremental.evaluate(states.phi)
         dcap = element.incremental.derivative().evaluate(states.phi)
         du = supply.amplitude * supply.omega * np.cos(supply.omega * states.t)
         current = cap * du + states.u * states.u * dcap
@@ -248,7 +238,7 @@ def hysteresis_loop(
     u = states.u[idx]
     phi = states.phi[idx]
     if element.kind is ElementKind.MEMCAPACITOR:
-        return u, _memcapacitance(element, phi) * u
+        return u, element.incremental.evaluate(phi) * u
     one = SupplyStates(
         supply=states.supply,
         config=states.config,

@@ -31,7 +31,6 @@ import numpy as np
 
 from .elements import (
     COEFF_DROP_TOLERANCE,
-    ControlVariable,
     ElementKind,
     MemoryElement,
     element_from_dict,
@@ -174,8 +173,8 @@ def decompose_load(
     _check_frequency(supply.omega, spectrum.omega)
     mode = policy.resolve(spectrum)
 
-    sines = [(n, b) for n, _, b in spectrum.terms if abs(b) >= COEFF_DROP_TOLERANCE]
-    cosines = [(n, a) for n, a, _ in spectrum.terms if abs(a) >= COEFF_DROP_TOLERANCE]
+    sines = [(n, b) for n, b in enumerate(spectrum.sin, 1) if abs(b) >= COEFF_DROP_TOLERANCE]
+    cosines = [(n, a) for n, a in enumerate(spectrum.cos, 1) if abs(a) >= COEFF_DROP_TOLERANCE]
 
     memristor_sines = sines
     meminductor_even_sines: list[tuple[int, float]] = []
@@ -256,10 +255,6 @@ class VerificationReport:
     n_max: int
     samples_per_period: int
 
-    @property
-    def max_rel_rms_error(self) -> float:
-        return self.rel_rms_error
-
 
 #: smallest verification grid, in samples per period
 VERIFY_MIN_SAMPLES = 8192
@@ -269,15 +264,6 @@ def verification_grid(n_max: int) -> int:
     """Default verification grid: the smallest power of two >= max(8192, 4 n_max)."""
     need = max(VERIFY_MIN_SAMPLES, 4 * n_max)
     return 1 << (need - 1).bit_length()
-
-
-def _dense_coefficients(spectrum: HarmonicSpectrum, n_max: int) -> np.ndarray:
-    """Rows (a, b) over orders 0..n_max; column 0 holds (dc, 0)."""
-    terms = np.array(spectrum.terms, dtype=float).reshape(-1, 3)
-    out = np.zeros((2, n_max + 1))
-    out[:, terms[:, 0].astype(int)] = terms[:, 1:].T
-    out[0, 0] = spectrum.dc
-    return out
 
 
 def verify_decomposition(
@@ -307,8 +293,11 @@ def verify_decomposition(
     current = simulate(decomposition, replace(config, periods=1)).i_total
     projected = project_waveform(current, target.omega, n_max)
 
-    wanted = _dense_coefficients(target, n_max)
-    got = _dense_coefficients(projected, n_max)
+    # rows (a, b) over orders 0..n_max; column 0 holds (dc, 0)
+    wanted = np.zeros((2, n_max + 1))
+    wanted[:, 1 : target.n_max + 1] = target.cos, target.sin
+    wanted[0, 0] = target.dc
+    got = np.array([(projected.dc, *projected.cos), (0.0, *projected.sin)])
     # target samples on the same endpoint-exclusive grid, by inverse real FFT
     half = (wanted[0] - 1j * wanted[1]) * (spp / 2.0)
     half[0] = target.dc * spp

@@ -11,7 +11,6 @@ import time
 
 import numpy as np
 
-from memsynth.chebyshev import chebyshev_identity_suite
 from memsynth.elements import default_gamma, memcapacitance_from_cosines
 from memsynth.harmonics import HarmonicSpectrum, compute_powers, project_waveform
 from memsynth.loads import (
@@ -32,6 +31,8 @@ from memsynth.synthesis import (
     decompose_load,
     synthesize_conditioner,
 )
+
+from chebyshev_identities import chebyshev_identity_suite
 
 SUPPLY = motivating_supply()
 AMP = SUPPLY.amplitude
@@ -160,7 +161,7 @@ def test_acceptance_random_spectrum_round_trip():
                 b = 0.0
             terms.append((int(n), a, b))
         dc = float(rng.uniform(-10.0, 10.0)) if rng.random() < 0.5 else 0.0
-        spectrum = HarmonicSpectrum(OMEGA, dc=dc, terms=tuple(terms))
+        spectrum = HarmonicSpectrum.from_terms(OMEGA, dc, terms)
         policy = AssignmentPolicy(
             mode=str(rng.choice(("auto", "inductive", "capacitive"))),
             route_even_sines=str(rng.choice(("memristor", "meminductor"))),
@@ -170,7 +171,7 @@ def test_acceptance_random_spectrum_round_trip():
         recovered = project_waveform(trace.i_total, OMEGA, int(spectrum.n_max))
 
         scale = max(
-            [abs(dc)] + [max(abs(a), abs(b)) for _, a, b in spectrum.terms]
+            [abs(dc)] + [max(abs(a), abs(b)) for _, a, b in terms]
         )
         for n in range(1, spectrum.n_max + 1):
             for orig, rec in (
@@ -234,7 +235,7 @@ def test_acceptance_regularization_is_transparent():
     spectrum = rectifier_spectrum(AMP, OMEGA, n_max=199)
     dec = decompose_load(SUPPLY, spectrum)
     raw = memcapacitance_from_cosines(
-        SUPPLY, [(n, a) for n, a, _ in spectrum.terms if a != 0.0]
+        SUPPLY, [(n, a) for n, a in enumerate(spectrum.cos, 1) if a != 0.0]
     )
     gamma = default_gamma(raw, SUPPLY)
     companion_exact = dec.companions[0].scalar_value == AMP / (OMEGA * gamma)

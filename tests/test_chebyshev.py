@@ -8,12 +8,13 @@ import pytest
 from memsynth.chebyshev import (
     ChebyshevKind,
     ChebyshevSeries,
-    chebyshev_identity_suite,
     differentiate_first_kind,
     differentiate_second_kind,
     second_to_first_coeffs,
 )
 from memsynth.errors import ValidationError
+
+from chebyshev_identities import chebyshev_identity_suite
 
 
 def test_first_kind_spot_value():

@@ -295,6 +295,29 @@ def test_oversized_grid_exits_2_before_allocating(tmp_path, capsys, command):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("control", ["charge", "time_integrated_charge", "time_integrated_flux"])
+@pytest.mark.parametrize("command", ["simulate", "hysteresis"])
+def test_decomposition_with_foreign_control_exits_2(tmp_path, capsys, command, control):
+    dec = _dec_file(tmp_path)
+    doc = json.loads(dec.read_text())
+    (cap,) = [b for b in doc["branches"] if b["label"] == "memcapacitor"]
+    cap["element"]["control"] = control
+    dec.write_text(json.dumps(doc))
+    branch = ["--branch", "memcapacitor"] if command == "hysteresis" else []
+    assert cli.main([command, str(dec), *branch, "-o", str(tmp_path / "x.csv")]) == 2
+    assert repr(control) in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_malformed_nmax_env_leaves_other_subcommands_working(tmp_path, monkeypatch, capsys):
+    spec = _spec_file(tmp_path)
+    monkeypatch.setenv("MEMSYNTH_NMAX_DEFAULT", "abc")
+    cli.build_parser.cache_clear()  # build the parser under the bad variable
+    assert cli.main(["report", str(spec)]) == 0
+    assert json.loads(capsys.readouterr().out)["powers"]["rms"]["power_factor"] > 0.0
+    assert cli.main(["load-model", "motivating"]) == 0
+
+
 def test_env_var_controls_default_truncation(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("MEMSYNTH_NMAX_DEFAULT", "7")
     assert cli.main(["load-model", "rectifier", "--A", "1.0"]) == 0

@@ -1,4 +1,4 @@
-"""Element synthesis: reconstruction oracles, duality, and regularization.
+"""Element synthesis: reconstruction oracles, controls, and regularization.
 
 Each builder is checked against the raw trigonometric target it is supposed
 to realize, sampled over one period; tolerances are far below the 1e-9
@@ -16,7 +16,6 @@ from memsynth.elements import (
     ElementKind,
     MemoryElement,
     default_gamma,
-    dualize,
     element_from_dict,
     element_to_dict,
     inverse_meminductance_from_spectrum,
@@ -160,23 +159,24 @@ def test_memory_element_validation():
     assert MemoryElement(kind=ElementKind.DC_SOURCE, scalar_value=-3.0).scalar_value == -3.0
 
 
-def test_dualize_swaps_roles():
-    element = memcapacitance_from_cosines(SUPPLY, [(1, 2.0), (2, -1.0)])
-    dual = dualize(element)
-    assert dual.kind is ElementKind.MEMINDUCTOR
-    assert dual.control is ControlVariable.CHARGE
-    assert dual.incremental == element.incremental
-    assert dualize(dual) == element
-
-    memristor = memductance_from_sines(SUPPLY, [(2, 1.0)])
-    r_dual = dualize(memristor)
-    assert r_dual.kind is ElementKind.MEMRISTOR
-    assert r_dual.control is ControlVariable.CHARGE
-
-
-def test_dualize_rejects_lti():
+@pytest.mark.parametrize(
+    "kind, control",
+    [
+        (ElementKind.MEMRISTOR, ControlVariable.TIME_INTEGRATED_FLUX),
+        (ElementKind.MEMCAPACITOR, ControlVariable.TIME_INTEGRATED_FLUX),
+        (ElementKind.MEMINDUCTOR, ControlVariable.FLUX),
+        (ElementKind.MEMRISTOR, None),
+    ],
+)
+def test_memory_element_rejects_mismatched_control(kind, control):
+    series_u = ChebyshevSeries(ChebyshevKind.SECOND, (1.0,))
+    series_t = ChebyshevSeries(ChebyshevKind.FIRST, (0.0, 1.0))
+    with pytest.raises(ValidationError, match="needs control"):
+        MemoryElement(kind=kind, control=control, incremental=series_u, constitutive=series_t)
+    doc = element_to_dict(memcapacitance_from_cosines(SUPPLY, [(1, 2.0)]))
+    doc["control"] = "charge"  # no charge-controlled element exists
     with pytest.raises(ValidationError):
-        dualize(MemoryElement(kind=ElementKind.CAPACITOR, scalar_value=1e-6))
+        element_from_dict(doc)
 
 
 def test_needs_regularization():

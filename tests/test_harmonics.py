@@ -8,8 +8,8 @@ import pytest
 
 from memsynth.errors import ValidationError
 from memsynth.harmonics import (
+    MAX_HARMONIC_ORDER,
     HarmonicSpectrum,
-    HarmonicTerm,
     SupplyVoltage,
     compute_powers,
     evaluate_waveform,
@@ -61,17 +61,37 @@ def test_spectrum_validation():
     with pytest.raises(ValidationError):
         HarmonicSpectrum(omega=-1.0)
     with pytest.raises(ValidationError):
-        HarmonicSpectrum(omega=1.0, terms=((0, 1.0, 0.0),))
+        HarmonicSpectrum.from_terms(1.0, 0.0, ((0, 1.0, 0.0),))
     with pytest.raises(ValidationError):
-        HarmonicSpectrum(omega=1.0, terms=((2, 1.0, 0.0), (1, 0.0, 1.0)))
+        HarmonicSpectrum.from_terms(1.0, 0.0, ((2, 1.0, 0.0), (1, 0.0, 1.0)))
     with pytest.raises(ValidationError):
-        HarmonicSpectrum(omega=1.0, terms=((1, float("nan"), 0.0),))
+        HarmonicSpectrum.from_terms(1.0, 0.0, ((1, float("nan"), 0.0),))
+    with pytest.raises(ValidationError):
+        HarmonicSpectrum(omega=1.0, cos=(1.0, 2.0), sin=(0.0,))
+    with pytest.raises(ValidationError):
+        HarmonicSpectrum(omega=1.0, cos=((1.0,),), sin=((0.0,),))
+    with pytest.raises(ValidationError):
+        HarmonicSpectrum(omega=1.0, cos=(0.0,), sin=(float("inf"),))
 
 
 def test_spectrum_dict_round_trip():
     spec = rectifier_spectrum(3.0, MOTIVATING_OMEGA, n_max=8)
     again = HarmonicSpectrum.from_dict(spec.to_dict())
     assert again == spec
+    # zero orders are left out of the document, except the top one
+    top_zero = HarmonicSpectrum.from_terms(1.0, 0.5, ((2, 1.0, 0.0), (3, 0.0, 0.0), (5, 0.0, 0.0)))
+    assert [h["n"] for h in top_zero.to_dict()["harmonics"]] == [2, 5]
+    assert HarmonicSpectrum.from_dict(top_zero.to_dict()) == top_zero
+    assert top_zero.n_max == 5
+
+
+def test_spectrum_from_dict_bounds_the_order_before_allocating():
+    doc = {"omega": 1.0, "harmonics": [{"n": MAX_HARMONIC_ORDER + 1, "a": 1.0, "b": 0.0}]}
+    with pytest.raises(ValidationError, match="exceeds"):
+        HarmonicSpectrum.from_dict(doc)
+    doc["harmonics"][0]["n"] = 10**18
+    with pytest.raises(ValidationError, match="exceeds"):
+        HarmonicSpectrum.from_dict(doc)
 
 
 def test_spectrum_from_dict_validation():
@@ -92,7 +112,7 @@ def _with(key, value):
 
 def test_spectrum_from_dict_accepts_json_integers():
     spec = HarmonicSpectrum.from_dict(_GOOD_DOC)
-    assert spec.terms == (HarmonicTerm(1, 0.0, 2.0),)
+    assert (spec.cos, spec.sin) == ((0.0,), (2.0,))
     assert spec.dc == 0.5
 
 
@@ -116,7 +136,7 @@ def test_spectrum_from_dict_rejects_malformed_harmonics(harmonics):
 
 
 def test_evaluate_pure_sine():
-    spec = HarmonicSpectrum(omega=1.0, terms=((1, 0.0, 1.0),))
+    spec = HarmonicSpectrum.from_terms(1.0, 0.0, ((1, 0.0, 1.0),))
     assert evaluate_waveform(spec, math.pi / 2.0) == pytest.approx(1.0)
 
 
@@ -171,7 +191,7 @@ def test_project_round_trip_random_spectrum():
     omega = MOTIVATING_OMEGA
     orders = sorted(rng.choice(np.arange(1, 200), size=40, replace=False))
     terms = tuple((int(n), rng.uniform(-10, 10), rng.uniform(-10, 10)) for n in orders)
-    spec = HarmonicSpectrum(omega=omega, dc=rng.uniform(-5, 5), terms=terms)
+    spec = HarmonicSpectrum.from_terms(omega, rng.uniform(-5, 5), terms)
     n = 4 * 199
     t = np.arange(n) * (2.0 * math.pi / omega) / n
     rec = project_waveform(evaluate_waveform(spec, t), omega, 199)
@@ -202,13 +222,13 @@ def test_powers_motivating_frozen_values():
 
 def test_powers_purely_active_unity_pf():
     supply = SupplyVoltage(10.0, 1.0)
-    spec = HarmonicSpectrum(omega=1.0, terms=((1, 0.0, 4.0),))
+    spec = HarmonicSpectrum.from_terms(1.0, 0.0, ((1, 0.0, 4.0),))
     assert compute_powers(supply, spec).power_factor == pytest.approx(1.0, abs=1e-15)
 
 
 def test_powers_dc_weighting_conventions():
     supply = SupplyVoltage(10.0, 1.0)
-    spec = HarmonicSpectrum(omega=1.0, dc=3.0, terms=((1, 0.0, 4.0),))
+    spec = HarmonicSpectrum.from_terms(1.0, 3.0, ((1, 0.0, 4.0),))
     rms = compute_powers(supply, spec, "rms")
     paper = compute_powers(supply, spec, "paper")
     assert rms.rms_current == pytest.approx(math.sqrt(9.0 + 8.0), rel=1e-12)
@@ -228,7 +248,7 @@ def test_powers_bridge_delta_zero_matches_formula():
 
 def test_powers_frequency_mismatch():
     supply = SupplyVoltage(1.0, 100.0)
-    spec = HarmonicSpectrum(omega=101.0, terms=((1, 0.0, 1.0),))
+    spec = HarmonicSpectrum.from_terms(101.0, 0.0, ((1, 0.0, 1.0),))
     with pytest.raises(ValidationError):
         compute_powers(supply, spec)
 
@@ -250,7 +270,8 @@ def test_fryze_split_motivating():
     spec = motivating_spectrum()
     active, nonactive, dc = fryze_split(supply, spec)
     assert dc == 0.0
-    assert active.terms == (HarmonicTerm(1, 0.0, 80.0 * SQRT2),)
+    assert active.cos == (0.0, 0.0)
+    assert active.sin == (80.0 * SQRT2, 0.0)
     assert nonactive.b(1) == 0.0
     assert nonactive.a(1) == pytest.approx(-100.0 * SQRT2)
     assert nonactive.a(2) == pytest.approx(50.0 * SQRT2)
@@ -266,15 +287,15 @@ def test_fryze_split_rectifier_reports_dc():
     assert dc == pytest.approx(1.0 / math.pi)
     assert active.b(1) == pytest.approx(0.5)
     assert nonactive.dc == 0.0
-    assert all(term.b == 0.0 for term in nonactive.terms)
+    assert not any(nonactive.sin)
 
 
 def test_fryze_split_purely_active():
     supply = SupplyVoltage(10.0, 1.0)
-    spec = HarmonicSpectrum(omega=1.0, terms=((1, 0.0, 4.0),))
+    spec = HarmonicSpectrum.from_terms(1.0, 0.0, ((1, 0.0, 4.0),))
     active, nonactive, dc = fryze_split(supply, spec)
     assert active == spec
-    assert nonactive.terms == ()
+    assert not any(nonactive.cos + nonactive.sin)
     assert dc == 0.0
 
 
@@ -295,7 +316,7 @@ def test_spectrum_negate_and_add():
     neg = spectrum_negate(spec)
     assert neg.a(2) == pytest.approx(-50.0 * SQRT2)
     cancelled = spectrum_add(spec, neg)
-    assert cancelled.terms == ()
+    assert not any(cancelled.cos + cancelled.sin)
     assert cancelled.dc == 0.0
     active, nonactive, dc = fryze_split(motivating_supply(), spec)
     rebuilt = spectrum_add(
@@ -305,8 +326,8 @@ def test_spectrum_negate_and_add():
 
 
 def test_spectrum_add_frequency_mismatch():
-    a = HarmonicSpectrum(omega=1.0, terms=((1, 1.0, 0.0),))
-    b = HarmonicSpectrum(omega=2.0, terms=((1, 1.0, 0.0),))
+    a = HarmonicSpectrum.from_terms(1.0, 0.0, ((1, 1.0, 0.0),))
+    b = HarmonicSpectrum.from_terms(2.0, 0.0, ((1, 1.0, 0.0),))
     with pytest.raises(ValidationError):
         spectrum_add(a, b)
 
@@ -320,9 +341,7 @@ def test_pf_bounds_random_spectra():
         for n in orders:
             b = abs(rng.uniform(0, 5)) if n == 1 else rng.uniform(-5, 5)
             terms.append((int(n), rng.uniform(-5, 5), b))
-        spec = HarmonicSpectrum(
-            omega=MOTIVATING_OMEGA, dc=rng.uniform(-3, 3), terms=tuple(terms)
-        )
+        spec = HarmonicSpectrum.from_terms(MOTIVATING_OMEGA, rng.uniform(-3, 3), terms)
         summary = compute_powers(supply, spec)
         assert 0.0 <= summary.power_factor <= 1.0
         assert summary.apparent_power >= abs(summary.active_power)

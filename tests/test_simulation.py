@@ -14,7 +14,6 @@ from memsynth.chebyshev import ChebyshevSeries
 from memsynth.elements import (
     ElementKind,
     MemoryElement,
-    dualize,
     memcapacitance_from_cosines,
     memductance_from_sines,
 )
@@ -140,16 +139,6 @@ def test_memcapacitor_analytic_current_matches_differenced_charge():
     numeric = (np.roll(branch.charge, -1) - np.roll(branch.charge, 1)) / (2.0 * dt)
     assert _rms(numeric - branch.current) <= 1e-6 * _rms(branch.current)
     np.testing.assert_array_equal(branch.charge, trace.capacitance * trace.u)
-
-
-def test_dualized_elements_are_not_simulable():
-    states = supply_states(SUPPLY, SimulationConfig(periods=1, samples_per_period=1024))
-    cap = memcapacitance_from_cosines(SUPPLY, [(1, 2.0)])
-    with pytest.raises(ValidationError):
-        branch_current(dualize(cap), states)
-    memristor = memductance_from_sines(SUPPLY, [(2, 1.0)])
-    with pytest.raises(ValidationError):
-        branch_current(dualize(memristor), states)
 
 
 def test_simulate_reconstructs_motivating_waveform():

@@ -80,9 +80,8 @@ def test_mode_invariance_of_terminal_current():
 
 
 def test_even_sine_route_invariance():
-    spectrum = HarmonicSpectrum(
-        OMEGA,
-        terms=((1, -3.0, 4.0), (2, 1.5, -2.0), (4, 0.0, 0.7)),
+    spectrum = HarmonicSpectrum.from_terms(
+        OMEGA, 0.0, ((1, -3.0, 4.0), (2, 1.5, -2.0), (4, 0.0, 0.7))
     )
     via_memristor = decompose_load(SUPPLY, spectrum)
     via_meminductor = decompose_load(
@@ -127,7 +126,7 @@ def test_bridge_zero_delta_is_memristor_only():
 
 
 def test_lone_negative_fundamental_stays_memristor():
-    spectrum = HarmonicSpectrum(OMEGA, terms=((1, 0.0, -5.0),))
+    spectrum = HarmonicSpectrum.from_terms(OMEGA, 0.0, ((1, 0.0, -5.0),))
     dec = decompose_load(SUPPLY, spectrum)
     assert dec.memristor.kind is ElementKind.MEMRISTOR
     report = verify_decomposition(dec, spectrum, FAST)
@@ -221,10 +220,10 @@ def test_decomposition_from_dict_validation():
 
 
 def test_decompose_rejects_frequency_mismatch():
-    spectrum = HarmonicSpectrum(2.0 * OMEGA, terms=((1, 0.0, 1.0),))
+    spectrum = HarmonicSpectrum.from_terms(2.0 * OMEGA, 0.0, ((1, 0.0, 1.0),))
     with pytest.raises(ValidationError):
         decompose_load(SUPPLY, spectrum)
-    good = HarmonicSpectrum(OMEGA, terms=((1, 0.0, 1.0),))
+    good = HarmonicSpectrum.from_terms(OMEGA, 0.0, ((1, 0.0, 1.0),))
     with pytest.raises(ValidationError):
         verify_decomposition(decompose_load(SUPPLY, good), spectrum)
 
@@ -238,9 +237,9 @@ def test_verify_needs_enough_samples():
 
 def test_policy_resolution():
     policy = AssignmentPolicy()
-    inductive = HarmonicSpectrum(OMEGA, terms=((1, -1.0, 1.0),))
-    capacitive = HarmonicSpectrum(OMEGA, terms=((1, 1.0, 1.0),))
-    no_cosine = HarmonicSpectrum(OMEGA, terms=((1, 0.0, 1.0),))
+    inductive = HarmonicSpectrum.from_terms(OMEGA, 0.0, ((1, -1.0, 1.0),))
+    capacitive = HarmonicSpectrum.from_terms(OMEGA, 0.0, ((1, 1.0, 1.0),))
+    no_cosine = HarmonicSpectrum.from_terms(OMEGA, 0.0, ((1, 0.0, 1.0),))
     assert policy.resolve(inductive) is PolicyMode.INDUCTIVE
     assert policy.resolve(capacitive) is PolicyMode.CAPACITIVE
     assert policy.resolve(no_cosine) is PolicyMode.CAPACITIVE
