@@ -35,12 +35,19 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
-from .chebyshev import ChebyshevKind, ChebyshevSeries, differentiate_first_kind
+import numpy as np
+
+from .chebyshev import ChebyshevKind, ChebyshevSeries
 from .errors import ValidationError
-from .harmonics import SupplyVoltage
+from .harmonics import SupplyVoltage, _real
 
 #: synthesized coefficients below this magnitude are treated as zero
 COEFF_DROP_TOLERANCE = 1e-15
+
+#: largest deviation :func:`verify_series_consistency` may report for an
+#: element read from a document, relative to its largest incremental
+#: coefficient; memsynth's own elements stay within a few 1e-16
+SERIES_CONSISTENCY_RTOL = 1e-12
 
 
 class ElementKind(str, Enum):
@@ -337,13 +344,15 @@ def verify_series_consistency(element: MemoryElement) -> float:
     """Max deviation between the incremental series and d(constitutive)/dv."""
     if not element.is_memory:
         raise ValidationError("series consistency applies to memory elements")
-    derived = differentiate_first_kind(element.constitutive)
-    a = derived.coeffs
-    b = element.incremental.coeffs
-    width = max(len(a), len(b))
-    a = a + (0.0,) * (width - len(a))
-    b = b + (0.0,) * (width - len(b))
-    return max((abs(x - y) for x, y in zip(a, b)), default=0.0)
+    # the coefficients of differentiate_first_kind, k * c_k * scale in that order
+    con = np.array(element.constitutive.coeffs)
+    derived = np.arange(1, len(con)) * con[1:] * element.constitutive.scale
+    inc = np.array(element.incremental.coeffs)
+    width = max(len(derived), len(inc))
+    gap = np.zeros(width)
+    gap[: len(derived)] = derived
+    gap[: len(inc)] -= inc
+    return float(np.max(np.abs(gap), initial=0.0))
 
 
 def element_to_dict(element: MemoryElement, companion: Optional[MemoryElement] = None) -> dict:
@@ -361,25 +370,51 @@ def element_to_dict(element: MemoryElement, companion: Optional[MemoryElement] =
     return doc
 
 
+def _coefficient_list(value, name: str) -> list:
+    """A JSON list of numbers; strings, booleans and nested values are rejected."""
+    if not isinstance(value, list):
+        raise ValidationError(f"{name} must be a list of numbers, got {value!r}")
+    # json yields exactly int and float for numbers; bool is its own type
+    if not set(map(type, value)) <= {int, float}:
+        bad = next(c for c in value if type(c) not in (int, float))
+        raise ValidationError(f"{name} entries must be numbers, got {bad!r}")
+    return value
+
+
 def element_from_dict(doc: dict) -> MemoryElement:
+    """Read an element back; malformed values are rejected, never coerced.
+
+    A memory element's ``coeffs`` must be the derivative of its
+    ``constitutive_coeffs`` to within :data:`SERIES_CONSISTENCY_RTOL` of its
+    largest coefficient, so the incremental and constitutive series cannot
+    describe two different elements.
+    """
     try:
         kind = ElementKind(doc["kind"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad element kind: {exc}") from exc
     if kind in CONTROL_OF_KIND:
         try:
-            scale = float(doc["scale"])
-            inc = tuple(doc["coeffs"])
-            con = tuple(doc["constitutive_coeffs"])
+            scale = _real(doc["scale"], "scale")
+            inc = _coefficient_list(doc["coeffs"], "coeffs")
+            con = _coefficient_list(doc["constitutive_coeffs"], "constitutive_coeffs")
             control = ControlVariable(doc["control"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad memory element document: {exc}") from exc
-        return MemoryElement(
+        element = MemoryElement(
             kind=kind,
             control=control,
             incremental=ChebyshevSeries(ChebyshevKind.SECOND, inc, scale=scale),
             constitutive=ChebyshevSeries(ChebyshevKind.FIRST, con, scale=scale),
         )
+        deviation = verify_series_consistency(element)
+        bound = SERIES_CONSISTENCY_RTOL * max(map(abs, element.incremental.coeffs), default=0.0)
+        if deviation > bound:
+            raise ValidationError(
+                f"{kind.value}: coeffs are not the derivative of constitutive_coeffs"
+                f" (deviation {deviation:.3e} > {bound:.3e})"
+            )
+        return element
     if doc.get("scalar_value") is None:
         raise ValidationError(f"{kind.value} document needs scalar_value")
-    return MemoryElement(kind=kind, scalar_value=doc["scalar_value"])
+    return MemoryElement(kind=kind, scalar_value=_real(doc["scalar_value"], "scalar_value"))

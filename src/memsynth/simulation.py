@@ -23,7 +23,10 @@ Each Chebyshev series is evaluated once per output: the memcapacitor's
 column alike.
 
 CSV is written column by column (:func:`columns_to_csv`): every cell is the
-shortest round-trip ``repr`` of its float64 sample.
+shortest round-trip ``repr`` of its float64 sample.  orjson's compiled Ryu
+formatter renders a whole chunk of a column at once (:func:`float_cells`);
+only the cells whose layout differs from ``repr`` go through
+``float.__repr__``.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from itertools import repeat
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
+import orjson
 
 from .elements import ElementKind, MemoryElement
 from .errors import ValidationError
@@ -264,6 +268,36 @@ TRACE_HEADER = "t,u,phi,sigma,i_total,i_dc,i_GM,i_GammaM,i_CM,q_CM,C_of_t"
 CSV_CHUNK_ROWS = 1024
 
 
+def repr_fallback(x: np.ndarray) -> np.ndarray:
+    """Mask of the samples orjson lays out differently from ``float.__repr__``.
+
+    For a nonzero magnitude in [1e-4, 1e16) both print the same shortest
+    digits positionally (``0.0001``, ``9999999999999998.0``), and both print
+    ``0.0`` and ``-0.0``.  Outside it ``repr`` switches to exponent form
+    (``1e-05``, ``1e+16``) where orjson does not or spells it differently
+    (``0.00009999999999999999``, ``1e16``), and orjson writes ``null`` for
+    nan and the infinities.
+    """
+    mag = np.abs(x)
+    return ~((mag >= 1e-4) & (mag < 1e16)) & (x != 0)
+
+
+def float_cells(chunk: np.ndarray) -> list[str]:
+    """``[repr(float(x)) for x in chunk]`` for a 1-D float64 array.
+
+    orjson renders the whole chunk with compiled Ryu code; the cells that
+    :func:`repr_fallback` picks are then rewritten by ``float.__repr__``.
+    """
+    chunk = np.ascontiguousarray(chunk, dtype=float)
+    if not len(chunk):
+        return []
+    cells = orjson.dumps(chunk, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    fix = np.flatnonzero(repr_fallback(chunk))
+    for k, x in zip(fix.tolist(), chunk[fix].tolist()):
+        cells[k] = float.__repr__(x)
+    return cells
+
+
 def columns_to_csv(header: str, columns: Sequence[Optional[np.ndarray]]) -> str:
     """CSV text with one row per sample of equal-length float columns.
 
@@ -279,10 +313,7 @@ def columns_to_csv(header: str, columns: Sequence[Optional[np.ndarray]]) -> str:
     chunks = [header]
     for start in range(0, n, CSV_CHUNK_ROWS):
         stop = start + CSV_CHUNK_ROWS
-        cells = [
-            repeat("") if col is None else map(float.__repr__, col[start:stop].tolist())
-            for col in arrays
-        ]
+        cells = [repeat("") if col is None else float_cells(col[start:stop]) for col in arrays]
         chunks.append("\n".join(map(",".join, zip(*cells))))
     chunks.append("")
     return "\n".join(chunks)

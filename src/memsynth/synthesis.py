@@ -46,6 +46,7 @@ from .harmonics import (
     HarmonicSpectrum,
     SupplyVoltage,
     _check_frequency,
+    _real,
     evaluate_waveform,  # noqa: F401 - the benchmark tracer wraps it under this name
     fryze_split,
     project_waveform,
@@ -138,7 +139,10 @@ class LoadDecomposition:
     @classmethod
     def from_dict(cls, doc: dict) -> "LoadDecomposition":
         try:
-            supply = SupplyVoltage(doc["supply"]["amplitude"], doc["supply"]["omega"])
+            supply = SupplyVoltage(
+                _real(doc["supply"]["amplitude"], "supply amplitude"),
+                _real(doc["supply"]["omega"], "supply omega"),
+            )
             raw = [(b["label"], element_from_dict(b["element"])) for b in doc["branches"]]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"bad decomposition document: {exc}") from exc

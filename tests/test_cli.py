@@ -309,6 +309,69 @@ def test_decomposition_with_foreign_control_exits_2(tmp_path, capsys, command, c
     assert not (tmp_path / "x.csv").exists()
 
 
+#: (branch label, element key, value) that a decomposition reader must reject
+MALFORMED_ELEMENT_VALUES = [
+    ("memcapacitor", "coeffs", "12"),
+    ("memcapacitor", "coeffs", [True, 1e-4]),
+    ("memcapacitor", "coeffs", ["3.4e-4", 3.4e-4]),
+    ("memcapacitor", "constitutive_coeffs", "012"),
+    ("memcapacitor", "constitutive_coeffs", {"1": -3.5e-4}),
+    ("memcapacitor", "scale", "2"),
+    ("memcapacitor", "scale", True),
+    ("meminductor", "coeffs", [[136.5]]),
+    ("resistor", "scalar_value", True),
+    ("resistor", "scalar_value", "2"),
+    ("companion_inductor", "scalar_value", [0.03]),
+]
+
+
+def _edited_dec_file(tmp_path, label, key, value):
+    dec = _dec_file(tmp_path)
+    doc = json.loads(dec.read_text())
+    (branch,) = [b for b in doc["branches"] if b["label"] == label]
+    branch["element"][key] = value
+    dec.write_text(json.dumps(doc))
+    return dec
+
+
+def _assert_rejected(tmp_path, capsys, command, dec, message):
+    branch = ["--branch", "memcapacitor"] if command == "hysteresis" else []
+    assert cli.main([command, str(dec), *branch, "-o", str(tmp_path / "x.csv")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+    assert not (tmp_path / "x_constitutive.csv").exists()
+
+
+@pytest.mark.parametrize("label, key, value", MALFORMED_ELEMENT_VALUES)
+@pytest.mark.parametrize("command", ["simulate", "hysteresis"])
+def test_decomposition_with_non_numeric_element_values_exits_2(
+    tmp_path, capsys, command, label, key, value
+):
+    dec = _edited_dec_file(tmp_path, label, key, value)
+    _assert_rejected(tmp_path, capsys, command, dec, "must be")
+
+
+@pytest.mark.parametrize("factor", [2.0, 1.0 + 1e-9])
+@pytest.mark.parametrize("command", ["simulate", "hysteresis"])
+def test_decomposition_with_two_different_series_exits_2(tmp_path, capsys, command, factor):
+    doc = json.loads(_dec_file(tmp_path).read_text())
+    (cap,) = [b["element"] for b in doc["branches"] if b["label"] == "memcapacitor"]
+    dec = _edited_dec_file(
+        tmp_path, "memcapacitor", "constitutive_coeffs",
+        [c * factor for c in cap["constitutive_coeffs"]],
+    )
+    _assert_rejected(tmp_path, capsys, command, dec, "not the derivative")
+
+
+@pytest.mark.parametrize("key, value", [("amplitude", "325"), ("omega", True)])
+def test_decomposition_supply_must_be_numbers(tmp_path, capsys, key, value):
+    dec = _dec_file(tmp_path)
+    doc = json.loads(dec.read_text())
+    doc["supply"][key] = value
+    dec.write_text(json.dumps(doc))
+    _assert_rejected(tmp_path, capsys, "simulate", dec, "must be a number")
+
+
 def test_malformed_nmax_env_leaves_other_subcommands_working(tmp_path, monkeypatch, capsys):
     spec = _spec_file(tmp_path)
     monkeypatch.setenv("MEMSYNTH_NMAX_DEFAULT", "abc")

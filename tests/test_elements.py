@@ -283,3 +283,64 @@ def test_element_from_dict_validation():
         element_from_dict({"kind": "memristor"})
     with pytest.raises(ValidationError):
         element_from_dict({"kind": "resistor"})
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("coeffs", "12"), ("coeffs", (1.0, 2.0)), ("coeffs", [1.0, None]), ("coeffs", [False]),
+     ("constitutive_coeffs", "012"), ("constitutive_coeffs", [0.0, "1"]),
+     ("scale", "2"), ("scale", True), ("scale", None), ("scale", [2.0])],
+)
+def test_element_from_dict_rejects_non_numeric_series_values(key, value):
+    doc = element_to_dict(memcapacitance_from_cosines(SUPPLY, [(1, 2.0), (2, -1.0)]))
+    doc[key] = value
+    with pytest.raises(ValidationError, match="must be"):
+        element_from_dict(doc)
+
+
+@pytest.mark.parametrize("value", [True, False, "2", [2.0]])
+def test_element_from_dict_rejects_non_numeric_scalar_value(value):
+    with pytest.raises(ValidationError, match="scalar_value must be a number"):
+        element_from_dict({"kind": "resistor", "scalar_value": value})
+    assert element_from_dict({"kind": "resistor", "scalar_value": 2}).scalar_value == 2.0
+
+
+@pytest.mark.parametrize(
+    "builder",
+    [
+        lambda: memductance_from_sines(SUPPLY, [(1, 2.0), (4, -3.0)]),
+        lambda: inverse_meminductance_from_spectrum(SUPPLY, [(1, 2.0), (3, 1.0)], [(2, -0.5)]),
+        lambda: memcapacitance_from_cosines(SUPPLY, [(1, 2.0), (2, -1.0), (7, 0.1)]),
+        lambda: regularize(memcapacitance_from_cosines(SUPPLY, [(2, 5.0)]), SUPPLY).element,
+    ],
+)
+def test_element_from_dict_rejects_inconsistent_series(builder):
+    element = builder()
+    doc = element_to_dict(element)
+    top = max(map(abs, element.incremental.coeffs))
+    k = max(range(1, len(doc["constitutive_coeffs"])),
+            key=lambda j: abs(doc["constitutive_coeffs"][j] * j))
+    # nudge one constitutive coefficient so its derivative moves by `rel * top`,
+    # a tenth and ten times the 1e-12 tolerance
+    for rel, accepted in [(1e-13, True), (1e-11, False)]:
+        nudged = dict(doc, constitutive_coeffs=list(doc["constitutive_coeffs"]))
+        nudged["constitutive_coeffs"][k] += rel * top / (k * abs(element.incremental.scale))
+        if accepted:
+            read = element_from_dict(nudged)
+            assert read.constitutive.coeffs[k] != element.constitutive.coeffs[k]
+        else:
+            with pytest.raises(ValidationError, match="not the derivative"):
+                element_from_dict(nudged)
+    # a constitutive series for an element the incremental series does not describe
+    doc["coeffs"] = doc["coeffs"] + [doc["coeffs"][0]]
+    with pytest.raises(ValidationError, match="not the derivative"):
+        element_from_dict(doc)
+
+
+def test_element_from_dict_checks_an_empty_incremental_series():
+    doc = element_to_dict(memcapacitance_from_cosines(SUPPLY, [(1, 2.0)]))
+    doc["coeffs"] = []
+    with pytest.raises(ValidationError, match="not the derivative"):
+        element_from_dict(doc)
+    doc["constitutive_coeffs"] = [3.0]  # only the integration constant: derivative zero
+    assert element_from_dict(doc).incremental.coeffs == ()

@@ -8,7 +8,14 @@ different order and must match to a tolerance fixed by float64 round-off.
 import numpy as np
 import pytest
 
-from memsynth.chebyshev import _clenshaw, second_to_first_coeffs
+from memsynth.chebyshev import (
+    ChebyshevKind,
+    ChebyshevSeries,
+    _clenshaw,
+    differentiate_first_kind,
+    second_to_first_coeffs,
+)
+from memsynth.elements import ControlVariable, ElementKind, MemoryElement, verify_series_consistency
 from memsynth.errors import ValidationError
 from memsynth.harmonics import project_waveform
 
@@ -91,3 +98,24 @@ def test_clenshaw_scalar_and_empty_inputs(second_kind):
     assert _clenshaw(coeffs, x, second_kind) == _reference_clenshaw(coeffs, x, second_kind)
     grid = np.linspace(-1.0, 1.0, 9)
     assert np.array_equal(_clenshaw((), grid, second_kind), np.zeros(9))
+
+
+def _reference_series_consistency(element):
+    derived = differentiate_first_kind(element.constitutive).coeffs
+    inc = element.incremental.coeffs
+    width = max(len(derived), len(inc))
+    derived = derived + (0.0,) * (width - len(derived))
+    inc = inc + (0.0,) * (width - len(inc))
+    return max((abs(x - y) for x, y in zip(derived, inc)), default=0.0)
+
+
+@pytest.mark.parametrize("n_inc, n_con", [(0, 0), (0, 1), (0, 3), (1, 0), (3, 2), (5, 6), (400, 401)])
+def test_series_consistency_matches_the_series_loop_exactly(n_inc, n_con):
+    rng = np.random.default_rng(n_inc * 1000 + n_con)
+    element = MemoryElement(
+        kind=ElementKind.MEMCAPACITOR,
+        control=ControlVariable.FLUX,
+        incremental=ChebyshevSeries(ChebyshevKind.SECOND, tuple(rng.normal(size=n_inc)), -0.37),
+        constitutive=ChebyshevSeries(ChebyshevKind.FIRST, tuple(rng.normal(size=n_con)), -0.37),
+    )
+    assert verify_series_consistency(element) == _reference_series_consistency(element)

@@ -17,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memsynth.elements import (
+    element_from_dict,
+    element_to_dict,
     inverse_meminductance_from_spectrum,
     memcapacitance_from_cosines,
     needs_regularization,
@@ -33,6 +35,7 @@ from memsynth.simulation import SimulationConfig, branch_current, simulate, supp
 from memsynth.synthesis import (
     AssignmentPolicy,
     EvenSineRoute,
+    LoadDecomposition,
     PolicyMode,
     decompose_load,
     synthesize_conditioner,
@@ -82,6 +85,20 @@ def test_json_round_trip_is_exact(load):
         n for n in range(1, spectrum.n_max + 1)
         if spectrum.a(n) or spectrum.b(n) or n == spectrum.n_max
     ]
+
+
+@SETTINGS
+@given(loads())
+def test_decomposition_documents_read_back_exactly(load):
+    # every element memsynth writes passes the reader's series consistency check
+    supply, spectrum = load
+    for mode in PolicyMode:
+        for route in EvenSineRoute:
+            policy = AssignmentPolicy(mode=mode, route_even_sines=route)
+            for network in (decompose_load(supply, spectrum, policy),
+                            synthesize_conditioner(supply, spectrum, policy)):
+                doc = json.loads(json.dumps(network.to_dict()))
+                assert LoadDecomposition.from_dict(doc) == network
 
 
 @SETTINGS
@@ -151,6 +168,7 @@ def test_regularization_is_transparent(drawn, gamma):
     supply, element = drawn
     assert needs_regularization(element)
     reg = regularize(element, supply, gamma)
+    assert element_from_dict(json.loads(json.dumps(element_to_dict(reg.element)))) == reg.element
     states = supply_states(supply, GRID)
     raw = branch_current(element, states).current
     pair = sum(branch_current(e, states).current for e in (reg.element, reg.companion))

@@ -34,7 +34,9 @@ from memsynth.simulation import (
     branch_average_power,
     branch_current,
     columns_to_csv,
+    float_cells,
     hysteresis_loop,
+    repr_fallback,
     simulate,
     supply_states,
     trace_to_csv,
@@ -276,6 +278,9 @@ def test_trace_csv_header_only_when_empty():
 SPECIAL_FLOATS = [
     0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e-5, 1e16, 1.7976931348623157e308,
     0.1, -1.0 / 3.0, float("inf"), float("-inf"), float("nan"),
+    # the edges of the range where orjson and ``repr`` lay a float out alike
+    1e-4, float(np.nextafter(1e-4, 0.0)), float(np.nextafter(1e-4, 1.0)),
+    float(np.nextafter(1e16, 0.0)), float(np.nextafter(1e16, np.inf)), 9999999999999998.0,
 ]
 
 
@@ -295,6 +300,8 @@ def test_columns_to_csv_matches_per_cell_repr_on_special_floats(rows):
     text = columns_to_csv("a,b,c,d", columns)
     assert text == _reference_csv("a,b,c,d", columns)
     assert text.count("\n") == rows + 1
+    for column in (specials, -specials):
+        assert float_cells(column) == [repr(float(x)) for x in column]
 
 
 @st.composite
@@ -324,6 +331,47 @@ def _csv_columns(draw):
 def test_columns_to_csv_matches_per_cell_repr(columns):
     header = ",".join(f"c{j}" for j in range(len(columns)))
     assert columns_to_csv(header, columns) == _reference_csv(header, columns)
+
+
+def test_repr_fallback_picks_exactly_the_cells_outside_the_shared_layout():
+    inside = [1e-4, float(np.nextafter(1e-4, 1.0)), 0.1, 1.0, 1e15,
+              float(np.nextafter(1e16, 0.0)), 0.0, -0.0]
+    outside = [float(np.nextafter(1e-4, 0.0)), 1e-5, 5e-324, 1e16,
+               float(np.nextafter(1e16, np.inf)), 1e300, float("inf"), float("nan")]
+    for sign in (1.0, -1.0):
+        assert not repr_fallback(sign * np.array(inside)).any()
+        assert repr_fallback(sign * np.array(outside)).all()
+
+
+def test_float_cells_on_a_column_wholly_in_the_fallback_range():
+    # like the C_of_t column of a bridge conditioner, about 1e-5 F throughout
+    column = 1e-5 * (1.0 + 0.3 * np.sin(np.linspace(0.0, 7.0, 3 * CSV_CHUNK_ROWS + 11)))
+    assert repr_fallback(column).all()
+    assert float_cells(column) == [repr(float(x)) for x in column]
+    columns = [np.arange(column.size) * 1e-3, column]
+    assert columns_to_csv("t,C", columns) == _reference_csv("t,C", columns)
+
+
+@pytest.mark.parametrize("special", [1e-5, -3e-300, 1e16, float("nan"), float("-inf")])
+def test_fallback_cells_at_chunk_edges(special):
+    column = np.linspace(1.0, 2.0, 2 * CSV_CHUNK_ROWS + 3)
+    rows = [0, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS]
+    column[rows] = special
+    columns = [column, -column]
+    text = columns_to_csv("a,b", columns)
+    assert text == _reference_csv("a,b", columns)
+    lines = text.split("\n")
+    for k in rows:
+        assert lines[k + 1] == f"{special!r},{-special!r}"
+
+
+def test_float_cells_on_empty_and_strided_columns():
+    assert float_cells(np.array([])) == []
+    assert columns_to_csv("a,b", [np.array([]), None]) == "a,b\n"
+    strided = np.linspace(-1e-6, 3.0, 3 * CSV_CHUNK_ROWS)[::3]
+    assert not strided.flags.c_contiguous
+    assert float_cells(strided) == [repr(float(x)) for x in strided]
+    assert columns_to_csv("a", [strided]) == _reference_csv("a", [strided])
 
 
 def test_columns_to_csv_rejects_unequal_or_missing_columns():
