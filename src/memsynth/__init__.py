@@ -39,7 +39,6 @@ from .harmonics import (
     evaluate_waveform,
     fryze_split,
     project_waveform,
-    spectrum_add,
     spectrum_negate,
 )
 from .loads import (
@@ -53,12 +52,10 @@ from .loads import (
 )
 from .simulation import (
     BranchWaveforms,
-    Integrator,
     SimulationConfig,
     SimulationTrace,
     SupplyStates,
     TraceBranch,
-    branch_average_power,
     branch_current,
     hysteresis_loop,
     simulate,
@@ -87,7 +84,6 @@ __all__ = [
     "ElementKind",
     "EvenSineRoute",
     "HarmonicSpectrum",
-    "Integrator",
     "LoadDecomposition",
     "LoadKind",
     "LoadModel",
@@ -103,7 +99,6 @@ __all__ = [
     "TraceBranch",
     "ValidationError",
     "VerificationReport",
-    "branch_average_power",
     "branch_current",
     "bridge_spectrum",
     "compute_powers",
@@ -128,7 +123,6 @@ __all__ = [
     "regularize",
     "second_to_first_coeffs",
     "simulate",
-    "spectrum_add",
     "spectrum_negate",
     "supply_states",
     "synthesize_conditioner",

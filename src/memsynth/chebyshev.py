@@ -19,6 +19,7 @@ in the first-kind basis (``U_n = 2(T_n + T_{n-2} + ...)``, lowest term once).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -66,18 +67,14 @@ class ChebyshevSeries:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", ChebyshevKind(self.kind))
-        coeffs = tuple(float(c) for c in self.coeffs)
+        coeffs = tuple(map(float, self.coeffs))
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "scale", float(self.scale))
         object.__setattr__(self, "offset", float(self.offset))
-        if not all(np.isfinite(coeffs)):
+        if not all(map(math.isfinite, coeffs)):
             raise ValidationError("series coefficients must be finite")
-        if not (np.isfinite(self.scale) and np.isfinite(self.offset)):
+        if not (math.isfinite(self.scale) and math.isfinite(self.offset)):
             raise ValidationError("scale and offset must be finite")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
     def evaluate(self, v):
         """Series value at control value(s) ``v`` (scalar or array)."""

@@ -39,7 +39,6 @@ from .loads import (
     LoadModel,
 )
 from .simulation import (
-    Integrator,
     SimulationConfig,
     columns_to_csv,
     hysteresis_loop,
@@ -151,16 +150,6 @@ def _policy(args: argparse.Namespace) -> AssignmentPolicy:
     )
 
 
-def _sim_config(args: argparse.Namespace) -> SimulationConfig:
-    return SimulationConfig(
-        periods=args.periods,
-        samples_per_period=args.samples_per_period,
-        integrator=Integrator(args.integrator),
-        phi0=args.phi0,
-        sigma0=args.sigma0,
-    )
-
-
 def _summary_dict(summary) -> dict:
     return {
         "active_power": summary.active_power,
@@ -236,7 +225,7 @@ def cmd_compensate(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     decomposition = LoadDecomposition.from_dict(_read_json(args.decomposition))
-    trace = simulate(decomposition, _sim_config(args))
+    trace = simulate(decomposition, SimulationConfig(args.periods, args.samples_per_period))
     _emit(trace_to_csv(trace), args.output)
     return 0
 
@@ -271,7 +260,8 @@ def cmd_hysteresis(args: argparse.Namespace) -> int:
             break
     if element is None:
         raise ValidationError(f"decomposition has no branch labelled {args.branch!r}")
-    states = supply_states(decomposition.supply, _sim_config(args))
+    config = SimulationConfig(args.periods, args.samples_per_period)
+    states = supply_states(decomposition.supply, config)
     drive, response = hysteresis_loop(element, states)
     _emit(columns_to_csv(_LOOP_HEADERS[element.kind.value], [drive, response]), args.output)
 
@@ -291,11 +281,6 @@ def cmd_hysteresis(args: argparse.Namespace) -> int:
 def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--periods", type=int, default=2)
     parser.add_argument("--samples-per-period", type=int, default=8192)
-    parser.add_argument(
-        "--integrator", choices=[i.value for i in Integrator], default="closed-form"
-    )
-    parser.add_argument("--phi0", type=float, default=None)
-    parser.add_argument("--sigma0", type=float, default=0.0)
 
 
 def _add_policy_flags(parser: argparse.ArgumentParser) -> None:

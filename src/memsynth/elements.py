@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -134,125 +134,104 @@ class RegularizedElement:
     gamma: float
 
 
-def _clean_coefficients(
-    entries: Iterable[tuple[int, float]], what: str, parity: Optional[int] = None
-) -> dict[int, float]:
-    """Validate (n, value) pairs; drop negligible values; sort by order."""
-    seen: dict[int, float] = {}
-    for n, value in entries:
-        order = int(n)
-        if order != n or order < 1:
-            raise ValidationError(f"{what}: harmonic order must be a positive integer")
-        value = float(value)
-        if not math.isfinite(value):
-            raise ValidationError(f"{what}: amplitude at n={order} must be finite")
-        if parity is not None and order % 2 != parity:
-            expected = "odd" if parity else "even"
-            raise ValidationError(f"{what}: n={order} is not {expected}")
-        if order in seen:
-            raise ValidationError(f"{what}: duplicate harmonic order {order}")
-        if abs(value) >= COEFF_DROP_TOLERANCE:
-            seen[order] = value
-    return dict(sorted(seen.items()))
+def _dense_terms(values, what: str) -> np.ndarray:
+    """Finite amplitudes, order n at index n-1; those below COEFF_DROP_TOLERANCE become 0.0."""
+    terms = np.array(values, dtype=float)
+    if terms.ndim != 1:
+        raise ValidationError(f"{what} must be a flat array of amplitudes")
+    if not np.isfinite(terms).all():
+        raise ValidationError(f"{what} must be finite")
+    terms[np.abs(terms) < COEFF_DROP_TOLERANCE] = 0.0
+    return terms
 
 
-def _trimmed(values: list[float]) -> tuple[float, ...]:
-    while values and values[-1] == 0.0:
-        values.pop()
-    return tuple(values)
+def _series(kind: ChebyshevKind, coeffs: np.ndarray, scale: float) -> ChebyshevSeries:
+    """Series of ``coeffs`` less its trailing zeros (terms that under- or overflowed)."""
+    top = len(coeffs)
+    while top and coeffs[top - 1] == 0.0:
+        top -= 1
+    return ChebyshevSeries(kind, coeffs[:top].tolist(), scale)
 
 
-def _sign_pow(k: int) -> float:
-    return -1.0 if k & 1 else 1.0
-
-
-def memductance_from_sines(
-    supply: SupplyVoltage, sines: Sequence[tuple[int, float]]
+def _memory_element(
+    kind: ElementKind, n: np.ndarray, inc: np.ndarray, con: np.ndarray, scale: float
 ) -> MemoryElement:
-    """Flux-controlled memristor realizing ``i = sum b_n sin(n w t)``.
+    """Element whose U_{n-1} (incremental) and T_n (constitutive) terms are given at orders n.
 
-    A single fundamental entry yields a constant memductance b_1/A, i.e. an
-    LTI resistor of A/b_1.
+    Every other coefficient is +0.0: the per-order arithmetic runs only at the
+    nonzero orders, so no empty slot carries a -0.0.
     """
-    coeffs = _clean_coefficients(sines, "memductance sine terms")
-    if not coeffs:
-        raise ValidationError("memductance synthesis needs at least one sine term")
-    amp, w = supply.amplitude, supply.omega
-    n_top = max(coeffs)
-    u = [0.0] * n_top
-    t = [0.0] * (n_top + 1)
-    for n, b in coeffs.items():
-        u[n - 1] = b / amp
-        t[n] = -b / (n * w)
-    scale = -w / amp
+    u = np.zeros(n[-1])
+    u[n - 1] = inc
+    t = np.zeros(n[-1] + 1)
+    t[n] = con
     return MemoryElement(
-        kind=ElementKind.MEMRISTOR,
-        control=ControlVariable.FLUX,
-        incremental=ChebyshevSeries(ChebyshevKind.SECOND, _trimmed(u), scale=scale),
-        constitutive=ChebyshevSeries(ChebyshevKind.FIRST, _trimmed(t), scale=scale),
+        kind=kind,
+        control=CONTROL_OF_KIND[kind],
+        incremental=_series(ChebyshevKind.SECOND, u, scale),
+        constitutive=_series(ChebyshevKind.FIRST, t, scale),
     )
 
 
-def inverse_meminductance_from_spectrum(
-    supply: SupplyVoltage,
-    odd_cosines: Sequence[tuple[int, float]] = (),
-    even_sines: Sequence[tuple[int, float]] = (),
-) -> MemoryElement:
+def memductance_from_sines(supply: SupplyVoltage, sin) -> MemoryElement:
+    """Flux-controlled memristor realizing ``i = sum b_n sin(n w t)``.
+
+    ``sin[n-1]`` holds ``b_n``.  A single fundamental entry yields a constant
+    memductance b_1/A, i.e. an LTI resistor of A/b_1.
+    """
+    b = _dense_terms(sin, "memductance sine terms")
+    n = b.nonzero()[0] + 1
+    if not n.size:
+        raise ValidationError("memductance synthesis needs at least one sine term")
+    amp, w = supply.amplitude, supply.omega
+    b = b[n - 1]
+    return _memory_element(ElementKind.MEMRISTOR, n, b / amp, -b / (n * w), -w / amp)
+
+
+def inverse_meminductance_from_spectrum(supply: SupplyVoltage, cos, sin) -> MemoryElement:
     """Meminductor ``i = Gamma_M(sigma) phi`` for odd cosines and even sines.
 
-    Those two harmonic families are exactly the ones expressible as
-    polynomials in ``sin(w t)``; the alternating signs come from
+    ``cos[n-1]`` and ``sin[n-1]`` hold ``a_n`` and ``b_n``.  Those two
+    harmonic families are exactly the ones expressible as polynomials in
+    ``sin(w t)``; the alternating signs come from
     ``T_n(sin t) = (-1)^((n-1)/2) sin(n t)`` (odd n) and
     ``T_n(sin t) = (-1)^(n/2) cos(n t)`` (even n).
     """
-    odd = _clean_coefficients(odd_cosines, "meminductor odd cosine terms", parity=1)
-    even = _clean_coefficients(even_sines, "meminductor even sine terms", parity=0)
-    if not odd and not even:
+    a = _dense_terms(cos, "meminductor cosine terms")
+    b = _dense_terms(sin, "meminductor sine terms")
+    if a[1::2].any() or b[::2].any():
+        raise ValidationError("meminductor synthesis takes odd-order cosines and even-order sines")
+    # the two families occupy alternate orders, so one array holds both
+    c = np.zeros(max(len(a), len(b)))
+    c[: len(a)] = a
+    c[1 : len(b) : 2] = b[1::2]
+    n = c.nonzero()[0] + 1
+    if not n.size:
         raise ValidationError("meminductor synthesis needs at least one term")
     amp, w = supply.amplitude, supply.omega
-    n_top = max([*odd, *even])
-    u = [0.0] * n_top
-    t = [0.0] * (n_top + 1)
-    for n, a in odd.items():
-        u[n - 1] = (w / amp) * _sign_pow((n + 1) // 2) * a
-        t[n] = _sign_pow((n - 1) // 2) * a / (n * w)
-    for n, b in even.items():
-        u[n - 1] = -(w / amp) * _sign_pow((n + 2) // 2) * b
-        t[n] = -_sign_pow(n // 2) * b / (n * w)
-    scale = -(w * w) / amp
-    return MemoryElement(
-        kind=ElementKind.MEMINDUCTOR,
-        control=ControlVariable.TIME_INTEGRATED_FLUX,
-        incremental=ChebyshevSeries(ChebyshevKind.SECOND, _trimmed(u), scale=scale),
-        constitutive=ChebyshevSeries(ChebyshevKind.FIRST, _trimmed(t), scale=scale),
+    c = c[n - 1]
+    # (-1)^ceil(n/2): the U_{n-1} sign for both families, negated for T_n
+    sign = (-1.0) ** ((n + 1) // 2)
+    return _memory_element(
+        ElementKind.MEMINDUCTOR, n, (w / amp) * sign * c, -sign * c / (n * w), -(w * w) / amp
     )
 
 
-def memcapacitance_from_cosines(
-    supply: SupplyVoltage, cosines: Sequence[tuple[int, float]]
-) -> MemoryElement:
+def memcapacitance_from_cosines(supply: SupplyVoltage, cos) -> MemoryElement:
     """Flux-controlled memcapacitor ``q = C_M(phi) u`` for cosine terms.
 
-    The branch charge ``q = sum a_n/(n w) sin(n w t)`` divided by the supply
-    voltage is a second-kind series in the flux because
-    ``sin(n t)/sin(t) = U_{n-1}(cos t)``.
+    ``cos[n-1]`` holds ``a_n``.  The branch charge
+    ``q = sum a_n/(n w) sin(n w t)`` divided by the supply voltage is a
+    second-kind series in the flux because ``sin(n t)/sin(t) = U_{n-1}(cos t)``.
     """
-    coeffs = _clean_coefficients(cosines, "memcapacitance cosine terms")
-    if not coeffs:
+    a = _dense_terms(cos, "memcapacitance cosine terms")
+    n = a.nonzero()[0] + 1
+    if not n.size:
         raise ValidationError("memcapacitance synthesis needs at least one cosine term")
     amp, w = supply.amplitude, supply.omega
-    n_top = max(coeffs)
-    u = [0.0] * n_top
-    t = [0.0] * (n_top + 1)
-    for n, a in coeffs.items():
-        u[n - 1] = a / (n * w * amp)
-        t[n] = -a / (n * n * w * w)
-    scale = -w / amp
-    return MemoryElement(
-        kind=ElementKind.MEMCAPACITOR,
-        control=ControlVariable.FLUX,
-        incremental=ChebyshevSeries(ChebyshevKind.SECOND, _trimmed(u), scale=scale),
-        constitutive=ChebyshevSeries(ChebyshevKind.FIRST, _trimmed(t), scale=scale),
+    a = a[n - 1]
+    return _memory_element(
+        ElementKind.MEMCAPACITOR, n, a / (n * w * amp), -a / (n * n * w * w), -w / amp
     )
 
 
@@ -355,8 +334,8 @@ def verify_series_consistency(element: MemoryElement) -> float:
     return float(np.max(np.abs(gap), initial=0.0))
 
 
-def element_to_dict(element: MemoryElement, companion: Optional[MemoryElement] = None) -> dict:
-    doc: dict = {
+def element_to_dict(element: MemoryElement) -> dict:
+    return {
         "kind": element.kind.value,
         "control": element.control.value if element.control else None,
         "scale": element.incremental.scale if element.incremental else None,
@@ -365,20 +344,19 @@ def element_to_dict(element: MemoryElement, companion: Optional[MemoryElement] =
             list(element.constitutive.coeffs) if element.constitutive else None
         ),
         "scalar_value": element.scalar_value,
-        "companion": element_to_dict(companion) if companion else None,
+        "companion": None,
     }
-    return doc
 
 
 def _coefficient_list(value, name: str) -> list:
-    """A JSON list of numbers; strings, booleans and nested values are rejected."""
+    """A JSON list of float64-range numbers; strings, booleans and nested values are rejected."""
     if not isinstance(value, list):
         raise ValidationError(f"{name} must be a list of numbers, got {value!r}")
-    # json yields exactly int and float for numbers; bool is its own type
-    if not set(map(type, value)) <= {int, float}:
-        bad = next(c for c in value if type(c) not in (int, float))
-        raise ValidationError(f"{name} entries must be numbers, got {bad!r}")
-    return value
+    # json yields exactly int and float for numbers; bool is its own type, and
+    # an int may lie beyond float64, so any non-float entry goes through _real
+    if set(map(type, value)) <= {float}:
+        return value
+    return [_real(c, f"{name} entries") for c in value]
 
 
 def element_from_dict(doc: dict) -> MemoryElement:

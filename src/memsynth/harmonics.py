@@ -182,10 +182,13 @@ class HarmonicSpectrum:
 
 
 def _real(value, name: str) -> float:
-    """A JSON number; strings and booleans are rejected, not coerced."""
+    """A JSON number as a float; strings, booleans and out-of-range integers are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{name} must be a number, got {value!r}")
-    return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} must be a number within the float64 range") from None
 
 
 def _order(value) -> int:
@@ -310,19 +313,3 @@ def spectrum_negate(spectrum: HarmonicSpectrum) -> HarmonicSpectrum:
         spectrum.omega, -spectrum.dc, np.negative(spectrum.cos), np.negative(spectrum.sin)
     )
 
-
-def spectrum_add(*spectra: HarmonicSpectrum) -> HarmonicSpectrum:
-    """Coefficient-wise sum; all spectra must share one frequency."""
-    if not spectra:
-        raise ValidationError("spectrum_add needs at least one spectrum")
-    omega = spectra[0].omega
-    top = max(spec.n_max for spec in spectra)
-    dc = 0.0
-    cos = np.zeros(top)
-    sin = np.zeros(top)
-    for spec in spectra:
-        _check_frequency(omega, spec.omega)
-        dc += spec.dc
-        cos[: spec.n_max] += spec.cos
-        sin[: spec.n_max] += spec.sin
-    return HarmonicSpectrum(omega, dc, cos, sin)

@@ -1,9 +1,9 @@
 """Steady-state time-domain simulation of decomposed shunt branches.
 
-The supply states are sampled on a uniform endpoint-exclusive grid
-(``t_k = k T / samples_per_period``), so periodic averages reduce to plain
-means and full-period trapezoid integrals are spectrally exact for the
-trigonometric polynomials handled here.
+The supply states are the closed forms of the steady state, sampled on a
+uniform endpoint-exclusive grid (``t_k = k T / samples_per_period``), so
+periodic averages reduce to plain means and full-period trapezoid integrals
+are spectrally exact for the trigonometric polynomials handled here.
 
 Branch currents are evaluated element by element:
 
@@ -31,9 +31,7 @@ only the cells whose layout differs from ``repr`` go through
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from enum import Enum
 from itertools import repeat
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
@@ -53,30 +51,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 MAX_GRID_SAMPLES = 2**22
 
 
-class Integrator(str, Enum):
-    CLOSED_FORM = "closed-form"
-    TRAPEZOID = "trapezoid"
-
-
 @dataclass(frozen=True)
 class SimulationConfig:
     """Sampling plan for steady-state traces.
 
-    ``phi0`` defaults to the zero-mean steady state value -A/w (matching the
-    closed forms at t = 0) and ``sigma0`` to 0; both are only consumed by the
-    trapezoid integrator, the closed-form path is exact by construction.
     The grid holds at most :data:`MAX_GRID_SAMPLES` samples, checked here,
     before anything is allocated.
     """
 
     periods: int = 2
     samples_per_period: int = 8192
-    integrator: Integrator = Integrator.CLOSED_FORM
-    phi0: Optional[float] = None
-    sigma0: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "integrator", Integrator(self.integrator))
         if int(self.periods) != self.periods or self.periods < 1:
             raise ValidationError("periods must be a positive integer")
         if int(self.samples_per_period) != self.samples_per_period or self.samples_per_period < 64:
@@ -88,10 +74,6 @@ class SimulationConfig:
                 f"periods * samples_per_period = {self.periods * self.samples_per_period}"
                 f" exceeds the grid limit of {MAX_GRID_SAMPLES} samples"
             )
-        if self.phi0 is not None and not math.isfinite(float(self.phi0)):
-            raise ValidationError("phi0 must be finite")
-        if not math.isfinite(float(self.sigma0)):
-            raise ValidationError("sigma0 must be finite")
 
 
 @dataclass(frozen=True)
@@ -106,27 +88,15 @@ class SupplyStates:
     sigma: np.ndarray
 
 
-def _cumulative_trapezoid(y: np.ndarray, dt: float, y0: float) -> np.ndarray:
-    out = np.empty_like(y)
-    out[0] = y0
-    out[1:] = y0 + np.cumsum(0.5 * dt * (y[1:] + y[:-1]))
-    return out
-
-
 def supply_states(supply: SupplyVoltage, config: Optional[SimulationConfig] = None) -> SupplyStates:
-    """Sample u, phi, sigma on the uniform grid of ``config``."""
+    """Sample u and the closed-form phi and sigma on the uniform grid of ``config``."""
     config = config or SimulationConfig()
     n = config.periods * config.samples_per_period
     dt = supply.period / config.samples_per_period
     t = np.arange(n) * dt
     u = supply.voltage(t)
-    if config.integrator is Integrator.CLOSED_FORM:
-        phi = supply.flux(t)
-        sigma = supply.integrated_flux(t)
-    else:
-        phi0 = -supply.amplitude / supply.omega if config.phi0 is None else float(config.phi0)
-        phi = _cumulative_trapezoid(u, dt, phi0)
-        sigma = _cumulative_trapezoid(phi, dt, float(config.sigma0))
+    phi = supply.flux(t)
+    sigma = supply.integrated_flux(t)
     return SupplyStates(supply=supply, config=config, t=t, u=u, phi=phi, sigma=sigma)
 
 
@@ -200,12 +170,6 @@ class SimulationTrace:
     def u(self) -> np.ndarray:
         return self.states.u
 
-    def branch(self, label: str) -> TraceBranch:
-        for branch in self.branches:
-            if branch.label == label:
-                return branch
-        raise ValidationError(f"no branch labelled {label!r}")
-
 
 def simulate(
     decomposition: "LoadDecomposition", config: Optional[SimulationConfig] = None
@@ -219,11 +183,6 @@ def simulate(
         branches.append(TraceBranch(label, element, *waves))
         total = total + waves.current
     return SimulationTrace(states=states, branches=tuple(branches), i_total=total)
-
-
-def branch_average_power(trace: SimulationTrace, label: str) -> float:
-    """Average of u * i over the whole (integer number of) periods."""
-    return float(np.mean(trace.u * trace.branch(label).current))
 
 
 def hysteresis_loop(

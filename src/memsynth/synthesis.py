@@ -23,7 +23,7 @@ left untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -33,6 +33,7 @@ from .elements import (
     COEFF_DROP_TOLERANCE,
     ElementKind,
     MemoryElement,
+    _dense_terms,
     element_from_dict,
     element_to_dict,
     inverse_meminductance_from_spectrum,
@@ -123,10 +124,6 @@ class LoadDecomposition:
             out.append((label, companion))
         return out
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.branches()
-
     def to_dict(self) -> dict:
         return {
             "supply": {"amplitude": self.supply.amplitude, "omega": self.supply.omega},
@@ -177,45 +174,40 @@ def decompose_load(
     _check_frequency(supply.omega, spectrum.omega)
     mode = policy.resolve(spectrum)
 
-    sines = [(n, b) for n, b in enumerate(spectrum.sin, 1) if abs(b) >= COEFF_DROP_TOLERANCE]
-    cosines = [(n, a) for n, a in enumerate(spectrum.cos, 1) if abs(a) >= COEFF_DROP_TOLERANCE]
+    # negligible amplitudes count as zero; families are split by order parity
+    cos = _dense_terms(spectrum.cos, "cosine amplitudes")
+    sin = _dense_terms(spectrum.sin, "sine amplitudes")
+    odd = np.arange(1, spectrum.n_max + 1) % 2 == 1
+    zeros = np.zeros(spectrum.n_max)
 
-    memristor_sines = sines
-    meminductor_even_sines: list[tuple[int, float]] = []
+    memristor_sin, meminductor_sin = sin, zeros
     if policy.route_even_sines is EvenSineRoute.MEMINDUCTOR:
-        memristor_sines = [(n, b) for n, b in sines if n % 2 == 1]
-        meminductor_even_sines = [(n, b) for n, b in sines if n % 2 == 0]
-
-    meminductor_odd_cosines: list[tuple[int, float]] = []
-    memcap_cosines = cosines
+        memristor_sin, meminductor_sin = np.where(odd, sin, 0.0), np.where(odd, 0.0, sin)
+    memcap_cos, meminductor_cos = cos, zeros
     if mode is PolicyMode.INDUCTIVE:
-        meminductor_odd_cosines = [(n, a) for n, a in cosines if n % 2 == 1]
-        memcap_cosines = [(n, a) for n, a in cosines if n % 2 == 0]
+        memcap_cos, meminductor_cos = np.where(odd, 0.0, cos), np.where(odd, cos, 0.0)
 
     dc = None
     if abs(spectrum.dc) >= COEFF_DROP_TOLERANCE:
         dc = MemoryElement(kind=ElementKind.DC_SOURCE, scalar_value=spectrum.dc)
 
     memristor = None
-    if memristor_sines:
-        lone_fundamental = len(memristor_sines) == 1 and memristor_sines[0][0] == 1
-        if lone_fundamental and memristor_sines[0][1] > 0.0:
+    if memristor_sin.any():
+        if memristor_sin[0] > 0.0 and not memristor_sin[1:].any():
             memristor = MemoryElement(
                 kind=ElementKind.RESISTOR,
-                scalar_value=supply.amplitude / memristor_sines[0][1],
+                scalar_value=supply.amplitude / float(memristor_sin[0]),
             )
         else:
-            memristor = memductance_from_sines(supply, memristor_sines)
+            memristor = memductance_from_sines(supply, memristor_sin)
 
     meminductor = None
-    if meminductor_odd_cosines or meminductor_even_sines:
-        meminductor = inverse_meminductance_from_spectrum(
-            supply, meminductor_odd_cosines, meminductor_even_sines
-        )
+    if meminductor_cos.any() or meminductor_sin.any():
+        meminductor = inverse_meminductance_from_spectrum(supply, meminductor_cos, meminductor_sin)
 
     memcapacitor = None
-    if memcap_cosines:
-        memcapacitor = memcapacitance_from_cosines(supply, memcap_cosines)
+    if memcap_cos.any():
+        memcapacitor = memcapacitance_from_cosines(supply, memcap_cos)
 
     companions: list[MemoryElement] = []
     if meminductor is not None and needs_regularization(meminductor):
@@ -265,22 +257,17 @@ VERIFY_MIN_SAMPLES = 8192
 
 
 def verification_grid(n_max: int) -> int:
-    """Default verification grid: the smallest power of two >= max(8192, 4 n_max)."""
+    """Verification samples per period: the smallest power of two >= max(8192, 4 n_max)."""
     need = max(VERIFY_MIN_SAMPLES, 4 * n_max)
     return 1 << (need - 1).bit_length()
 
 
 def verify_decomposition(
-    decomposition: LoadDecomposition,
-    target: HarmonicSpectrum,
-    config: Optional[SimulationConfig] = None,
+    decomposition: LoadDecomposition, target: HarmonicSpectrum
 ) -> VerificationReport:
     """Simulate one period, re-project it, and compare against ``target``.
 
-    Exactly one period is simulated, whatever ``config.periods`` says; the
-    other fields of ``config`` are kept.  Without a config the grid is the
-    smallest power of two holding max(8192, 4 n_max) samples, so any order
-    can be verified; an explicit grid below 4 n_max samples is rejected.
+    The grid is the :func:`verification_grid` of the target's order.
 
     ``rel_rms_error`` is the waveform mismatch normalized by the target rms
     (absolute when the target is identically zero).  The coefficient error is
@@ -289,12 +276,8 @@ def verify_decomposition(
     """
     _check_frequency(decomposition.supply.omega, target.omega)
     n_max = max(target.n_max, 1)
-    if config is None:
-        config = SimulationConfig(periods=1, samples_per_period=verification_grid(n_max))
-    spp = config.samples_per_period
-    if spp < 4 * n_max:
-        raise ValidationError("samples_per_period too small to resolve the target spectrum")
-    current = simulate(decomposition, replace(config, periods=1)).i_total
+    spp = verification_grid(n_max)
+    current = simulate(decomposition, SimulationConfig(periods=1, samples_per_period=spp)).i_total
     projected = project_waveform(current, target.omega, n_max)
 
     # rows (a, b) over orders 0..n_max; column 0 holds (dc, 0)

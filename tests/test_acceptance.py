@@ -21,7 +21,6 @@ from memsynth.loads import (
 )
 from memsynth.simulation import (
     SimulationConfig,
-    branch_average_power,
     hysteresis_loop,
     simulate,
     supply_states,
@@ -33,6 +32,7 @@ from memsynth.synthesis import (
 )
 
 from chebyshev_identities import chebyshev_identity_suite
+from trace_branches import branch, branch_average_power
 
 SUPPLY = motivating_supply()
 AMP = SUPPLY.amplitude
@@ -130,7 +130,7 @@ def test_acceptance_bridge_family():
         cond = synthesize_conditioner(SUPPLY, spectrum)
         trace = simulate(cond, SimulationConfig(periods=1, samples_per_period=8192))
         p_c = branch_average_power(trace, "memristor")
-        i_m = trace.branch("memristor").current
+        i_m = branch(trace, "memristor").current
         s_c = _rms(trace.u) * _rms(i_m)
         lossless_ok = abs(p_c) <= 1e-9 * s_c
 
@@ -207,7 +207,7 @@ def test_acceptance_memcapacitor_charge_gating():
     for name, cond in conditioners.items():
         assert cond.memcapacitor is not None
         trace = simulate(cond)
-        q = trace.branch("memcapacitor").charge
+        q = branch(trace, "memcapacitor").charge
         mask = np.abs(trace.u) <= 1e-12 * AMP
         gate = float(np.max(np.abs(q[mask]))) / float(np.max(np.abs(q)))
         drive, response = hysteresis_loop(cond.memcapacitor, states)
@@ -234,9 +234,7 @@ def test_acceptance_chebyshev_identities():
 def test_acceptance_regularization_is_transparent():
     spectrum = rectifier_spectrum(AMP, OMEGA, n_max=199)
     dec = decompose_load(SUPPLY, spectrum)
-    raw = memcapacitance_from_cosines(
-        SUPPLY, [(n, a) for n, a in enumerate(spectrum.cos, 1) if a != 0.0]
-    )
+    raw = memcapacitance_from_cosines(SUPPLY, spectrum.cos)
     gamma = default_gamma(raw, SUPPLY)
     companion_exact = dec.companions[0].scalar_value == AMP / (OMEGA * gamma)
 

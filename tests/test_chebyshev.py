@@ -89,11 +89,6 @@ def test_scalar_and_array_evaluate_agree():
         assert out == pytest.approx(v, rel=1e-15)
 
 
-def test_degree():
-    assert ChebyshevSeries(ChebyshevKind.FIRST, (1.0, 2.0, 3.0)).degree == 2
-    assert ChebyshevSeries(ChebyshevKind.FIRST, ()).degree == -1
-
-
 def test_first_kind_derivative_coefficients_exact():
     s = -0.37
     series = ChebyshevSeries(ChebyshevKind.FIRST, (1.5, -2.0, 0.25, 3.0), scale=s, offset=9.9)

