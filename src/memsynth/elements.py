@@ -153,21 +153,36 @@ def _series(kind: ChebyshevKind, coeffs: np.ndarray, scale: float) -> ChebyshevS
     return ChebyshevSeries(kind, coeffs[:top].tolist(), scale)
 
 
+def orbit_scale(supply: SupplyVoltage, control: ControlVariable) -> float:
+    """The argument scale that puts a control's steady state on the unit circle.
+
+    ``-(w/A) phi = cos(w t)`` for the flux and ``-(w^2/A) sigma = sin(w t)``
+    for the time-integrated flux: every memory element the builders make
+    carries this scale.
+    """
+    amp, w = supply.amplitude, supply.omega
+    if control is ControlVariable.FLUX:
+        return -w / amp
+    return -(w * w) / amp
+
+
 def _memory_element(
-    kind: ElementKind, n: np.ndarray, inc: np.ndarray, con: np.ndarray, scale: float
+    supply: SupplyVoltage, kind: ElementKind, n: np.ndarray, inc: np.ndarray, con: np.ndarray
 ) -> MemoryElement:
     """Element whose U_{n-1} (incremental) and T_n (constitutive) terms are given at orders n.
 
     Every other coefficient is +0.0: the per-order arithmetic runs only at the
     nonzero orders, so no empty slot carries a -0.0.
     """
+    control = CONTROL_OF_KIND[kind]
+    scale = orbit_scale(supply, control)
     u = np.zeros(n[-1])
     u[n - 1] = inc
     t = np.zeros(n[-1] + 1)
     t[n] = con
     return MemoryElement(
         kind=kind,
-        control=CONTROL_OF_KIND[kind],
+        control=control,
         incremental=_series(ChebyshevKind.SECOND, u, scale),
         constitutive=_series(ChebyshevKind.FIRST, t, scale),
     )
@@ -185,7 +200,7 @@ def memductance_from_sines(supply: SupplyVoltage, sin) -> MemoryElement:
         raise ValidationError("memductance synthesis needs at least one sine term")
     amp, w = supply.amplitude, supply.omega
     b = b[n - 1]
-    return _memory_element(ElementKind.MEMRISTOR, n, b / amp, -b / (n * w), -w / amp)
+    return _memory_element(supply, ElementKind.MEMRISTOR, n, b / amp, -b / (n * w))
 
 
 def inverse_meminductance_from_spectrum(supply: SupplyVoltage, cos, sin) -> MemoryElement:
@@ -213,7 +228,7 @@ def inverse_meminductance_from_spectrum(supply: SupplyVoltage, cos, sin) -> Memo
     # (-1)^ceil(n/2): the U_{n-1} sign for both families, negated for T_n
     sign = (-1.0) ** ((n + 1) // 2)
     return _memory_element(
-        ElementKind.MEMINDUCTOR, n, (w / amp) * sign * c, -sign * c / (n * w), -(w * w) / amp
+        supply, ElementKind.MEMINDUCTOR, n, (w / amp) * sign * c, -sign * c / (n * w)
     )
 
 
@@ -231,7 +246,7 @@ def memcapacitance_from_cosines(supply: SupplyVoltage, cos) -> MemoryElement:
     amp, w = supply.amplitude, supply.omega
     a = a[n - 1]
     return _memory_element(
-        ElementKind.MEMCAPACITOR, n, a / (n * w * amp), -a / (n * n * w * w), -w / amp
+        supply, ElementKind.MEMCAPACITOR, n, a / (n * w * amp), -a / (n * n * w * w)
     )
 
 

@@ -58,6 +58,15 @@ class SupplyVoltage:
             raise ValidationError("supply amplitude must be positive and finite")
         if not (math.isfinite(self.omega) and self.omega > 0):
             raise ValidationError("supply omega must be positive and finite")
+        # the flux and integrated-flux amplitudes and the elements' argument scales
+        amp, w = self.amplitude, self.omega
+        w2 = w * w
+        for ratio in (w / amp, w2 / amp, amp / w, amp / w2 if w2 else 0.0):
+            if not (math.isfinite(ratio) and ratio != 0.0):
+                raise ValidationError(
+                    f"supply omega {w!r} and amplitude {amp!r} put w/A, w^2/A, A/w or A/w^2"
+                    " outside the float64 range"
+                )
 
     @property
     def period(self) -> float:

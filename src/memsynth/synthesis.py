@@ -40,6 +40,7 @@ from .elements import (
     memcapacitance_from_cosines,
     memductance_from_sines,
     needs_regularization,
+    orbit_scale,
     regularize,
 )
 from .errors import ValidationError
@@ -262,12 +263,80 @@ def verification_grid(n_max: int) -> int:
     return 1 << (need - 1).bit_length()
 
 
+def _grid_samples(ab: np.ndarray, spp: int) -> np.ndarray:
+    """Samples at ``t_k = k T / spp`` of the (a, b) rows over orders 0..top < spp/2.
+
+    Column 0 holds (dc, 0); one inverse real FFT evaluates every order.
+    """
+    half = (ab[0] - 1j * ab[1]) * (spp / 2.0)
+    half[0] = ab[0, 0] * spp
+    return np.fft.irfft(half, n=spp)
+
+
+def steady_state_current(decomposition: LoadDecomposition, spp: int) -> Optional[np.ndarray]:
+    """Terminal current on the endpoint-exclusive grid of ``spp`` samples per period.
+
+    On the steady-state orbit a memory element's argument ``scale * v`` is
+    exactly ``cos(w t)`` (flux) or ``sin(w t)`` (time-integrated flux), and
+    ``T_k(cos t) = cos(k t)``, ``U_k(cos t) sin t = sin((k+1) t)`` make its
+    current a finite Fourier series in the incremental coefficients ``c_k``
+    at orders ``m = k + 1``:
+
+    * memristor ``A sum c_k sin(m w t)``;
+    * memcapacitor ``A w sum m c_k cos(m w t)``;
+    * meminductor ``-(A/w) sum c_k sin(m (pi/2 - w t))``.
+
+    The series never reads ``scale``, so it stands for the element only when
+    that scale is exactly :func:`orbit_scale` and the offset is 0.0.
+    Otherwise, or when an order reaches ``spp/2``, the result is None and the
+    current has to be simulated.
+    """
+    supply = decomposition.supply
+    amp, w = supply.amplitude, supply.omega
+    branches = [element for _, element in decomposition.branches()]
+    top = 1
+    for element in branches:
+        if element.is_memory:
+            series = element.incremental
+            if series.offset != 0.0 or series.scale != orbit_scale(supply, element.control):
+                return None
+            top = max(top, len(series.coeffs))
+    if 2 * top >= spp:
+        return None
+
+    ab = np.zeros((2, top + 1))
+    for element in branches:
+        kind, value = element.kind, element.scalar_value
+        if kind is ElementKind.DC_SOURCE:
+            ab[0, 0] += value
+        elif kind is ElementKind.RESISTOR:
+            ab[1, 1] += amp / value
+        elif kind is ElementKind.INDUCTOR:
+            ab[0, 1] -= amp / (w * value)
+        elif kind is ElementKind.CAPACITOR:
+            ab[0, 1] += value * amp * w
+        else:
+            c = np.array(element.incremental.coeffs)
+            m = np.arange(1, len(c) + 1)
+            if kind is ElementKind.MEMRISTOR:
+                ab[1, m] += amp * c
+            elif kind is ElementKind.MEMCAPACITOR:
+                ab[0, m] += amp * w * m * c
+            else:
+                # -sin(m (pi/2 - t)) is (-1)^ceil(m/2) times cos(m t) at odd m
+                # and times sin(m t) at even m
+                ab[1 - m % 2, m] += (-1.0) ** ((m + 1) // 2) * (amp / w) * c
+    return _grid_samples(ab, spp)
+
+
 def verify_decomposition(
     decomposition: LoadDecomposition, target: HarmonicSpectrum
 ) -> VerificationReport:
-    """Simulate one period, re-project it, and compare against ``target``.
+    """Rebuild one period of the current, re-project it, and compare against ``target``.
 
-    The grid is the :func:`verification_grid` of the target's order.
+    The grid is the :func:`verification_grid` of the target's order.  The
+    current comes from :func:`steady_state_current`, or, for an element off
+    the steady-state orbit, from :func:`simulate`.
 
     ``rel_rms_error`` is the waveform mismatch normalized by the target rms
     (absolute when the target is identically zero).  The coefficient error is
@@ -277,7 +346,10 @@ def verify_decomposition(
     _check_frequency(decomposition.supply.omega, target.omega)
     n_max = max(target.n_max, 1)
     spp = verification_grid(n_max)
-    current = simulate(decomposition, SimulationConfig(periods=1, samples_per_period=spp)).i_total
+    current = steady_state_current(decomposition, spp)
+    if current is None:
+        config = SimulationConfig(periods=1, samples_per_period=spp)
+        current = simulate(decomposition, config).i_total
     projected = project_waveform(current, target.omega, n_max)
 
     # rows (a, b) over orders 0..n_max; column 0 holds (dc, 0)
@@ -285,10 +357,7 @@ def verify_decomposition(
     wanted[:, 1 : target.n_max + 1] = target.cos, target.sin
     wanted[0, 0] = target.dc
     got = np.array([(projected.dc, *projected.cos), (0.0, *projected.sin)])
-    # target samples on the same endpoint-exclusive grid, by inverse real FFT
-    half = (wanted[0] - 1j * wanted[1]) * (spp / 2.0)
-    half[0] = target.dc * spp
-    target_wave = np.fft.irfft(half, n=spp)
+    target_wave = _grid_samples(wanted, spp)
     target_rms = float(np.sqrt(np.mean(target_wave**2)))
     err_rms = float(np.sqrt(np.mean((current - target_wave) ** 2)))
     rel = err_rms / target_rms if target_rms > 0.0 else err_rms

@@ -1,12 +1,13 @@
 """Command line behaviour: outputs, determinism, exit codes."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from memsynth import cli
+from memsynth import cli, synthesis
 
 AMP = 230.0 * math.sqrt(2.0)
 OMEGA = 100.0 * math.pi
@@ -142,6 +143,39 @@ def test_characterize_gate_failure(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "VERIFY_GATE", -1.0)
     assert cli.main(["characterize", str(spec), "-o", str(tmp_path / "d.json")]) == 3
     assert "verification failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale_factor", [1.0, 1.0 + 2.0**-40], ids=["spectral", "clenshaw"])
+def test_characterize_gate_catches_a_tampered_memristor(tmp_path, monkeypatch, capsys,
+                                                        scale_factor):
+    spec = tmp_path / "spec.json"
+    assert cli.main(["load-model", "bridge", "--delta", "0.4", "--nmax", "9",
+                     "-o", str(spec)]) == 0
+    decompose = cli.decompose_load
+
+    def tampered(supply, spectrum, policy):
+        dec = decompose(supply, spectrum, policy)
+        series = dec.memristor.incremental
+        coeffs = (series.coeffs[0] * (1.0 + 1e-3),) + series.coeffs[1:]
+        series = dataclasses.replace(series, coeffs=coeffs, scale=series.scale * scale_factor)
+        return dataclasses.replace(
+            dec, memristor=dataclasses.replace(dec.memristor, incremental=series)
+        )
+
+    simulated = []
+    simulate = synthesis.simulate
+
+    def spy(decomposition, config):
+        simulated.append(config)
+        return simulate(decomposition, config)
+
+    monkeypatch.setattr(cli, "decompose_load", tampered)
+    monkeypatch.setattr(synthesis, "simulate", spy)
+    out = tmp_path / "d.json"
+    assert cli.main(["characterize", str(spec), "-o", str(out)]) == 3
+    assert "verification failed" in capsys.readouterr().err
+    assert json.loads(out.read_text())["verification"]["max_rel_rms_error"] > cli.VERIFY_GATE
+    assert len(simulated) == (scale_factor != 1.0)
 
 
 def test_compensate_report(tmp_path):
@@ -448,3 +482,21 @@ def test_decomposition_supply_with_integer_beyond_float64_exits_2(tmp_path, caps
     doc["supply"][key] = HUGE
     dec.write_text(json.dumps(doc))
     _assert_rejected(tmp_path, capsys, command, dec, "within the float64 range")
+
+
+@pytest.mark.parametrize("command", ["characterize", "compensate", "report"])
+def test_supply_whose_scales_overflow_exits_2(tmp_path, capsys, command):
+    # omega^2 overflows, so A/omega^2 (the integrated-flux amplitude) is 0.0
+    spec = tmp_path / "spec.json"
+    assert cli.main(["load-model", "rectifier", "--omega", "1e155", "--nmax", "10",
+                     "-o", str(spec)]) == 2
+    assert "outside the float64 range" in capsys.readouterr().err
+    assert not spec.exists()
+    spec.write_text(json.dumps({"omega": 1e155, "supply_amplitude": 1.0, "dc": 0.0,
+                                "harmonics": [{"n": 2, "a": 1.0, "b": 0.0}]}))
+    out, report = tmp_path / "out.json", tmp_path / "report.json"
+    extra = ["--report", str(report)] if command == "compensate" else []
+    assert cli.main([command, str(spec), "-o", str(out), *extra]) == 2
+    err = capsys.readouterr().err
+    assert "outside the float64 range" in err and "Traceback" not in err
+    assert not out.exists() and not report.exists()

@@ -47,6 +47,24 @@ def test_supply_validation():
         SupplyVoltage(1.0, -2.0)
 
 
+@pytest.mark.parametrize("amplitude, omega", [
+    (1.0, 1e155),     # w^2 overflows: w^2/A inf, A/w^2 zero
+    (1e-300, 1e10),   # w/A overflows
+    (1e300, 1e-10),   # A/w overflows
+    (1e10, 1e-160),   # A/w^2 overflows
+    (1e-10, 1e-170),  # w^2 underflows to zero
+])
+def test_supply_rejects_scales_outside_float64(amplitude, omega):
+    with pytest.raises(ValidationError, match="outside the float64 range"):
+        SupplyVoltage(amplitude, omega)
+
+
+def test_supply_accepts_extreme_but_finite_scales():
+    # w^2 = 1e308 and A/w^2 = 1e-308 (subnormal, nonzero) are still representable
+    supply = SupplyVoltage(1.0, 1e154)
+    assert float(supply.integrated_flux(supply.period / 4.0)) == pytest.approx(-1e-308)
+
+
 def test_spectrum_lookup_and_nmax():
     spec = motivating_spectrum()
     assert spec.n_max == 2

@@ -1,8 +1,10 @@
 """Vector kernels pinned against the plain loops they replace.
 
 The reference loops live here, not in the library.  Kernels that keep the
-loop's arithmetic order must match it exactly; the FFT projection sums in a
-different order and must match to a tolerance fixed by float64 round-off.
+loop's arithmetic order must match it exactly; the FFT projection and the
+verification's steady-state current (one inverse FFT against Clenshaw
+simulation) sum in a different order and must match to a tolerance fixed by
+float64 round-off.
 """
 
 import math
@@ -39,8 +41,11 @@ from memsynth.synthesis import (
     LoadDecomposition,
     PolicyMode,
     decompose_load,
+    steady_state_current,
     synthesize_conditioner,
+    verification_grid,
 )
+from memsynth.simulation import SimulationConfig, simulate
 
 from test_properties import SETTINGS, loads
 
@@ -320,6 +325,32 @@ def test_decompose_load_matches_the_sparse_reference(load):
     _assert_same_decompositions(*load)
 
 
+def _assert_spectral_current_matches_clenshaw(supply, spectrum):
+    _, nonactive, _ = fryze_split(supply, spectrum)
+    spp = verification_grid(max(spectrum.n_max, 1))
+    for mode in PolicyMode:
+        for route in EvenSineRoute:
+            policy = AssignmentPolicy(mode=mode, route_even_sines=route)
+            for network in (decompose_load(supply, spectrum, policy),
+                            synthesize_conditioner(supply, spectrum, policy)):
+                got = steady_state_current(network, spp)
+                want = simulate(network, SimulationConfig(1, spp)).i_total
+                tol = 1e-12 * float(np.max(np.abs(want)))
+                assert np.max(np.abs(got - want)) <= tol, (mode, route)
+
+
+@pytest.mark.parametrize("load", sorted(GOLDEN_LOADS))
+def test_spectral_current_matches_clenshaw_on_golden_loads(load):
+    model = GOLDEN_LOADS[load]
+    _assert_spectral_current_matches_clenshaw(model.supply(), model.spectrum())
+
+
+@SETTINGS
+@given(loads())
+def test_spectral_current_matches_clenshaw(load):
+    _assert_spectral_current_matches_clenshaw(*load)
+
+
 def _sparse(dense, orders):
     return [(n, dense[n - 1]) for n in orders]
 
@@ -361,9 +392,10 @@ def test_dense_builders_match_the_sparse_reference(seed):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_dense_builders_trim_terms_that_overflowed_like_the_reference():
-    # omega^2 overflows (numpy warns, Python floats did not), so every T_n
-    # term -a_n/(n^2 omega^2) is -0.0 and both builders drop them
-    supply = SupplyVoltage(1.0, 1e155)
-    got = memcapacitance_from_cosines(supply, [1.0, 0.0, 2.0])
-    _assert_same_element(got, _reference_memcapacitance(supply, [(1, 1.0), (3, 2.0)]))
+    # omega^2 = 1e308 is a valid supply, but n^2 omega^2 overflows from n = 2
+    # on (numpy warns, Python floats did not), so every T_n term
+    # -a_n/(n^2 omega^2) is -0.0 and both builders drop them
+    supply = SupplyVoltage(1.0, 1e154)
+    got = memcapacitance_from_cosines(supply, [0.0, 0.0, 2.0, 0.0, 1.0])
+    _assert_same_element(got, _reference_memcapacitance(supply, [(3, 2.0), (5, 1.0)]))
     assert got.constitutive.coeffs == ()

@@ -4,8 +4,9 @@ Spectra have up to eight harmonics of order <= 60, some amplitudes exactly
 zero (sometimes the whole top order), and a random dc term; supplies have a
 random amplitude and frequency.  Each property is one of the invariants the
 decomposition promises: exact JSON round trips, a terminal current that does
-not depend on the assignment policy, a lossless conditioner, the power factor
-after compensation, and transparent regularization.
+not depend on the assignment policy, a round-trip verification that holds for
+every policy, a lossless conditioner, the power factor after compensation, and
+transparent regularization.
 """
 
 import json
@@ -30,6 +31,7 @@ from memsynth.harmonics import (
     compute_powers,
     evaluate_waveform,
     fryze_split,
+    spectrum_negate,
 )
 from memsynth.simulation import SimulationConfig, branch_current, simulate, supply_states
 from memsynth.synthesis import (
@@ -39,6 +41,7 @@ from memsynth.synthesis import (
     PolicyMode,
     decompose_load,
     synthesize_conditioner,
+    verify_decomposition,
 )
 
 MAX_ORDER = 60
@@ -112,6 +115,22 @@ def test_terminal_current_is_policy_and_route_invariant(load):
             policy = AssignmentPolicy(mode=mode, route_even_sines=route)
             current = simulate(decompose_load(supply, spectrum, policy), GRID).i_total
             assert np.max(np.abs(current - target)) <= tol, (mode, route)
+
+
+@SETTINGS
+@given(loads())
+def test_verification_holds_on_every_policy_and_route(load):
+    supply, spectrum = load
+    _, nonactive, _ = fryze_split(supply, spectrum)
+    cancelled = spectrum_negate(nonactive)
+    for mode in PolicyMode:
+        for route in EvenSineRoute:
+            policy = AssignmentPolicy(mode=mode, route_even_sines=route)
+            for network, target in ((decompose_load(supply, spectrum, policy), spectrum),
+                                    (synthesize_conditioner(supply, spectrum, policy), cancelled)):
+                report = verify_decomposition(network, target)
+                assert report.rel_rms_error <= 1e-12, (mode, route)
+                assert report.max_coefficient_error <= 1e-12, (mode, route)
 
 
 @SETTINGS

@@ -1,5 +1,6 @@
 """Branch assignment, conditioner synthesis, and round-trip verification."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -29,6 +30,7 @@ from memsynth.synthesis import (
     LoadDecomposition,
     PolicyMode,
     decompose_load,
+    steady_state_current,
     synthesize_conditioner,
     verification_grid,
     verify_decomposition,
@@ -265,7 +267,28 @@ def test_verify_grows_grid_for_high_orders():
     assert report.max_coefficient_error <= 1e-12
 
 
-def test_verify_simulates_exactly_one_period(monkeypatch):
+def _mirrored(element):
+    """The same element in the mirrored argument: scale and odd-k coefficients negated.
+
+    ``B_k(-x) = (-1)^k B_k(x)`` for both kinds, so its current is unchanged
+    while its scale is no longer the builders' one.
+    """
+    def flip(series):
+        coeffs = [-c if k % 2 else c for k, c in enumerate(series.coeffs)]
+        return dataclasses.replace(series, coeffs=coeffs, scale=-series.scale)
+
+    return dataclasses.replace(
+        element, incremental=flip(element.incremental), constitutive=flip(element.constitutive)
+    )
+
+
+#: a1 < 0: odd cosines to the meminductor, even ones to the memcapacitor
+THREE_MEMORIES = HarmonicSpectrum.from_terms(
+    OMEGA, 0.3, ((1, -3.0, 4.0), (2, 1.5, -2.0), (3, 0.5, 0.7), (4, 0.0, 0.9))
+)
+
+
+def _spy_simulate(monkeypatch):
     seen = []
 
     def spy(decomposition, config=None):
@@ -273,9 +296,21 @@ def test_verify_simulates_exactly_one_period(monkeypatch):
         return simulate(decomposition, config)
 
     monkeypatch.setattr(synthesis, "simulate", spy)
+    return seen
+
+
+def test_verify_simulates_exactly_one_period(monkeypatch):
+    seen = _spy_simulate(monkeypatch)
     spectrum = motivating_spectrum()
-    verify_decomposition(decompose_load(SUPPLY, spectrum), spectrum)
+    dec = decompose_load(SUPPLY, spectrum)
+    verify_decomposition(dec, spectrum)
+    assert seen == []  # on the orbit the current is never simulated
+    off = dataclasses.replace(dec, meminductor=_mirrored(dec.meminductor))
+    report = verify_decomposition(off, spectrum)
     assert [(c.periods, c.samples_per_period) for c in seen] == [(1, 8192)]
+    # the mirrored element is the same element, and Clenshaw evaluates it as one
+    assert report.rel_rms_error <= 1e-12
+    assert report.max_coefficient_error <= 1e-12
 
 
 def test_verify_rejects_non_finite_current_through_projection(monkeypatch):
@@ -293,6 +328,47 @@ def test_verify_rejects_non_finite_current_through_projection(monkeypatch):
     monkeypatch.setattr(synthesis, "simulate", corrupt)
     monkeypatch.setattr(synthesis, "project_waveform", spy_project)
     spectrum = motivating_spectrum()
+    dec = decompose_load(SUPPLY, spectrum)
+    off = dataclasses.replace(dec, memcapacitor=_mirrored(dec.memcapacitor))
     with pytest.raises(ValidationError, match="finite"):
-        verify_decomposition(decompose_load(SUPPLY, spectrum), spectrum)
+        verify_decomposition(off, spectrum)
     assert projected == [2]
+
+
+@pytest.mark.parametrize("slot", ["memristor", "meminductor", "memcapacitor"])
+@pytest.mark.parametrize("tamper", [
+    lambda s: dataclasses.replace(s, scale=-s.scale),
+    lambda s: dataclasses.replace(s, scale=s.scale * (1.0 + 2.0**-40)),
+    lambda s: dataclasses.replace(s, offset=1e-300),
+], ids=["negated-scale", "scale-off-by-2^-40", "offset"])
+def test_elements_off_the_orbit_take_the_clenshaw_route(monkeypatch, slot, tamper):
+    dec = decompose_load(SUPPLY, THREE_MEMORIES)
+    memories = ("memristor", "meminductor", "memcapacitor")
+    assert [getattr(dec, name).kind.value for name in memories] == list(memories)
+    assert steady_state_current(dec, 8192) is not None
+    element = getattr(dec, slot)
+    off = dataclasses.replace(
+        dec, **{slot: dataclasses.replace(element, incremental=tamper(element.incremental))}
+    )
+    assert steady_state_current(off, 8192) is None
+    seen = _spy_simulate(monkeypatch)
+    verify_decomposition(off, THREE_MEMORIES)
+    assert len(seen) == 1
+
+
+def test_orders_at_half_the_grid_take_the_clenshaw_route():
+    # the top order must stay below the grid's Nyquist order, spp/2
+    below = HarmonicSpectrum.from_terms(OMEGA, 0.0, ((4095, 0.0, 1.0),))
+    at = HarmonicSpectrum.from_terms(OMEGA, 0.0, ((4096, 0.0, 1.0),))
+    assert steady_state_current(decompose_load(SUPPLY, below), 8192) is not None
+    assert steady_state_current(decompose_load(SUPPLY, at), 8192) is None
+    assert steady_state_current(decompose_load(SUPPLY, at), 16384) is not None
+
+
+def test_steady_state_current_matches_simulation_on_every_branch_kind():
+    for policy in (AssignmentPolicy(), AssignmentPolicy(route_even_sines="meminductor")):
+        for network in (decompose_load(SUPPLY, THREE_MEMORIES, policy),
+                        synthesize_conditioner(SUPPLY, THREE_MEMORIES, policy)):
+            current = steady_state_current(network, 2048)
+            clenshaw = simulate(network, FAST).i_total
+            assert np.max(np.abs(current - clenshaw)) <= 1e-12 * np.max(np.abs(clenshaw))
