@@ -4,7 +4,9 @@ Subcommands mirror the library layers: generate a benchmark spectrum, turn a
 spectrum into a branch decomposition, synthesize the compensating network,
 simulate a decomposition to CSV, print power figures, and dump hysteresis
 loops.  All output is deterministic: identical inputs and flags produce byte
-identical files.
+identical files.  orjson renders them: every JSON document is
+``json.dumps(doc, indent=2)`` byte for byte, and every CSV cell is the
+``repr`` of its float.
 
 Exit codes: 0 success, 2 invalid input, 3 numerical verification failure.
 """
@@ -14,13 +16,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
+import orjson
 
 from .errors import NumericalError, ValidationError
 from .harmonics import (
@@ -62,58 +64,129 @@ VERIFY_GATE = 1e-6
 CONSTITUTIVE_POINTS = 1001
 
 
+#: orjson lays out the documents; :func:`_dump_json` restores the stdlib spelling
+_ORJSON_OPTIONS = orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY
+
+#: float lists at least this long are checked as one numpy array; below it a
+#: per-float check is faster (the two break even near 40 floats)
+_ARRAY_MIN = 40
+
+_INT64_MIN, _INT64_END = -(2**63), 2**63
+
+_DIGITS = "0123456789"
+
+
 def _dump_json(doc: dict) -> str:
     """``json.dumps(doc, indent=2) + "\\n"``, byte for byte.
 
-    The standard library indents with its pure-Python encoder, which walks
-    every float through a chain of generators.  Coefficient lists make up
-    most of memsynth's documents, so a list of floats is joined in one pass.
-    Keys must be strings, as they are in every memsynth document.
+    orjson lays out the document and shares ``repr``'s shortest digits, but
+    not all of its spelling.  orjson writes an exponent as ``1.5e-7``, which
+    one pass over the text pads to ``1.5e-07``.  Every value orjson spells
+    otherwise goes to orjson as ``null``, and its stdlib text is filled in
+    afterwards, in document order:
+
+    * floats in [1e-5, 1e-4), which orjson writes positionally;
+    * floats of magnitude 1e16 and up (``1e16`` for ``1e+16``), nan and
+      infinities;
+    * ints outside int64;
+    * strings that are not plain printable ASCII or that hold ``null`` or
+      ``e-``, and ``None`` itself.
+
+    A dict key of that kind goes to orjson as a run of ``null``s instead.
+    Keys must be strings, as they are in every memsynth document; anything
+    else that is not JSON raises ``TypeError``, as the stdlib does, and so
+    does nesting deeper than orjson's 254 levels.
     """
-    out: list[str] = []
-    _encode_json(doc, "\n", out)
-    out.append("\n")
-    return "".join(out)
+    fills: list[str] = []
+    text = orjson.dumps(_orjson_ready(doc, fills), option=_ORJSON_OPTIONS).decode() + "\n"
+    # every exponent digit is followed by another one or a separator, never the text's end
+    head, *tails = text.split("e-")
+    if tails:
+        text = "e-".join([head] + [t if t[1] in _DIGITS else "0" + t for t in tails])
+    if fills:
+        pieces = text.split("null")
+        text = pieces[0] + "".join(map(str.__add__, fills, pieces[1:]))
+    return text
 
 
-def _json_float(value: float) -> str:
-    if math.isfinite(value):
-        return float.__repr__(value)
-    return "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity")
+def _plain(text: str) -> bool:
+    """True when orjson and the stdlib spell ``text`` alike and no fill can be mistaken in it."""
+    return text.isascii() and text.isprintable() and "null" not in text and "e-" not in text
 
 
-def _encode_json(value, newline: str, out: list[str]) -> None:
-    if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif value is None or isinstance(value, bool):
-        out.append("null" if value is None else ("true" if value else "false"))
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        out.append(_json_float(value))
-    elif isinstance(value, (list, tuple, dict)):
-        is_dict = isinstance(value, dict)
-        if not value:
-            out.append("{}" if is_dict else "[]")
-            return
-        inner = newline + "  "
-        if not is_dict and all(isinstance(v, float) for v in value):
-            out.append("[" + inner + ("," + inner).join(map(_json_float, value)) + newline + "]")
-            return
-        out.append("{" if is_dict else "[")
-        separator = inner
-        for item in value.items() if is_dict else value:
-            out.append(separator)
-            if is_dict:
-                key, item = item
+#: the stdlib spelling of the floats ``repr`` spells otherwise
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_array(values: list, fills: list[str]) -> np.ndarray:
+    """``values`` as one float64 array, nan wherever a fill stands in."""
+    x = np.array(values)
+    m = np.abs(x)
+    fill = ((m >= 1e-5) & (m < 1e-4)) | ~(m < 1e16)
+    if fill.any():
+        where = fill.nonzero()[0]
+        spelled = list(map(float.__repr__, x[where].tolist()))
+        fills.extend(map(_NON_FINITE.get, spelled, spelled))
+        x[where] = np.nan
+    return x
+
+
+def _orjson_ready(value, fills: list[str]):
+    """``value`` with every value orjson spells otherwise replaced, its stdlib text in ``fills``."""
+    kind = type(value)
+    if kind is float:
+        m = abs(value)
+        if 1e-5 <= m < 1e-4 or not m < 1e16:
+            spelled = float.__repr__(value)
+            fills.append(_NON_FINITE.get(spelled, spelled))
+            return None
+        return value
+    if kind is dict:
+        out = {}
+        runs = 0
+        for key, item in value.items():
+            if type(key) is not str or not _plain(key):
                 if not isinstance(key, str):
                     raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
-                out.append(encode_basestring_ascii(key) + ": ")
-            _encode_json(item, inner, out)
-            separator = "," + inner
-        out.append(newline + ("}" if is_dict else "]"))
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+                # a key cannot be null, so a run of nulls, longer than any
+                # before it in this dict, stands in for the key's text
+                runs += 1
+                fills.append(encode_basestring_ascii(key)[1:-1])
+                fills.extend([""] * (runs - 1))
+                key = "null" * runs
+            out[key] = _orjson_ready(item, fills)
+        return out
+    if kind is list or kind is tuple:
+        if len(value) >= _ARRAY_MIN and set(map(type, value)) == {float}:
+            return _float_array(value, fills)
+        return [_orjson_ready(item, fills) for item in value]
+    if kind is str:
+        if _plain(value):
+            return value
+        fills.append(encode_basestring_ascii(value))
+        return None
+    if kind is int:
+        if _INT64_MIN <= value < _INT64_END:
+            return value
+        fills.append(int.__repr__(value))
+        return None
+    if value is None:
+        fills.append("null")
+        return None
+    if kind is bool:
+        return value
+    # subclasses, in the order the stdlib tests them
+    if isinstance(value, str):
+        return _orjson_ready(str.__str__(value), fills)
+    if isinstance(value, int):
+        return _orjson_ready(int.__int__(value), fills)
+    if isinstance(value, float):
+        return _orjson_ready(float.__float__(value), fills)
+    if isinstance(value, (list, tuple)):
+        return _orjson_ready(list(value), fills)
+    if isinstance(value, dict):
+        return _orjson_ready(dict(value.items()), fills)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit(text: str, path: Optional[str]) -> None:

@@ -245,9 +245,11 @@ def memcapacitance_from_cosines(supply: SupplyVoltage, cos) -> MemoryElement:
         raise ValidationError("memcapacitance synthesis needs at least one cosine term")
     amp, w = supply.amplitude, supply.omega
     a = a[n - 1]
-    return _memory_element(
-        supply, ElementKind.MEMCAPACITOR, n, a / (n * w * amp), -a / (n * n * w * w)
-    )
+    # on a valid supply n^2 w^2 can still overflow; its T_n terms are then
+    # -0.0 and dropped, which decompose_load's consistency check reports
+    with np.errstate(over="ignore"):
+        con = -a / (n * n * w * w)
+    return _memory_element(supply, ElementKind.MEMCAPACITOR, n, a / (n * w * amp), con)
 
 
 def needs_regularization(element: MemoryElement) -> bool:
@@ -260,11 +262,12 @@ def needs_regularization(element: MemoryElement) -> bool:
     if not element.is_memory:
         return False
     coeffs = element.incremental.coeffs
-    if not coeffs:
-        return False
-    head_zero = abs(coeffs[0]) < COEFF_DROP_TOLERANCE
-    tail_nonzero = any(abs(c) >= COEFF_DROP_TOLERANCE for c in coeffs[1:])
-    return head_zero and tail_nonzero
+    # any() stops at the first higher-order term at or above the tolerance
+    return (
+        bool(coeffs)
+        and abs(coeffs[0]) < COEFF_DROP_TOLERANCE
+        and any(map(COEFF_DROP_TOLERANCE.__le__, map(abs, coeffs[1:])))
+    )
 
 
 def default_gamma(element: MemoryElement, supply: SupplyVoltage) -> float:
@@ -277,7 +280,7 @@ def default_gamma(element: MemoryElement, supply: SupplyVoltage) -> float:
     """
     if element.kind not in (ElementKind.MEMCAPACITOR, ElementKind.MEMINDUCTOR):
         raise ValidationError("default gamma applies to memcapacitors and meminductors")
-    tail = sum(abs(c) for c in element.incremental.coeffs[1:])
+    tail = sum(map(abs, element.incremental.coeffs[1:]))
     if element.kind is ElementKind.MEMCAPACITOR:
         return supply.omega * supply.amplitude * tail
     return (supply.amplitude / supply.omega) * tail
@@ -305,19 +308,16 @@ def regularize(
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise ValidationError("gamma must be positive and finite")
     amp, w = supply.amplitude, supply.omega
-    inc = list(element.incremental.coeffs)
-    con = list(element.constitutive.coeffs)
-    while len(con) < 2:
-        con.append(0.0)
+    inc = element.incremental.coeffs
+    con = element.constitutive.coeffs
+    con += (0.0,) * (2 - len(con))
     if element.kind is ElementKind.MEMCAPACITOR:
-        inc[0] += gamma / (w * amp)
-        con[1] += -gamma / (w * w)
+        linear, constitutive_linear = gamma / (w * amp), -gamma / (w * w)
         companion = MemoryElement(
             kind=ElementKind.INDUCTOR, scalar_value=amp / (w * gamma)
         )
     else:
-        inc[0] += w * gamma / amp
-        con[1] += -gamma / w
+        linear, constitutive_linear = w * gamma / amp, -gamma / w
         companion = MemoryElement(
             kind=ElementKind.CAPACITOR, scalar_value=gamma / (w * amp)
         )
@@ -325,10 +325,12 @@ def regularize(
         kind=element.kind,
         control=element.control,
         incremental=ChebyshevSeries(
-            ChebyshevKind.SECOND, tuple(inc), scale=element.incremental.scale
+            ChebyshevKind.SECOND, (inc[0] + linear, *inc[1:]), scale=element.incremental.scale
         ),
         constitutive=ChebyshevSeries(
-            ChebyshevKind.FIRST, tuple(con), scale=element.constitutive.scale
+            ChebyshevKind.FIRST,
+            (con[0], con[1] + constitutive_linear, *con[2:]),
+            scale=element.constitutive.scale,
         ),
     )
     return RegularizedElement(element=regular, companion=companion, gamma=gamma)
@@ -347,6 +349,22 @@ def verify_series_consistency(element: MemoryElement) -> float:
     gap[: len(derived)] = derived
     gap[: len(inc)] -= inc
     return float(np.max(np.abs(gap), initial=0.0))
+
+
+def check_series_consistency(element: MemoryElement, what: str) -> None:
+    """Reject a memory element whose two series describe different elements.
+
+    ``coeffs`` must be the derivative of ``constitutive_coeffs`` to within
+    :data:`SERIES_CONSISTENCY_RTOL` of the largest incremental coefficient;
+    ``what`` opens the message.
+    """
+    deviation = verify_series_consistency(element)
+    bound = SERIES_CONSISTENCY_RTOL * max(map(abs, element.incremental.coeffs), default=0.0)
+    if deviation > bound:
+        raise ValidationError(
+            f"{what}: coeffs are not the derivative of constitutive_coeffs"
+            f" (deviation {deviation:.3e} > {bound:.3e})"
+        )
 
 
 def element_to_dict(element: MemoryElement) -> dict:
@@ -400,13 +418,7 @@ def element_from_dict(doc: dict) -> MemoryElement:
             incremental=ChebyshevSeries(ChebyshevKind.SECOND, inc, scale=scale),
             constitutive=ChebyshevSeries(ChebyshevKind.FIRST, con, scale=scale),
         )
-        deviation = verify_series_consistency(element)
-        bound = SERIES_CONSISTENCY_RTOL * max(map(abs, element.incremental.coeffs), default=0.0)
-        if deviation > bound:
-            raise ValidationError(
-                f"{kind.value}: coeffs are not the derivative of constitutive_coeffs"
-                f" (deviation {deviation:.3e} > {bound:.3e})"
-            )
+        check_series_consistency(element, kind.value)
         return element
     if doc.get("scalar_value") is None:
         raise ValidationError(f"{kind.value} document needs scalar_value")

@@ -181,6 +181,16 @@ class HarmonicSpectrum:
             raise ValidationError(f"spectrum document missing key: {exc}") from exc
         if not isinstance(harmonics, list):
             raise ValidationError("harmonics must be a list")
+        # one type pass per column; json yields exactly int and float for
+        # numbers, so anything else goes through the per-harmonic checks,
+        # which name the first offending value
+        try:
+            n, a, b = ([h[key] for h in harmonics] for key in ("n", "a", "b"))
+            typed = set(map(type, n)) <= {int} and set(map(type, a + b)) <= {float}
+        except (TypeError, KeyError):
+            typed = False
+        if typed:
+            return cls.from_terms(omega, dc, zip(n, a, b))
         try:
             terms = [
                 (_order(h["n"]), _real(h["a"], "a"), _real(h["b"], "b")) for h in harmonics

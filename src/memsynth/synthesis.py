@@ -34,6 +34,7 @@ from .elements import (
     ElementKind,
     MemoryElement,
     _dense_terms,
+    check_series_consistency,
     element_from_dict,
     element_to_dict,
     inverse_meminductance_from_spectrum,
@@ -217,6 +218,14 @@ def decompose_load(
     if memcapacitor is not None and needs_regularization(memcapacitor):
         reg = regularize(memcapacitor, supply)
         memcapacitor, companions = reg.element, companions + [reg.companion]
+
+    # a supply at the edge of the float64 range can over- or underflow a
+    # series term; simulate would then reject the written element
+    for element in (memristor, meminductor, memcapacitor):
+        if element is not None and element.is_memory:
+            check_series_consistency(
+                element, f"{element.kind.value} on supply omega {supply.omega!r}"
+            )
 
     return LoadDecomposition(
         supply=supply,

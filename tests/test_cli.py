@@ -3,9 +3,12 @@
 import dataclasses
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memsynth import cli, synthesis
 
@@ -68,6 +71,64 @@ def test_dump_json_rejects_what_stdlib_rejects():
             json.dumps(doc, indent=2)
         with pytest.raises(TypeError):
             cli._dump_json(doc)
+
+
+#: the edges of the bands where orjson spells a float otherwise than ``repr``
+BAND_EDGES = [
+    float(x)
+    for edge in (1e-5, 1e-4, 1e16)
+    for x in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf))
+]
+SPECIAL_FLOATS = [0.0, 5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+                  1.7976931348623157e308, float("inf"), float("nan"), *BAND_EDGES]
+
+_floats = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
+    st.sampled_from(SPECIAL_FLOATS + [-x for x in SPECIAL_FLOATS]),
+    st.floats(),
+)
+_strings = st.one_of(
+    st.text(),
+    st.lists(st.sampled_from(["null", "nu", "ll", "e-", "e", "-5", "a", " ", '"', "\\",
+                              "\x00", "\n", "\x1f", "\x7f", "\u00e9", "\u2603", "\U0001f600"]),
+             max_size=6).map("".join),
+)
+_ints = st.one_of(
+    st.integers(),
+    st.sampled_from([2**63 - 1, 2**63, 2**64, -(2**63), -(2**63) - 1, 2**70, -(2**70)]),
+)
+_json_scalars = st.one_of(
+    _floats, _floats.map(np.float64), _strings, _ints, st.none(), st.booleans()
+)
+_long_float_lists = st.lists(_floats, min_size=cli._ARRAY_MIN, max_size=cli._ARRAY_MIN + 8)
+_json_docs = st.recursive(
+    st.one_of(_json_scalars, _long_float_lists),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6),
+        st.lists(inner, max_size=6).map(tuple),
+        st.dictionaries(_strings, inner, max_size=6),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_json_docs)
+def test_dump_json_matches_stdlib_on_any_document(doc):
+    assert cli._dump_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", BAND_EDGES)
+def test_dump_json_fills_exactly_the_floats_orjson_spells_otherwise(value):
+    # a fill where none is needed still prints the stdlib text, so only this
+    # test sees a band that grew by one ulp
+    band = 1e-5 <= value < 1e-4 or value >= 1e16
+    for x in (value, -value):
+        want = [repr(x)] if band else []
+        for doc, fills_wanted in ((x, want), ([x] * cli._ARRAY_MIN, want * cli._ARRAY_MIN)):
+            fills = []
+            cli._orjson_ready(doc, fills)
+            assert fills == fills_wanted
 
 
 def test_byte_determinism(tmp_path):
@@ -499,4 +560,21 @@ def test_supply_whose_scales_overflow_exits_2(tmp_path, capsys, command):
     assert cli.main([command, str(spec), "-o", str(out), *extra]) == 2
     err = capsys.readouterr().err
     assert "outside the float64 range" in err and "Traceback" not in err
+    assert not out.exists() and not report.exists()
+
+
+@pytest.mark.parametrize("command", ["characterize", "compensate"])
+def test_series_that_leave_float64_exit_2_before_writing(tmp_path, capsys, command):
+    # omega^2 = 1e308 is a valid supply, but n^2 omega^2 overflows from n = 2 on,
+    # so the memcapacitor's constitutive terms would not match its coeffs
+    spec = tmp_path / "spec.json"
+    assert cli.main(["load-model", "rectifier", "--omega", "1e154", "--nmax", "10",
+                     "-o", str(spec)]) == 0
+    capsys.readouterr()
+    out, report = tmp_path / "out.json", tmp_path / "report.json"
+    extra = ["--report", str(report)] if command == "compensate" else []
+    assert cli.main([command, str(spec), "-o", str(out), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: memcapacitor on supply omega 1e+154: coeffs are not")
+    assert "Traceback" not in err and "Warning" not in err
     assert not out.exists() and not report.exists()
