@@ -21,6 +21,8 @@ LOADS = {
     "rectifier-1100": ["rectifier", "--nmax", "1100"],
     "bridge-199": ["bridge", "--delta", "0.4", "--nmax", "199"],
     "bridge-1100": ["bridge", "--delta", "0.4", "--nmax", "1100"],
+    "rectifier-2000": ["rectifier", "--nmax", "2000"],
+    "bridge-2000": ["bridge", "--delta", "0.4", "--nmax", "2000"],
 }
 
 MEMORY_LABELS = ("memristor", "meminductor", "memcapacitor")
@@ -98,7 +100,8 @@ def more_digests(load_args, workdir):
     return _digests(set(workdir.iterdir()) - pinned)
 
 
-#: recorded from the direct cos/sin projection build
+#: recorded from the direct cos/sin projection build; the n_max 2000 loads
+#: from the build that ran one Clenshaw recurrence per series
 GOLDEN = {'bridge-1100': {'cond.csv': '8fbd06f34f6f464e68c4969980872d1ab4e48b5d9d943f7be8a00253b53c45d6',
                  'cond.json': '85c12e390dc55c9a793260f638d48e59826ed77fe5420f79ac73b826c46a69c9',
                  'cond_memcapacitor.csv': 'ea9ef594282e1168fec47f7604d33bc8b000eb20db9944199a4eacc2b9e8431d',
@@ -127,6 +130,20 @@ GOLDEN = {'bridge-1100': {'cond.csv': '8fbd06f34f6f464e68c4969980872d1ab4e48b5d9
                 'dec_memristor_constitutive.csv': '7287085d9de55584e9d2e49431ff37e9d0a9d82aa149064b8429850b7c999b41',
                 'report.json': 'eba74d1669ab75ebcc63afbd3cf269c47203409264e6a56d1520bcab2d759702',
                 'spec.json': '46207aadc159d145a3b335295fbeb0443c013d90040d90aa55239cf2356dcc37'},
+ 'bridge-2000': {'cond.csv': '81bb7e9d95c7a4de0e9bb09461d676940006222aec1e6f26180f2e51563386e6',
+                 'cond.json': '31668628e4b77e29f550f826fe57a1514f9f2b79fe63ce5e86e5ba4aafd305b4',
+                 'cond_memcapacitor.csv': 'bd6774aaceb16d96ef3287b5b41ae3c48707af41da940cc345d6a0e5d3af51a3',
+                 'cond_memcapacitor_constitutive.csv': 'b5ac5c246b517b44a24ebb9917642706cee1c4c66ae3a5bcb920215562cb836a',
+                 'cond_memristor.csv': 'c1a0518f217d1779c016745b024277443a02e2d55aa4bfd55afedb0d388f76f5',
+                 'cond_memristor_constitutive.csv': '343fb15c0866ff83b21485645c6550597d5d8c5aef233ffa9b800b96fea21f98',
+                 'dec.csv': '518d03e8377a374a0f86f6f923e4a55dc445c3983354261ea33c52a51b04b1c1',
+                 'dec.json': '26c62347a3d33190d283514f6958334ef87bbf56eac530d0fce71348a9cf89b6',
+                 'dec_meminductor.csv': '28fc5f298e1be52c50b7b48699cfa93d1a7d06cb54d92785f3131dba03c3f937',
+                 'dec_meminductor_constitutive.csv': 'db2f450f9760eea804d89055c7e1a854d6b7bcfe1fc197170d26278a2732b1e1',
+                 'dec_memristor.csv': '0706fb74a3ab32b6d1b060386755038d39d21a54c11c92763db7207d920b892e',
+                 'dec_memristor_constitutive.csv': '66f0ecbe474379210a703eec3bac746c3daaf6d74b3529228c4dec7434a31560',
+                 'report.json': '52e916f3e557b003db240e839c84d26d0166c70fbdf3dfdd4f5ccef12873f22b',
+                 'spec.json': '4c9e69801bec4f1134b82db530f64ee8ed873ad142c4735276d2cd93d50e4763'},
  'motivating': {'cond.csv': 'a368b21748788d35525d4754acbd24c9c8760dd4ac11b254197cec5f96192e40',
                 'cond.json': 'd4dc816a39f18351d7175587a9cb3073e91ddbda374f6a40e21708a93cd66827',
                 'cond_memcapacitor.csv': 'f03ecacae66cfc7e18557cab0356ec5776591eb21d975f4065798194bb14bd95',
@@ -149,6 +166,16 @@ GOLDEN = {'bridge-1100': {'cond.csv': '8fbd06f34f6f464e68c4969980872d1ab4e48b5d9
                     'dec_memcapacitor_constitutive.csv': 'cd46ec250501ed32eee96d9bf70d14f91ae01a59ded53773e0dd4f15b85d4fb2',
                     'report.json': '3c61a723ab8d244a3f70442b303666e5eb37b3e0854788d37566a88a79d3ca1e',
                     'spec.json': 'f43e736e8cd1a296c1109d031013664d95e77f03b4d639c0da3e8cff6dbe1e09'},
+ 'rectifier-2000': {'cond.csv': '6530d5a64a76180a06ea7104fe67f8a2a7c09295d20114eb527d22497e87588f',
+                    'cond.json': '9596c39d0f7cb1172b3b814958b6d6d6ec38c77d04d1bb212e640c52219ae8e0',
+                    'cond_memcapacitor.csv': '451a2741ab5097bdb73f0164d69186953c8b3cb48bbb5f6ce11ca1a6d5bc747c',
+                    'cond_memcapacitor_constitutive.csv': 'a5074cb00618272de9757a0cd2f4069b97ccbae3bb69476a3dc0991ab2896eee',
+                    'dec.csv': '16a0a45197bdc708c9278fe2cca43317326248d7ce15c294651fceec15bd51dc',
+                    'dec.json': 'be8c5bfb34b6be5c7967c883e886e6fd460b962872b22743a94f4cd6a7a09265',
+                    'dec_memcapacitor.csv': 'c160b2c102961733aab6639519bb46ef07e9e1d427c968f733c6018157134f76',
+                    'dec_memcapacitor_constitutive.csv': '417ace7a0265063f303252761c82a1bc5ca4e03c17da2d6464d828846aff2173',
+                    'report.json': 'de84e4e403d504c664c2bb587e40f01da76cb16b682c16e1042e039affa67189',
+                    'spec.json': 'f95a1be5146f17bdd19e57edc7270adba8af0b654d962a77c3b4eccb420a6817'},
  'rectifier-199': {'cond.csv': 'e2f0400cff486ae947f8d9c6ff8672ab2be70b24ecc7a35e37fa5524344ee905',
                    'cond.json': '40a0225b6780126d582c6126794111f718d44b68a784c43f2026b6bcb6da7c04',
                    'cond_memcapacitor.csv': '49501f2b8745ec7d80c606689c7632b68d63251caf8e616b48dc245575ffd697',
@@ -166,7 +193,8 @@ def test_cli_outputs_match_golden_digests(load, tmp_path):
     assert golden_digests(LOADS[load], tmp_path) == GOLDEN[load]
 
 
-#: recorded on the build with the per-row CSV loops
+#: recorded on the build with the per-row CSV loops; the n_max 2000 loads
+#: from the build that ran one Clenshaw recurrence per series
 GOLDEN_MORE = {'bridge-199': {'cond_2p.csv': '50ea1871a17290e9b3400c8b4fd72a704b062a6c0093fe95b53ec9d19a48bd86',
                 'cond_memcapacitor_1p.csv': '77a3ba39933f8d7c2732a596f1feb55c4eb3ef62af88312b0cfbb9a6e7587af3',
                 'cond_memcapacitor_1p_constitutive.csv': '31d778279ef7288e753da65ba347a80ae44273d624574626b207952cf4f8e377',
@@ -178,6 +206,17 @@ GOLDEN_MORE = {'bridge-199': {'cond_2p.csv': '50ea1871a17290e9b3400c8b4fd72a704b
                 'dec_memristor_1p.csv': 'b782a9e4b0f60ddfb5f2d78f4d903b56ec07c4da9b1aaf566b70973a69954db2',
                 'dec_memristor_1p_constitutive.csv': '7287085d9de55584e9d2e49431ff37e9d0a9d82aa149064b8429850b7c999b41',
                 'powers.json': '09cd92f676fcdd478de3c63fdef270fd108ef54cfe866b781354080dca6e0b74'},
+ 'bridge-2000': {'cond_2p.csv': 'a0ffce9dd3d646b387fb9b07c1ab128c550471bcd3cf9c2a8185ed2dc611ea6d',
+                 'cond_memcapacitor_1p.csv': '802731b0ffcbfe032cc5fbd3027dca1a9b2536ac2648c9749998335c3010b63f',
+                 'cond_memcapacitor_1p_constitutive.csv': 'b5ac5c246b517b44a24ebb9917642706cee1c4c66ae3a5bcb920215562cb836a',
+                 'cond_memristor_1p.csv': '088c4ea9175f29152757f0edaa300df7e4466ac829287e4de5e7cc60865c4bce',
+                 'cond_memristor_1p_constitutive.csv': '343fb15c0866ff83b21485645c6550597d5d8c5aef233ffa9b800b96fea21f98',
+                 'dec_2p.csv': 'd66d43128157f24b084dda64391224c959172105a038c24720bf042934ff0377',
+                 'dec_meminductor_1p.csv': '28fc5f298e1be52c50b7b48699cfa93d1a7d06cb54d92785f3131dba03c3f937',
+                 'dec_meminductor_1p_constitutive.csv': 'db2f450f9760eea804d89055c7e1a854d6b7bcfe1fc197170d26278a2732b1e1',
+                 'dec_memristor_1p.csv': '3b3da60f1da2b3f75be0c1c1714c47f7eadc1d760396b75c4276fa1a7947196b',
+                 'dec_memristor_1p_constitutive.csv': '66f0ecbe474379210a703eec3bac746c3daaf6d74b3529228c4dec7434a31560',
+                 'powers.json': 'aaa5b13967a398abcc6152b6b86c6b1722a8a10e93da9b2854f2f0832f786470'},
  'motivating': {'cond_2p.csv': '7a717876aae3b02e13cbf83f98296b0eb7c195e8050ebdc6e41a60b6620c1fe4',
                 'cond_memcapacitor_1p.csv': '945b78bf54185f9441658eb420daba7317677d828fc113658f235bf4fd502c17',
                 'cond_memcapacitor_1p_constitutive.csv': '82b9dac31db99ad2addbee95091d9f751c6d576558d73d36100f66d7c1bfcbef',
@@ -187,6 +226,13 @@ GOLDEN_MORE = {'bridge-199': {'cond_2p.csv': '50ea1871a17290e9b3400c8b4fd72a704b
                 'dec_meminductor_1p.csv': '7e5d3d08da3408384b18b1b5667eb2697b6e97a6c43ee9e8934917735eabb643',
                 'dec_meminductor_1p_constitutive.csv': '8ab72f156bb885c0c2f06210834eadf0228ad0b8ff69e73b7fb2e525a0cd4a9e',
                 'powers.json': 'ebcc960782ed2df2e296a5d4c3b31c10ecd8af53dc622e39cf411bc72c05f7b4'},
+ 'rectifier-2000': {'cond_2p.csv': 'd136fb7d6a7081f0f2d3b3e72042adaf957e29518fff9a8bf003bb1115203668',
+                    'cond_memcapacitor_1p.csv': '12577a97c88ad0fe64f53923c73f58642c8c5598747890f7964843b4315325d1',
+                    'cond_memcapacitor_1p_constitutive.csv': 'a5074cb00618272de9757a0cd2f4069b97ccbae3bb69476a3dc0991ab2896eee',
+                    'dec_2p.csv': 'f16320ed5c99a6e92c91520d12c97a8c34b27518b6354c18d9ca730b22eecc29',
+                    'dec_memcapacitor_1p.csv': '64b1338efa8816f3a031a77a3d38eae3c7a77d8d884e9d63da1e9381f6a149d2',
+                    'dec_memcapacitor_1p_constitutive.csv': '417ace7a0265063f303252761c82a1bc5ca4e03c17da2d6464d828846aff2173',
+                    'powers.json': 'a3abe87ca5316b8be62712274ec4535a9667897b3e0845a7110e6b94e12a722e'},
  'rectifier-199': {'cond_2p.csv': '3e8b52c11158c45cecd47a7ca84484c553aa74bf64856eeaca5f60d51726fc6e',
                    'cond_memcapacitor_1p.csv': '9503b7401a252ede01093a47354d199b942158a54afc9ef0bf4f18013ccaef91',
                    'cond_memcapacitor_1p_constitutive.csv': 'a0f55b88335ce78e67c2eaafcf040d3662d7527fa4b6066d17d5b491039b56a3',
