@@ -12,9 +12,31 @@ so ``scale`` maps the physical control onto the canonical argument
 extrapolates the polynomial.
 
 Evaluation uses Clenshaw's backward recurrence, which is backward stable for
-both bases.  Derivatives stay inside the two bases: ``d/dx T_n = n U_{n-1}``
-exactly, and a second-kind series is differentiated by first re-expressing it
-in the first-kind basis (``U_n = 2(T_n + T_{n-2} + ...)``, lowest term once).
+both bases.  :func:`evaluate_many` runs it for several (series, control)
+pairs at once: the controls lie end to end, so each backward step is one
+multiply and one subtract over the whole run, and the step's coefficient is
+added only to the stretches of series whose coefficient there is nonzero.
+The synthesized elements hold one parity class of orders each, so half of
+their coefficients are exactly zero and cost no add.  The run is processed
+in blocks of at most :data:`CLENSHAW_BLOCK_POINTS` points, so the scratch
+arrays do not grow with the number of series or points.
+
+Skipping an exactly zero coefficient changes no output bit:
+
+* adding ``-0.0`` is the identity;
+* adding ``+0.0`` only turns a ``-0.0`` into ``+0.0``.  IEEE ``+ - *`` give
+  equal values for operands of equal value, so a skip can flip the sign of a
+  zero intermediate but never change a nonzero one;
+* the result is ``offset + value``, and an offset of ``+0.0`` (every series
+  memsynth builds) maps either zero to ``+0.0``.  A series whose offset is
+  ``-0.0`` keeps every add, padding included, so its bits follow the plain
+  recurrence exactly;
+* a series shorter than the longest one rests at a signed zero until its
+  top coefficient ``c``, where ``2x * (+-0) + c - (+-0)`` is exactly ``c``.
+
+Derivatives stay inside the two bases: ``d/dx T_n = n U_{n-1}`` exactly, and
+a second-kind series is differentiated by first re-expressing it in the
+first-kind basis (``U_n = 2(T_n + T_{n-2} + ...)``, lowest term once).
 """
 
 from __future__ import annotations
@@ -22,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate, compress
 from typing import Sequence
 
 import numpy as np
@@ -34,22 +57,87 @@ class ChebyshevKind(str, Enum):
     SECOND = "second"
 
 
-def _clenshaw(coeffs: Sequence[float], x: np.ndarray, second_kind: bool) -> np.ndarray:
-    # Three rotating buffers; each step computes (2x * b1) + c - b2 in that
-    # order, so results match the textbook recurrence bit for bit.
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+#: points per block of :func:`evaluate_many`; bounds its scratch arrays
+CLENSHAW_BLOCK_POINTS = 16384
+
+
+def _added_terms(series: "ChebyshevSeries", top: int) -> list[tuple[int, float]]:
+    """(k, c_k) of the backward steps that add a coefficient (k = 0 is unused).
+
+    Exactly zero coefficients are left out, except for a series whose offset
+    is -0.0: there every step adds, the padding up to ``top`` included.
+    """
+    coeffs = series.coeffs
+    if series.offset == 0.0 and math.copysign(1.0, series.offset) < 0.0:
+        return list(enumerate(coeffs + (0.0,) * (top - len(coeffs))))
+    return list(compress(enumerate(coeffs), coeffs))
+
+
+def evaluate_many(pairs: Sequence[tuple["ChebyshevSeries", object]]) -> list[np.ndarray]:
+    """Values of every ``(series, control)`` pair, in one Clenshaw pass.
+
+    Each result has the shape of its control (0-d for a scalar).  Every
+    value equals that of the plain recurrence run on its series alone, bit
+    for bit; the module docstring gives the argument.
+    """
+    series = [s for s, _ in pairs]
+    controls = [np.asarray(v, dtype=float) for _, v in pairs]
+    flat = [v.ravel() for v in controls]
+    bounds = [0, *accumulate(v.size for v in flat)]
+    top = max((len(s.coeffs) for s in series), default=0)
+    terms = [_added_terms(s, top) for s in series]
+    out = np.empty(bounds[-1])
+    for lo in range(0, len(out), CLENSHAW_BLOCK_POINTS):
+        hi = min(lo + CLENSHAW_BLOCK_POINTS, len(out))
+        # (series index, start and stop in the block, start in the control)
+        pieces = [
+            (j, max(a, lo) - lo, min(b, hi) - lo, max(a, lo) - a)
+            for j, (a, b) in enumerate(zip(bounds, bounds[1:]))
+            if a < hi and b > lo
+        ]
+        _clenshaw_block(out[lo:hi], pieces, series, flat, terms, top)
+    return [
+        out[a:b] if v.ndim == 1 else out[a:b].reshape(v.shape)
+        for a, b, v in zip(bounds, bounds[1:], controls)
+    ]
+
+
+def _clenshaw_block(out, pieces, series, flat, terms, top) -> None:
+    """Fill ``out``, one block of :func:`evaluate_many`'s run, piece by piece."""
+    n = len(out)
+    x = np.empty(n)
+    for j, p, q, at in pieces:
+        np.multiply(series[j].scale, flat[j][at : at + q - p], out=x[p:q])
     x2 = 2.0 * x
-    b1 = np.zeros_like(x)
-    b2 = np.zeros_like(x)
-    spare = np.empty_like(x)
-    for c in coeffs[:0:-1]:
-        np.multiply(x2, b1, out=spare)
-        spare += c
-        spare -= b2
+    bufs = [np.zeros(n), np.zeros(n), np.empty(n)]
+    views = [[buf[p:q] for _, p, q, _ in pieces] for buf in bufs]
+    adds: list[list[tuple[int, float]]] = [[] for _ in range(top)]
+    for i, (j, *_) in enumerate(pieces):
+        for k, c in terms[j]:
+            adds[k].append((i, c))
+    # each step computes (2x * b1) + c - b2 in that order, as the textbook
+    # recurrence does; b1, b2 and the spare rotate through the three buffers
+    b1, b2, spare = 0, 1, 2
+    for k in range(top - 1, 0, -1):
+        np.multiply(x2, bufs[b1], out=bufs[spare])
+        row = views[spare]
+        for i, c in adds[k]:
+            row[i] += c
+        np.subtract(bufs[spare], bufs[b2], out=bufs[spare])
         b1, b2, spare = spare, b1, b2
-    c0 = coeffs[0] if len(coeffs) else 0.0
-    if second_kind:
-        return c0 + x2 * b1 - b2
-    return c0 + x * b1 - b2
+    for i, (j, p, q, _) in enumerate(pieces):
+        s = series[j]
+        o = out[p:q]
+        arg = x2 if s.kind is ChebyshevKind.SECOND else x
+        np.multiply(arg[p:q], views[b1][i], out=o)
+        o += s.coeffs[0] if s.coeffs else 0.0
+        o -= views[b2][i]
+        o += s.offset
 
 
 @dataclass(frozen=True)
@@ -57,7 +145,9 @@ class ChebyshevSeries:
     """Finite Chebyshev expansion with argument scaling.
 
     coeffs[k] multiplies T_k (first kind) or U_k (second kind).  An empty
-    coefficient tuple is the zero series.
+    coefficient tuple is the zero series.  ``coeffs`` may be given as a
+    sequence or a 1-D array; it is stored as a tuple of floats, and
+    :attr:`array` holds the same values as an array.
     """
 
     kind: ChebyshevKind
@@ -66,22 +156,34 @@ class ChebyshevSeries:
     offset: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", ChebyshevKind(self.kind))
-        coeffs = tuple(map(float, self.coeffs))
+        if type(self.kind) is not ChebyshevKind:  # the Enum call costs ~1 us
+            object.__setattr__(self, "kind", ChebyshevKind(self.kind))
+        coeffs = self.coeffs
+        if isinstance(coeffs, np.ndarray):
+            # keep a copy for ``array``, which would otherwise rebuild it
+            array = self.__dict__["_array"] = _read_only(np.array(coeffs, dtype=float))
+            coeffs = array.tolist()
+        coeffs = tuple(map(float, coeffs))
+        if not all(map(math.isfinite, coeffs)):
+            raise ValidationError("series coefficients must be finite")
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "scale", float(self.scale))
         object.__setattr__(self, "offset", float(self.offset))
-        if not all(map(math.isfinite, coeffs)):
-            raise ValidationError("series coefficients must be finite")
         if not (math.isfinite(self.scale) and math.isfinite(self.offset)):
             raise ValidationError("scale and offset must be finite")
 
+    @property
+    def array(self) -> np.ndarray:
+        """``coeffs`` as a read-only float64 array, built once."""
+        array = self.__dict__.get("_array")
+        if array is None:
+            array = self.__dict__["_array"] = _read_only(np.array(self.coeffs, dtype=float))
+        return array
+
     def evaluate(self, v):
         """Series value at control value(s) ``v`` (scalar or array)."""
-        arr = np.asarray(v, dtype=float)
-        x = self.scale * arr
-        out = self.offset + _clenshaw(self.coeffs, x, self.kind is ChebyshevKind.SECOND)
-        if arr.ndim == 0:
+        (out,) = evaluate_many([(self, v)])
+        if out.ndim == 0:
             return float(out)
         return out
 
@@ -92,6 +194,12 @@ class ChebyshevSeries:
         return differentiate_second_kind(self)
 
 
+def _derivative(first: np.ndarray, scale: float) -> ChebyshevSeries:
+    """d/dv of ``sum first[k] T_k(scale v)``: ``k first[k] scale`` at ``U_{k-1}``."""
+    out = np.arange(len(first)) * first * scale
+    return ChebyshevSeries(ChebyshevKind.SECOND, out[1:], scale=scale)
+
+
 def differentiate_first_kind(series: ChebyshevSeries) -> ChebyshevSeries:
     """Differentiate a first-kind series with respect to its control.
 
@@ -100,25 +208,29 @@ def differentiate_first_kind(series: ChebyshevSeries) -> ChebyshevSeries:
     """
     if series.kind is not ChebyshevKind.FIRST:
         raise ValidationError("expected a first-kind series")
-    out = tuple(k * c * series.scale for k, c in enumerate(series.coeffs))[1:]
-    return ChebyshevSeries(ChebyshevKind.SECOND, out, scale=series.scale)
+    return _derivative(series.array, series.scale)
+
+
+def _second_to_first(coeffs: np.ndarray) -> np.ndarray:
+    # one slice-add per k keeps the ascending-k summation order of every
+    # out[j]; out starts at +0.0 and never holds -0.0, so skipping a zero
+    # term is exact
+    out = np.zeros(len(coeffs))
+    (nonzero,) = coeffs.nonzero()
+    for k, c in zip(nonzero.tolist(), coeffs[nonzero].tolist()):
+        out[k:0:-2] += 2.0 * c
+        if k % 2 == 0:
+            out[0] += c
+    return out
 
 
 def second_to_first_coeffs(coeffs: Sequence[float]) -> tuple[float, ...]:
     """Re-express sum c_k U_k as a first-kind coefficient vector."""
-    # one slice-add per k keeps the ascending-k summation order of every out[j]
-    out = np.zeros(len(coeffs))
-    for k, c in enumerate(coeffs):
-        out[k:0:-2] += 2.0 * c
-        if k % 2 == 0:
-            out[0] += c
-    return tuple(out.tolist())
+    return tuple(_second_to_first(np.asarray(coeffs, dtype=float)).tolist())
 
 
 def differentiate_second_kind(series: ChebyshevSeries) -> ChebyshevSeries:
     """Differentiate a second-kind series with respect to its control."""
     if series.kind is not ChebyshevKind.SECOND:
         raise ValidationError("expected a second-kind series")
-    first = second_to_first_coeffs(series.coeffs)
-    out = tuple(k * c * series.scale for k, c in enumerate(first))[1:]
-    return ChebyshevSeries(ChebyshevKind.SECOND, out, scale=series.scale)
+    return _derivative(_second_to_first(series.array), series.scale)

@@ -44,6 +44,7 @@ from .simulation import (
     SimulationConfig,
     columns_to_csv,
     hysteresis_loop,
+    loop_indices,
     simulate,
     supply_states,
     trace_to_csv,
@@ -334,15 +335,18 @@ def cmd_hysteresis(args: argparse.Namespace) -> int:
     if element is None:
         raise ValidationError(f"decomposition has no branch labelled {args.branch!r}")
     config = SimulationConfig(args.periods, args.samples_per_period)
-    states = supply_states(decomposition.supply, config)
-    drive, response = hysteresis_loop(element, states)
-    _emit(columns_to_csv(_LOOP_HEADERS[element.kind.value], [drive, response]), args.output)
-
-    # single-valued constitutive curve over the steady-state control range
+    if not element.is_memory:
+        raise ValidationError("hysteresis loops are defined for memory elements")
+    states = supply_states(decomposition.supply, config, loop_indices(config))
+    # the single-valued constitutive curve over the steady-state control
+    # range rides in the loop's Clenshaw pass
     series = element.constitutive
     span = 1.0 / abs(series.scale)
     grid = np.linspace(-span, span, CONSTITUTIVE_POINTS)
-    table = columns_to_csv("control,value", [grid, series.evaluate(grid)])
+    drive, response, curve = hysteresis_loop(element, states, (series, grid))
+    _emit(columns_to_csv(_LOOP_HEADERS[element.kind.value], [drive, response]), args.output)
+
+    table = columns_to_csv("control,value", [grid, curve])
     constitutive_path = args.constitutive_output
     if constitutive_path is None and args.output is not None:
         base = Path(args.output)

@@ -93,8 +93,10 @@ class MemoryElement:
     scalar_value: Optional[float] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", ElementKind(self.kind))
-        if self.control is not None:
+        # an Enum call costs ~1 us, so members skip it
+        if type(self.kind) is not ElementKind:
+            object.__setattr__(self, "kind", ElementKind(self.kind))
+        if self.control is not None and type(self.control) is not ControlVariable:
             object.__setattr__(self, "control", ControlVariable(self.control))
         if self.scalar_value is not None:
             object.__setattr__(self, "scalar_value", float(self.scalar_value))
@@ -150,7 +152,7 @@ def _series(kind: ChebyshevKind, coeffs: np.ndarray, scale: float) -> ChebyshevS
     top = len(coeffs)
     while top and coeffs[top - 1] == 0.0:
         top -= 1
-    return ChebyshevSeries(kind, coeffs[:top].tolist(), scale)
+    return ChebyshevSeries(kind, coeffs[:top], scale)
 
 
 def orbit_scale(supply: SupplyVoltage, control: ControlVariable) -> float:
@@ -172,7 +174,9 @@ def _memory_element(
     """Element whose U_{n-1} (incremental) and T_n (constitutive) terms are given at orders n.
 
     Every other coefficient is +0.0: the per-order arithmetic runs only at the
-    nonzero orders, so no empty slot carries a -0.0.
+    nonzero orders, so no empty slot carries a -0.0.  The builders compute
+    the terms with overflow warnings off; a term that overflowed is reported
+    here, with the branch and the supply that made it.
     """
     control = CONTROL_OF_KIND[kind]
     scale = orbit_scale(supply, control)
@@ -180,11 +184,16 @@ def _memory_element(
     u[n - 1] = inc
     t = np.zeros(n[-1] + 1)
     t[n] = con
+    try:
+        incremental = _series(ChebyshevKind.SECOND, u, scale)
+        constitutive = _series(ChebyshevKind.FIRST, t, scale)
+    except ValidationError as exc:  # a term is not finite
+        raise ValidationError(
+            f"{kind.value} on supply amplitude {supply.amplitude!r}, omega {supply.omega!r}:"
+            " series coefficients overflow the float64 range"
+        ) from exc
     return MemoryElement(
-        kind=kind,
-        control=control,
-        incremental=_series(ChebyshevKind.SECOND, u, scale),
-        constitutive=_series(ChebyshevKind.FIRST, t, scale),
+        kind=kind, control=control, incremental=incremental, constitutive=constitutive
     )
 
 
@@ -200,7 +209,9 @@ def memductance_from_sines(supply: SupplyVoltage, sin) -> MemoryElement:
         raise ValidationError("memductance synthesis needs at least one sine term")
     amp, w = supply.amplitude, supply.omega
     b = b[n - 1]
-    return _memory_element(supply, ElementKind.MEMRISTOR, n, b / amp, -b / (n * w))
+    with np.errstate(over="ignore"):
+        inc, con = b / amp, -b / (n * w)
+    return _memory_element(supply, ElementKind.MEMRISTOR, n, inc, con)
 
 
 def inverse_meminductance_from_spectrum(supply: SupplyVoltage, cos, sin) -> MemoryElement:
@@ -227,9 +238,9 @@ def inverse_meminductance_from_spectrum(supply: SupplyVoltage, cos, sin) -> Memo
     c = c[n - 1]
     # (-1)^ceil(n/2): the U_{n-1} sign for both families, negated for T_n
     sign = (-1.0) ** ((n + 1) // 2)
-    return _memory_element(
-        supply, ElementKind.MEMINDUCTOR, n, (w / amp) * sign * c, -sign * c / (n * w)
-    )
+    with np.errstate(over="ignore"):
+        inc, con = (w / amp) * sign * c, -sign * c / (n * w)
+    return _memory_element(supply, ElementKind.MEMINDUCTOR, n, inc, con)
 
 
 def memcapacitance_from_cosines(supply: SupplyVoltage, cos) -> MemoryElement:
@@ -248,8 +259,8 @@ def memcapacitance_from_cosines(supply: SupplyVoltage, cos) -> MemoryElement:
     # on a valid supply n^2 w^2 can still overflow; its T_n terms are then
     # -0.0 and dropped, which decompose_load's consistency check reports
     with np.errstate(over="ignore"):
-        con = -a / (n * n * w * w)
-    return _memory_element(supply, ElementKind.MEMCAPACITOR, n, a / (n * w * amp), con)
+        inc, con = a / (n * w * amp), -a / (n * n * w * w)
+    return _memory_element(supply, ElementKind.MEMCAPACITOR, n, inc, con)
 
 
 def needs_regularization(element: MemoryElement) -> bool:
@@ -308,9 +319,9 @@ def regularize(
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise ValidationError("gamma must be positive and finite")
     amp, w = supply.amplitude, supply.omega
-    inc = element.incremental.coeffs
-    con = element.constitutive.coeffs
-    con += (0.0,) * (2 - len(con))
+    inc = element.incremental.array.copy()
+    con = np.zeros(max(2, len(element.constitutive.coeffs)))
+    con[: len(element.constitutive.coeffs)] = element.constitutive.array
     if element.kind is ElementKind.MEMCAPACITOR:
         linear, constitutive_linear = gamma / (w * amp), -gamma / (w * w)
         companion = MemoryElement(
@@ -321,17 +332,13 @@ def regularize(
         companion = MemoryElement(
             kind=ElementKind.CAPACITOR, scalar_value=gamma / (w * amp)
         )
+    inc[0] += linear
+    con[1] += constitutive_linear
     regular = MemoryElement(
         kind=element.kind,
         control=element.control,
-        incremental=ChebyshevSeries(
-            ChebyshevKind.SECOND, (inc[0] + linear, *inc[1:]), scale=element.incremental.scale
-        ),
-        constitutive=ChebyshevSeries(
-            ChebyshevKind.FIRST,
-            (con[0], con[1] + constitutive_linear, *con[2:]),
-            scale=element.constitutive.scale,
-        ),
+        incremental=ChebyshevSeries(ChebyshevKind.SECOND, inc, scale=element.incremental.scale),
+        constitutive=ChebyshevSeries(ChebyshevKind.FIRST, con, scale=element.constitutive.scale),
     )
     return RegularizedElement(element=regular, companion=companion, gamma=gamma)
 
@@ -341,14 +348,14 @@ def verify_series_consistency(element: MemoryElement) -> float:
     if not element.is_memory:
         raise ValidationError("series consistency applies to memory elements")
     # the coefficients of differentiate_first_kind, k * c_k * scale in that order
-    con = np.array(element.constitutive.coeffs)
+    con = element.constitutive.array
     derived = np.arange(1, len(con)) * con[1:] * element.constitutive.scale
-    inc = np.array(element.incremental.coeffs)
+    inc = element.incremental.array
     width = max(len(derived), len(inc))
     gap = np.zeros(width)
     gap[: len(derived)] = derived
     gap[: len(inc)] -= inc
-    return float(np.max(np.abs(gap), initial=0.0))
+    return float(np.abs(gap).max(initial=0.0))
 
 
 def check_series_consistency(element: MemoryElement, what: str) -> None:
@@ -359,7 +366,7 @@ def check_series_consistency(element: MemoryElement, what: str) -> None:
     ``what`` opens the message.
     """
     deviation = verify_series_consistency(element)
-    bound = SERIES_CONSISTENCY_RTOL * max(map(abs, element.incremental.coeffs), default=0.0)
+    bound = SERIES_CONSISTENCY_RTOL * float(np.abs(element.incremental.array).max(initial=0.0))
     if deviation > bound:
         raise ValidationError(
             f"{what}: coeffs are not the derivative of constitutive_coeffs"

@@ -18,9 +18,10 @@ Branch currents are evaluated element by element:
 
 Charge columns exist where a charge is defined without integrating the
 current: the memcapacitor (q = C_M(phi) u) and the LTI capacitor (q = C u).
-Each Chebyshev series is evaluated once per output: the memcapacitor's
-``C_M(phi)`` samples feed its current, its charge and the trace's ``C_of_t``
-column alike.
+Every Chebyshev series of a simulation is evaluated in one shared pass
+(:func:`memsynth.chebyshev.evaluate_many`), once per output: the
+memcapacitor's ``C_M(phi)`` samples feed its current, its charge and the
+trace's ``C_of_t`` column alike.
 
 CSV is written column by column (:func:`columns_to_csv`): every cell is the
 shortest round-trip ``repr`` of its float64 sample.  orjson's compiled Ryu
@@ -38,6 +39,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 import numpy as np
 import orjson
 
+from .chebyshev import evaluate_many
 from .elements import ElementKind, MemoryElement
 from .errors import ValidationError
 from .harmonics import SupplyVoltage
@@ -88,16 +90,35 @@ class SupplyStates:
     sigma: np.ndarray
 
 
-def supply_states(supply: SupplyVoltage, config: Optional[SimulationConfig] = None) -> SupplyStates:
-    """Sample u and the closed-form phi and sigma on the uniform grid of ``config``."""
+def supply_states(
+    supply: SupplyVoltage,
+    config: Optional[SimulationConfig] = None,
+    indices: Optional[np.ndarray] = None,
+) -> SupplyStates:
+    """Sample u and the closed-form phi and sigma on the uniform grid of ``config``.
+
+    ``indices`` picks grid samples ``k`` to take (``t_k = k dt``) instead of
+    the whole grid; every sample is computed elementwise, so a picked one has
+    the bits of its place in the whole grid.
+    """
     config = config or SimulationConfig()
-    n = config.periods * config.samples_per_period
+    if indices is None:
+        indices = np.arange(config.periods * config.samples_per_period)
     dt = supply.period / config.samples_per_period
-    t = np.arange(n) * dt
+    t = indices * dt
     u = supply.voltage(t)
     phi = supply.flux(t)
     sigma = supply.integrated_flux(t)
     return SupplyStates(supply=supply, config=config, t=t, u=u, phi=phi, sigma=sigma)
+
+
+def loop_indices(config: SimulationConfig) -> np.ndarray:
+    """Grid samples of one closed period: 0 .. samples_per_period.
+
+    Sample ``samples_per_period`` is t = T when the grid holds it, else
+    (one period) it wraps around to sample 0.
+    """
+    return np.arange(config.samples_per_period + 1) % (config.periods * config.samples_per_period)
 
 
 class BranchWaveforms(NamedTuple):
@@ -110,8 +131,28 @@ class BranchWaveforms(NamedTuple):
     capacitance: Optional[np.ndarray] = None
 
 
-def branch_current(element: MemoryElement, states: SupplyStates) -> BranchWaveforms:
-    """Current, charge and capacitance (where defined) of one branch."""
+def branch_series(element: MemoryElement, states: SupplyStates) -> list:
+    """The (series, control) pairs whose samples :func:`branch_current` combines."""
+    kind = element.kind
+    if kind is ElementKind.MEMRISTOR:
+        return [(element.incremental, states.phi)]
+    if kind is ElementKind.MEMINDUCTOR:
+        return [(element.incremental, states.sigma)]
+    if kind is ElementKind.MEMCAPACITOR:
+        series = element.incremental
+        return [(series, states.phi), (series.derivative(), states.phi)]
+    return []
+
+
+def branch_current(
+    element: MemoryElement, states: SupplyStates, samples: Optional[Sequence[np.ndarray]] = None
+) -> BranchWaveforms:
+    """Current, charge and capacitance (where defined) of one branch.
+
+    ``samples`` are the values of the element's :func:`branch_series` on
+    ``states``, taken from a pass shared with other branches; without them
+    the branch runs its own pass.
+    """
     supply = states.supply
     kind = element.kind
     if kind is ElementKind.DC_SOURCE:
@@ -124,13 +165,14 @@ def branch_current(element: MemoryElement, states: SupplyStates) -> BranchWavefo
     if kind is ElementKind.CAPACITOR:
         du = supply.amplitude * supply.omega * np.cos(supply.omega * states.t)
         return BranchWaveforms(element.scalar_value * du, element.scalar_value * states.u)
+    if samples is None:
+        samples = evaluate_many(branch_series(element, states))
     if kind is ElementKind.MEMRISTOR:
-        return BranchWaveforms(element.incremental.evaluate(states.phi) * states.u)
+        return BranchWaveforms(samples[0] * states.u)
     if kind is ElementKind.MEMINDUCTOR:
-        return BranchWaveforms(element.incremental.evaluate(states.sigma) * states.phi)
+        return BranchWaveforms(samples[0] * states.phi)
     if kind is ElementKind.MEMCAPACITOR:
-        cap = element.incremental.evaluate(states.phi)
-        dcap = element.incremental.derivative().evaluate(states.phi)
+        cap, dcap = samples
         du = supply.amplitude * supply.omega * np.cos(supply.omega * states.t)
         current = cap * du + states.u * states.u * dcap
         return BranchWaveforms(current, cap * states.u, cap)
@@ -174,46 +216,57 @@ class SimulationTrace:
 def simulate(
     decomposition: "LoadDecomposition", config: Optional[SimulationConfig] = None
 ) -> SimulationTrace:
-    """Evaluate every branch of a decomposition on a fresh state grid."""
+    """Evaluate every branch of a decomposition on a fresh state grid.
+
+    Every memory series of the network -- G(phi), Gamma(sigma), C(phi) and
+    dC/dphi -- is sampled in one :func:`evaluate_many` pass.
+    """
     states = supply_states(decomposition.supply, config)
+    labelled = list(decomposition.branches())
+    wanted = [branch_series(element, states) for _, element in labelled]
+    samples = iter(evaluate_many([pair for pairs in wanted for pair in pairs]))
     branches = []
     total = np.zeros_like(states.u)
-    for label, element in decomposition.branches():
-        waves = branch_current(element, states)
+    for (label, element), pairs in zip(labelled, wanted):
+        waves = branch_current(element, states, [next(samples) for _ in pairs])
         branches.append(TraceBranch(label, element, *waves))
         total = total + waves.current
     return SimulationTrace(states=states, branches=tuple(branches), i_total=total)
 
 
-def hysteresis_loop(
-    element: MemoryElement, states: SupplyStates
-) -> tuple[np.ndarray, np.ndarray]:
+def hysteresis_loop(element: MemoryElement, states: SupplyStates, *extra) -> tuple:
     """One closed period of the element's characteristic loop.
 
     Returns (drive, response) pairs: (u, i) for a memristor, (u, q) for a
     memcapacitor, (phi, i) for a meminductor.  The arrays span one period
     plus the closing sample so start and end coincide up to roundoff.
+    ``states`` is a whole grid of :func:`supply_states`, or just its
+    :func:`loop_indices`.  Each ``extra`` (series, control) pair is
+    evaluated in the same Clenshaw pass as the loop, and its values follow
+    drive and response in the result.
     """
     if not element.is_memory:
         raise ValidationError("hysteresis loops are defined for memory elements")
-    # sample spp is t = T when the grid holds it, else sample 0 wraps around
-    idx = np.arange(states.config.samples_per_period + 1) % len(states.t)
-    u = states.u[idx]
-    phi = states.phi[idx]
+    config = states.config
+    if len(states.t) != config.samples_per_period + 1:
+        idx = loop_indices(config)
+        states = SupplyStates(
+            supply=states.supply,
+            config=config,
+            t=states.t[idx],
+            u=states.u[idx],
+            phi=states.phi[idx],
+            sigma=states.sigma[idx],
+        )
     if element.kind is ElementKind.MEMCAPACITOR:
-        return u, element.incremental.evaluate(phi) * u
-    one = SupplyStates(
-        supply=states.supply,
-        config=states.config,
-        t=states.t[idx],
-        u=u,
-        phi=phi,
-        sigma=states.sigma[idx],
-    )
-    current = branch_current(element, one).current
-    if element.kind is ElementKind.MEMINDUCTOR:
-        return phi, current
-    return u, current
+        # q = C_M(phi) u needs no dC_M/dphi
+        cap, *rest = evaluate_many([(element.incremental, states.phi), *extra])
+        return (states.u, cap * states.u, *rest)
+    pairs = branch_series(element, states)
+    samples = evaluate_many([*pairs, *extra])
+    current = branch_current(element, states, samples[: len(pairs)]).current
+    drive = states.phi if element.kind is ElementKind.MEMINDUCTOR else states.u
+    return (drive, current, *samples[len(pairs) :])
 
 
 _GM_KINDS = (ElementKind.MEMRISTOR, ElementKind.RESISTOR)

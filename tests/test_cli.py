@@ -578,3 +578,27 @@ def test_series_that_leave_float64_exit_2_before_writing(tmp_path, capsys, comma
     assert err.startswith("error: memcapacitor on supply omega 1e+154: coeffs are not")
     assert "Traceback" not in err and "Warning" not in err
     assert not out.exists() and not report.exists()
+
+
+@pytest.mark.parametrize("command", ["characterize", "compensate"])
+@pytest.mark.parametrize("harmonic, policy, branch", [
+    ({"n": 2, "a": 0.0, "b": 1e20}, "auto", "memristor"),
+    ({"n": 3, "a": 1e20, "b": 0.0}, "inductive", "meminductor"),
+])
+def test_series_that_overflow_on_a_small_amplitude_exit_2_before_writing(
+    tmp_path, capsys, command, harmonic, policy, branch
+):
+    # 1e-300 V is a valid supply, but b_2 / A and (w / A) a_3 leave float64
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "omega": 1.0, "supply_amplitude": 1e-300, "dc": 0.0,
+        "harmonics": [{"n": 1, "a": 0.0, "b": 1.0}, harmonic],
+    }))
+    out, report = tmp_path / "out.json", tmp_path / "report.json"
+    extra = ["--report", str(report)] if command == "compensate" else []
+    assert cli.main([command, str(spec), "--policy", policy, "-o", str(out), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {branch} on supply amplitude 1e-300, omega 1.0:")
+    assert "overflow the float64 range" in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not out.exists() and not report.exists()

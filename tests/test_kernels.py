@@ -12,12 +12,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
+from memsynth import chebyshev
 from memsynth.chebyshev import (
     ChebyshevKind,
     ChebyshevSeries,
-    _clenshaw,
     differentiate_first_kind,
+    evaluate_many,
     second_to_first_coeffs,
 )
 from memsynth.elements import (
@@ -108,6 +110,17 @@ def test_second_to_first_matches_double_loop_exactly():
     for length in list(range(6)) + list(rng.integers(0, 301, size=30)):
         coeffs = tuple(rng.uniform(-5.0, 5.0, size=int(length)).tolist())
         assert second_to_first_coeffs(coeffs) == _reference_second_to_first(coeffs)
+        # one parity class live, the other +0.0 or -0.0: skipped terms keep every bit
+        sparse = np.array(coeffs)
+        dead = sparse[int(length) % 2 :: 2]
+        dead[:] = rng.choice([0.0, -0.0], size=len(dead))
+        sparse = tuple(sparse.tolist())
+        got = np.array(second_to_first_coeffs(sparse))
+        assert got.tobytes() == np.array(_reference_second_to_first(sparse)).tobytes()
+
+
+def _kind(second_kind):
+    return ChebyshevKind.SECOND if second_kind else ChebyshevKind.FIRST
 
 
 @pytest.mark.parametrize("second_kind", [False, True])
@@ -116,8 +129,8 @@ def test_clenshaw_matches_tuple_rotation_exactly(second_kind, degree):
     rng = np.random.default_rng(degree + 17 * second_kind)
     coeffs = tuple(rng.uniform(-1.0, 1.0, size=degree + 1).tolist())
     x = rng.uniform(-1.2, 1.2, size=513)
-    got = _clenshaw(coeffs, x, second_kind)
-    want = _reference_clenshaw(coeffs, x, second_kind)
+    (got,) = evaluate_many([(ChebyshevSeries(_kind(second_kind), coeffs), x)])
+    want = 0.0 + _reference_clenshaw(coeffs, x, second_kind)
     assert np.array_equal(got, want)
 
 
@@ -125,9 +138,80 @@ def test_clenshaw_matches_tuple_rotation_exactly(second_kind, degree):
 def test_clenshaw_scalar_and_empty_inputs(second_kind):
     coeffs = (0.5, -1.25, 2.0, 0.75)
     x = np.asarray(0.3)
-    assert _clenshaw(coeffs, x, second_kind) == _reference_clenshaw(coeffs, x, second_kind)
+    series = ChebyshevSeries(_kind(second_kind), coeffs)
+    assert series.evaluate(0.3) == 0.0 + _reference_clenshaw(coeffs, x, second_kind)
     grid = np.linspace(-1.0, 1.0, 9)
-    assert np.array_equal(_clenshaw((), grid, second_kind), np.zeros(9))
+    (got,) = evaluate_many([(ChebyshevSeries(_kind(second_kind), ()), grid)])
+    assert np.array_equal(got, np.zeros(9))
+    assert evaluate_many([]) == []
+
+
+@st.composite
+def parity_series(draw):
+    """A series whose coefficients mostly sit in one parity class of orders.
+
+    The other class holds +0.0 and -0.0, and the live class some zeros of
+    either sign too; the offset is +0.0, -0.0 or nonzero.  Short series of
+    small exact values make exactly zero results, whose sign the -0.0
+    offset exposes.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        length = draw(st.integers(0, 6))
+        coeffs = rng.choice(np.array([0.0, -0.0, 1.0, -1.0, 0.5]), size=length)
+    else:
+        length = draw(st.integers(0, 60))
+        coeffs = rng.uniform(-2.0, 2.0, size=length)
+    parity = draw(st.sampled_from([0, 1, None]))
+    dead = np.zeros(length, dtype=bool) if parity is None else np.arange(length) % 2 != parity
+    dead |= rng.random(length) < 0.15
+    coeffs[dead] = np.where(rng.random(length) < 0.5, 0.0, -0.0)[dead]
+    scale = draw(st.sampled_from([1.0, -0.37, 3.0e-3, -250.0]))
+    offset = draw(st.sampled_from([0.0, 0.0, -0.0, 1.5]))
+    series = ChebyshevSeries(draw(st.sampled_from(list(ChebyshevKind))), coeffs, scale, offset)
+    size = draw(st.sampled_from([None, 0, 1, 9, 700, 16385]))
+    if size is None:
+        control = np.asarray(draw(st.sampled_from([0.0, -0.0, 1.0 / scale, -1.0 / scale, 0.4])))
+    else:
+        control = rng.uniform(-1.2, 1.2, size=size) / abs(scale)
+        specials = np.array([0.0, -0.0, 1.0 / scale, -1.0 / scale])
+        at = rng.integers(0, max(size, 1), size=min(size, 8))
+        control[at] = rng.choice(specials, size=len(at))
+    return series, control
+
+
+@SETTINGS
+@given(st.lists(parity_series(), max_size=5), st.sampled_from([7, 1000, None]))
+def test_evaluate_many_matches_the_plain_recurrence_bit_for_bit(pairs, block):
+    with pytest.MonkeyPatch.context() as patch:
+        if block is not None:
+            patch.setattr(chebyshev, "CLENSHAW_BLOCK_POINTS", block)
+        got = evaluate_many(pairs)
+    assert len(got) == len(pairs)
+    for (series, control), values in zip(pairs, got):
+        x = series.scale * control
+        second = series.kind is ChebyshevKind.SECOND
+        want = series.offset + _reference_clenshaw(series.coeffs, x, second)
+        assert values.shape == control.shape
+        assert values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("coeffs, kind", [
+    ((-0.0,), ChebyshevKind.SECOND),
+    ((-0.0, 1.0, 0.0), ChebyshevKind.FIRST),
+    ((-0.0, -0.0), ChebyshevKind.SECOND),
+    ((-0.0,), ChebyshevKind.FIRST),
+])
+def test_negative_zero_offset_keeps_every_add(coeffs, kind):
+    # exactly zero results keep the sign of the plain recurrence only when
+    # every zero coefficient, and the padding above a shorter series, is added
+    x = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -0.5])
+    series = ChebyshevSeries(kind, coeffs, 1.0, -0.0)
+    longer = ChebyshevSeries(ChebyshevKind.FIRST, (0.0, 0.0, 0.0, 0.0, 1.0))
+    for pairs in ([(series, x)], [(series, x), (longer, x)], [(longer, x), (series, x)]):
+        got = evaluate_many(pairs)[pairs.index((series, x))]
+        want = -0.0 + _reference_clenshaw(coeffs, x, kind is ChebyshevKind.SECOND)
+        assert got.tobytes() == want.tobytes()
 
 
 def _reference_series_consistency(element):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memsynth.chebyshev import ChebyshevSeries
+from memsynth import chebyshev, simulation
 
 from memsynth.elements import (
     ElementKind,
@@ -34,6 +34,7 @@ from memsynth.simulation import (
     columns_to_csv,
     float_cells,
     hysteresis_loop,
+    loop_indices,
     repr_fallback,
     simulate,
     supply_states,
@@ -363,18 +364,31 @@ def test_columns_to_csv_rejects_unequal_or_missing_columns():
         columns_to_csv("a", [None])
 
 
+class _KernelLog(list):
+    """The series the Clenshaw kernel ran on, in call order."""
+
+    #: calls of the kernel
+    passes = 0
+
+
 @pytest.fixture
 def evaluated(monkeypatch):
-    """Every series ``ChebyshevSeries.evaluate`` is called on, in call order."""
-    calls = []
-    original = ChebyshevSeries.evaluate
+    """Log of every series the Clenshaw kernel is run on.
 
-    def spy(self, v):
-        calls.append(self)
-        return original(self, v)
+    ``ChebyshevSeries.evaluate`` and the simulation both reach the kernel
+    through ``evaluate_many``.
+    """
+    log = _KernelLog()
+    original = chebyshev.evaluate_many
 
-    monkeypatch.setattr(ChebyshevSeries, "evaluate", spy)
-    return calls
+    def spy(pairs):
+        log.passes += 1
+        log.extend(series for series, _ in pairs)
+        return original(pairs)
+
+    monkeypatch.setattr(chebyshev, "evaluate_many", spy)
+    monkeypatch.setattr(simulation, "evaluate_many", spy)
+    return log
 
 
 def test_simulate_and_trace_csv_evaluate_memcapacitance_once(evaluated):
@@ -385,6 +399,41 @@ def test_simulate_and_trace_csv_evaluate_memcapacitance_once(evaluated):
     memcap_calls = [series for series in evaluated if series in (cm, cm.derivative())]
     assert memcap_calls == [cm, cm.derivative()]
     assert memcap_calls[0] is cm
+    # G, Gamma, C and dC of the whole network in one kernel call
+    assert evaluated.passes == 1
+    assert evaluated[:-2] == [dec.meminductor.incremental]
+
+
+@pytest.mark.parametrize("periods", [1, 2, 3])
+def test_loop_states_have_the_bits_of_the_whole_grid(periods):
+    config = SimulationConfig(periods=periods, samples_per_period=1000)
+    whole = supply_states(SUPPLY, config)
+    idx = loop_indices(config)
+    loop = supply_states(SUPPLY, config, idx)
+    assert idx[-1] == (0 if periods == 1 else 1000)
+    for name in ("t", "u", "phi", "sigma"):
+        assert getattr(loop, name).tobytes() == getattr(whole, name)[idx].tobytes()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: memductance_from_sines(SUPPLY, [2.0, 0.0, 0.5, 0.0, -0.25]),
+    lambda: decompose_load(SUPPLY, motivating_spectrum()).meminductor,
+    lambda: decompose_load(SUPPLY, motivating_spectrum()).memcapacitor,
+])
+def test_hysteresis_extra_pairs_ride_in_the_loop_pass(make, evaluated):
+    element = make()
+    config = SimulationConfig(periods=2, samples_per_period=512)
+    whole = supply_states(SUPPLY, config)
+    drive, response = hysteresis_loop(element, whole)
+    grid = np.linspace(-2.0, 2.0, 101) / abs(element.constitutive.scale)
+    passes = evaluated.passes
+    loop = supply_states(SUPPLY, config, loop_indices(config))
+    got = hysteresis_loop(element, loop, (element.constitutive, grid))
+    assert evaluated.passes == passes + 1
+    assert len(got) == 3
+    assert got[0].tobytes() == drive.tobytes()
+    assert got[1].tobytes() == response.tobytes()
+    assert got[2].tobytes() == element.constitutive.evaluate(grid).tobytes()
 
 
 def test_memcapacitor_hysteresis_evaluates_only_memcapacitance(evaluated):
