@@ -8,13 +8,7 @@ cancels the non-active part of the current, and verifies both by time-domain
 simulation.
 """
 
-from .chebyshev import (
-    ChebyshevKind,
-    ChebyshevSeries,
-    differentiate_first_kind,
-    differentiate_second_kind,
-    second_to_first_coeffs,
-)
+from .chebyshev import ChebyshevKind, ChebyshevSeries
 from .elements import (
     ControlVariable,
     ElementKind,
@@ -105,8 +99,6 @@ __all__ = [
     "decompose_load",
     "default_gamma",
     "default_n_max",
-    "differentiate_first_kind",
-    "differentiate_second_kind",
     "element_from_dict",
     "element_to_dict",
     "evaluate_waveform",
@@ -121,7 +113,6 @@ __all__ = [
     "project_waveform",
     "rectifier_spectrum",
     "regularize",
-    "second_to_first_coeffs",
     "simulate",
     "spectrum_negate",
     "supply_states",

@@ -4,7 +4,7 @@ A series stores coefficients against either the first-kind basis ``T_k`` or
 the second-kind basis ``U_k`` together with a scalar ``scale``.  The value of
 the series at a control variable ``v`` (a flux linkage, a charge, ...) is
 
-    p(v) = offset + sum_k coeffs[k] * B_k(scale * v)
+    p(v) = sum_k coeffs[k] * B_k(scale * v)
 
 so ``scale`` maps the physical control onto the canonical argument
 ``x = scale * v``.  On a sinusoidal steady state the argument traces
@@ -21,16 +21,14 @@ their coefficients are exactly zero and cost no add.  The run is processed
 in blocks of at most :data:`CLENSHAW_BLOCK_POINTS` points, so the scratch
 arrays do not grow with the number of series or points.
 
-Skipping an exactly zero coefficient changes no output bit:
+Skipping an exactly zero coefficient changes no output bit of
+``0.0 + (plain recurrence)``, which is what every value is:
 
 * adding ``-0.0`` is the identity;
 * adding ``+0.0`` only turns a ``-0.0`` into ``+0.0``.  IEEE ``+ - *`` give
   equal values for operands of equal value, so a skip can flip the sign of a
   zero intermediate but never change a nonzero one;
-* the result is ``offset + value``, and an offset of ``+0.0`` (every series
-  memsynth builds) maps either zero to ``+0.0``.  A series whose offset is
-  ``-0.0`` keeps every add, padding included, so its bits follow the plain
-  recurrence exactly;
+* the last step adds ``+0.0``, which maps either zero to ``+0.0``;
 * a series shorter than the longest one rests at a signed zero until its
   top coefficient ``c``, where ``2x * (+-0) + c - (+-0)`` is exactly ``c``.
 
@@ -66,23 +64,11 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 CLENSHAW_BLOCK_POINTS = 16384
 
 
-def _added_terms(series: "ChebyshevSeries", top: int) -> list[tuple[int, float]]:
-    """(k, c_k) of the backward steps that add a coefficient (k = 0 is unused).
-
-    Exactly zero coefficients are left out, except for a series whose offset
-    is -0.0: there every step adds, the padding up to ``top`` included.
-    """
-    coeffs = series.coeffs
-    if series.offset == 0.0 and math.copysign(1.0, series.offset) < 0.0:
-        return list(enumerate(coeffs + (0.0,) * (top - len(coeffs))))
-    return list(compress(enumerate(coeffs), coeffs))
-
-
 def evaluate_many(pairs: Sequence[tuple["ChebyshevSeries", object]]) -> list[np.ndarray]:
     """Values of every ``(series, control)`` pair, in one Clenshaw pass.
 
     Each result has the shape of its control (0-d for a scalar).  Every
-    value equals that of the plain recurrence run on its series alone, bit
+    value equals ``0.0 +`` the plain recurrence run on its series alone, bit
     for bit; the module docstring gives the argument.
     """
     series = [s for s, _ in pairs]
@@ -90,7 +76,8 @@ def evaluate_many(pairs: Sequence[tuple["ChebyshevSeries", object]]) -> list[np.
     flat = [v.ravel() for v in controls]
     bounds = [0, *accumulate(v.size for v in flat)]
     top = max((len(s.coeffs) for s in series), default=0)
-    terms = [_added_terms(s, top) for s in series]
+    # (k, c_k) of the backward steps that add a coefficient (k = 0 is unused)
+    terms = [list(compress(enumerate(s.coeffs), s.coeffs)) for s in series]
     out = np.empty(bounds[-1])
     for lo in range(0, len(out), CLENSHAW_BLOCK_POINTS):
         hi = min(lo + CLENSHAW_BLOCK_POINTS, len(out))
@@ -137,7 +124,7 @@ def _clenshaw_block(out, pieces, series, flat, terms, top) -> None:
         np.multiply(arg[p:q], views[b1][i], out=o)
         o += s.coeffs[0] if s.coeffs else 0.0
         o -= views[b2][i]
-        o += s.offset
+        o += 0.0  # a -0.0 result reads +0.0
 
 
 @dataclass(frozen=True)
@@ -153,7 +140,6 @@ class ChebyshevSeries:
     kind: ChebyshevKind
     coeffs: tuple[float, ...]
     scale: float = 1.0
-    offset: float = 0.0
 
     def __post_init__(self) -> None:
         if type(self.kind) is not ChebyshevKind:  # the Enum call costs ~1 us
@@ -168,9 +154,8 @@ class ChebyshevSeries:
             raise ValidationError("series coefficients must be finite")
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "scale", float(self.scale))
-        object.__setattr__(self, "offset", float(self.offset))
-        if not (math.isfinite(self.scale) and math.isfinite(self.offset)):
-            raise ValidationError("scale and offset must be finite")
+        if not math.isfinite(self.scale):
+            raise ValidationError("scale must be finite")
 
     @property
     def array(self) -> np.ndarray:
@@ -188,30 +173,19 @@ class ChebyshevSeries:
         return out
 
     def derivative(self) -> "ChebyshevSeries":
-        """d/dv of the series, returned as a second-kind series."""
-        if self.kind is ChebyshevKind.FIRST:
-            return differentiate_first_kind(self)
-        return differentiate_second_kind(self)
+        """d/dv of the series, returned as a second-kind series.
 
-
-def _derivative(first: np.ndarray, scale: float) -> ChebyshevSeries:
-    """d/dv of ``sum first[k] T_k(scale v)``: ``k first[k] scale`` at ``U_{k-1}``."""
-    out = np.arange(len(first)) * first * scale
-    return ChebyshevSeries(ChebyshevKind.SECOND, out[1:], scale=scale)
-
-
-def differentiate_first_kind(series: ChebyshevSeries) -> ChebyshevSeries:
-    """Differentiate a first-kind series with respect to its control.
-
-    d/dv [offset + sum c_k T_k(s v)] = sum_{k>=1} k c_k s U_{k-1}(s v); the
-    offset drops and the argument map is unchanged.
-    """
-    if series.kind is not ChebyshevKind.FIRST:
-        raise ValidationError("expected a first-kind series")
-    return _derivative(series.array, series.scale)
+        d/dv sum c_k T_k(s v) = sum_{k>=1} k c_k s U_{k-1}(s v), with the
+        argument map unchanged; a second-kind series is first re-expressed
+        in the first-kind basis.
+        """
+        first = self.array if self.kind is ChebyshevKind.FIRST else _second_to_first(self.array)
+        out = np.arange(len(first)) * first * self.scale
+        return ChebyshevSeries(ChebyshevKind.SECOND, out[1:], scale=self.scale)
 
 
 def _second_to_first(coeffs: np.ndarray) -> np.ndarray:
+    """First-kind coefficients of ``sum coeffs[k] U_k``."""
     # one slice-add per k keeps the ascending-k summation order of every
     # out[j]; out starts at +0.0 and never holds -0.0, so skipping a zero
     # term is exact
@@ -222,15 +196,3 @@ def _second_to_first(coeffs: np.ndarray) -> np.ndarray:
         if k % 2 == 0:
             out[0] += c
     return out
-
-
-def second_to_first_coeffs(coeffs: Sequence[float]) -> tuple[float, ...]:
-    """Re-express sum c_k U_k as a first-kind coefficient vector."""
-    return tuple(_second_to_first(np.asarray(coeffs, dtype=float)).tolist())
-
-
-def differentiate_second_kind(series: ChebyshevSeries) -> ChebyshevSeries:
-    """Differentiate a second-kind series with respect to its control."""
-    if series.kind is not ChebyshevKind.SECOND:
-        raise ValidationError("expected a second-kind series")
-    return _derivative(_second_to_first(series.array), series.scale)

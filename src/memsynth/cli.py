@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -337,12 +338,18 @@ def cmd_hysteresis(args: argparse.Namespace) -> int:
     config = SimulationConfig(args.periods, args.samples_per_period)
     if not element.is_memory:
         raise ValidationError("hysteresis loops are defined for memory elements")
-    states = supply_states(decomposition.supply, config, loop_indices(config))
     # the single-valued constitutive curve over the steady-state control
     # range rides in the loop's Clenshaw pass
     series = element.constitutive
-    span = 1.0 / abs(series.scale)
-    grid = np.linspace(-span, span, CONSTITUTIVE_POINTS)
+    scale = abs(series.scale)
+    span = 1.0 / scale if scale else math.inf
+    if not math.isfinite(span):
+        raise ValidationError(f"constitutive scale {series.scale!r} gives no finite control range")
+    if math.isfinite(2.0 / scale):
+        grid = np.linspace(-span, span, CONSTITUTIVE_POINTS)
+    else:  # the step 2 * span of linspace would overflow
+        grid = span * np.linspace(-1.0, 1.0, CONSTITUTIVE_POINTS)
+    states = supply_states(decomposition.supply, config, loop_indices(config))
     drive, response, curve = hysteresis_loop(element, states, (series, grid))
     _emit(columns_to_csv(_LOOP_HEADERS[element.kind.value], [drive, response]), args.output)
 

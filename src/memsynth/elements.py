@@ -347,7 +347,7 @@ def verify_series_consistency(element: MemoryElement) -> float:
     """Max deviation between the incremental series and d(constitutive)/dv."""
     if not element.is_memory:
         raise ValidationError("series consistency applies to memory elements")
-    # the coefficients of differentiate_first_kind, k * c_k * scale in that order
+    # the coefficients of constitutive.derivative(), k * c_k * scale in that order
     con = element.constitutive.array
     derived = np.arange(1, len(con)) * con[1:] * element.constitutive.scale
     inc = element.incremental.array

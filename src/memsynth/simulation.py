@@ -83,7 +83,6 @@ class SupplyStates:
     """Sampled supply voltage and its first and second time integrals."""
 
     supply: SupplyVoltage
-    config: SimulationConfig
     t: np.ndarray
     u: np.ndarray
     phi: np.ndarray
@@ -109,7 +108,7 @@ def supply_states(
     u = supply.voltage(t)
     phi = supply.flux(t)
     sigma = supply.integrated_flux(t)
-    return SupplyStates(supply=supply, config=config, t=t, u=u, phi=phi, sigma=sigma)
+    return SupplyStates(supply=supply, t=t, u=u, phi=phi, sigma=sigma)
 
 
 def loop_indices(config: SimulationConfig) -> np.ndarray:
@@ -235,29 +234,17 @@ def simulate(
 
 
 def hysteresis_loop(element: MemoryElement, states: SupplyStates, *extra) -> tuple:
-    """One closed period of the element's characteristic loop.
+    """The element's characteristic loop, drawn over exactly ``states``.
 
     Returns (drive, response) pairs: (u, i) for a memristor, (u, q) for a
-    memcapacitor, (phi, i) for a meminductor.  The arrays span one period
-    plus the closing sample so start and end coincide up to roundoff.
-    ``states`` is a whole grid of :func:`supply_states`, or just its
-    :func:`loop_indices`.  Each ``extra`` (series, control) pair is
-    evaluated in the same Clenshaw pass as the loop, and its values follow
-    drive and response in the result.
+    memcapacitor, (phi, i) for a meminductor.  For one closed period pass
+    the states of :func:`loop_indices`, one period plus the closing sample,
+    so start and end coincide up to roundoff.  Each ``extra`` (series,
+    control) pair is evaluated in the same Clenshaw pass as the loop, and
+    its values follow drive and response in the result.
     """
     if not element.is_memory:
         raise ValidationError("hysteresis loops are defined for memory elements")
-    config = states.config
-    if len(states.t) != config.samples_per_period + 1:
-        idx = loop_indices(config)
-        states = SupplyStates(
-            supply=states.supply,
-            config=config,
-            t=states.t[idx],
-            u=states.u[idx],
-            phi=states.phi[idx],
-            sigma=states.sigma[idx],
-        )
     if element.kind is ElementKind.MEMCAPACITOR:
         # q = C_M(phi) u needs no dC_M/dphi
         cap, *rest = evaluate_many([(element.incremental, states.phi), *extra])

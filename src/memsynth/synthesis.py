@@ -296,7 +296,7 @@ def steady_state_current(decomposition: LoadDecomposition, spp: int) -> Optional
     * meminductor ``-(A/w) sum c_k sin(m (pi/2 - w t))``.
 
     The series never reads ``scale``, so it stands for the element only when
-    that scale is exactly :func:`orbit_scale` and the offset is 0.0.
+    that scale is exactly :func:`orbit_scale`.
     Otherwise, or when an order reaches ``spp/2``, the result is None and the
     current has to be simulated.
     """
@@ -307,7 +307,7 @@ def steady_state_current(decomposition: LoadDecomposition, spp: int) -> Optional
     for element in branches:
         if element.is_memory:
             series = element.incremental
-            if series.offset != 0.0 or series.scale != orbit_scale(supply, element.control):
+            if series.scale != orbit_scale(supply, element.control):
                 return None
             top = max(top, len(series.coeffs))
     if 2 * top >= spp:

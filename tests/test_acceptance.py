@@ -22,6 +22,7 @@ from memsynth.loads import (
 from memsynth.simulation import (
     SimulationConfig,
     hysteresis_loop,
+    loop_indices,
     simulate,
     supply_states,
 )
@@ -203,7 +204,8 @@ def test_acceptance_memcapacitor_charge_gating():
         )
     ok = True
     rows = []
-    states = supply_states(SUPPLY)
+    config = SimulationConfig()
+    states = supply_states(SUPPLY, config, loop_indices(config))
     for name, cond in conditioners.items():
         assert cond.memcapacitor is not None
         trace = simulate(cond)

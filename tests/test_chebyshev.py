@@ -5,13 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from memsynth.chebyshev import (
-    ChebyshevKind,
-    ChebyshevSeries,
-    differentiate_first_kind,
-    differentiate_second_kind,
-    second_to_first_coeffs,
-)
+from memsynth import chebyshev
+from memsynth.chebyshev import ChebyshevKind, ChebyshevSeries
 from memsynth.errors import ValidationError
 
 from chebyshev_identities import chebyshev_identity_suite
@@ -42,9 +37,9 @@ def test_scaled_u1_matches_two_cosine():
 def test_first_kind_matches_numpy_chebval():
     rng = np.random.default_rng(7)
     coeffs = tuple(rng.uniform(-2.0, 2.0, size=9))
-    series = ChebyshevSeries(ChebyshevKind.FIRST, coeffs, scale=0.8, offset=0.3)
+    series = ChebyshevSeries(ChebyshevKind.FIRST, coeffs, scale=0.8)
     x = rng.uniform(-1.5, 1.5, size=64)
-    expected = 0.3 + np.polynomial.chebyshev.chebval(0.8 * x, list(coeffs))
+    expected = np.polynomial.chebyshev.chebval(0.8 * x, list(coeffs))
     assert np.allclose(series.evaluate(x), expected, rtol=1e-12, atol=1e-12)
 
 
@@ -72,11 +67,12 @@ def test_clenshaw_matches_naive_recurrence_degree_200(kind):
     assert np.max(np.abs(got - want) / denom) <= 1e-13
 
 
-def test_empty_series_evaluates_to_offset():
-    zero = ChebyshevSeries(ChebyshevKind.FIRST, ())
-    assert zero.evaluate(3.7) == 0.0
-    shifted = ChebyshevSeries(ChebyshevKind.SECOND, (), offset=2.5)
-    assert shifted.evaluate(-1.0) == 2.5
+def test_empty_series_evaluates_to_positive_zero():
+    for kind in ChebyshevKind:
+        zero = ChebyshevSeries(kind, ())
+        for v in (3.7, -1.0, -0.0):
+            value = zero.evaluate(v)
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 def test_scalar_and_array_evaluate_agree():
@@ -91,24 +87,23 @@ def test_scalar_and_array_evaluate_agree():
 
 def test_first_kind_derivative_coefficients_exact():
     s = -0.37
-    series = ChebyshevSeries(ChebyshevKind.FIRST, (1.5, -2.0, 0.25, 3.0), scale=s, offset=9.9)
+    series = ChebyshevSeries(ChebyshevKind.FIRST, (1.5, -2.0, 0.25, 3.0), scale=s)
     d = series.derivative()
     assert d.kind is ChebyshevKind.SECOND
     assert d.scale == s
-    # d/dv T_k(s v) = k s U_{k-1}(s v); the offset drops
+    # d/dv T_k(s v) = k s U_{k-1}(s v); the constant term drops
     assert d.coeffs == (1.0 * -2.0 * s, 2.0 * 0.25 * s, 3.0 * 3.0 * s)
-    assert d.offset == 0.0
 
 
 def test_derivative_of_line_is_constant():
     series = ChebyshevSeries(ChebyshevKind.FIRST, (0.0, 4.0), scale=2.0)
-    d = differentiate_first_kind(series)
+    d = series.derivative()
     assert d.coeffs == (8.0,)
 
 
 def test_derivative_of_constant_is_zero_series():
     series = ChebyshevSeries(ChebyshevKind.FIRST, (5.0,), scale=3.0)
-    assert differentiate_first_kind(series).coeffs == ()
+    assert series.derivative().coeffs == ()
 
 
 @pytest.mark.parametrize("kind", [ChebyshevKind.FIRST, ChebyshevKind.SECOND])
@@ -126,18 +121,9 @@ def test_second_to_first_conversion_by_evaluation():
     rng = np.random.default_rng(31)
     coeffs = tuple(rng.uniform(-1.0, 1.0, size=12))
     u_series = ChebyshevSeries(ChebyshevKind.SECOND, coeffs)
-    t_series = ChebyshevSeries(ChebyshevKind.FIRST, second_to_first_coeffs(coeffs))
+    t_series = ChebyshevSeries(ChebyshevKind.FIRST, chebyshev._second_to_first(np.array(coeffs)))
     x = np.linspace(-1.0, 1.0, 401)
     assert np.allclose(u_series.evaluate(x), t_series.evaluate(x), atol=1e-12)
-
-
-def test_differentiate_second_kind_wrong_input_kind():
-    t = ChebyshevSeries(ChebyshevKind.FIRST, (0.0, 1.0))
-    with pytest.raises(ValidationError):
-        differentiate_second_kind(t)
-    u = ChebyshevSeries(ChebyshevKind.SECOND, (0.0, 1.0))
-    with pytest.raises(ValidationError):
-        differentiate_first_kind(u)
 
 
 def test_identity_suite_small_orders():

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -358,6 +359,52 @@ def test_hysteresis_rejects_non_memory_branches(tmp_path, capsys):
                      "-o", str(tmp_path / "y.csv")]) == 2
     err = capsys.readouterr().err
     assert "no branch labelled" in err
+
+
+# characterize writes a memristor of scale -5.88e-309 for it: 1/|scale| is
+# finite, but the step 2/|scale| of the constitutive range is not
+HUGE_SUPPLY_SPECTRUM = {
+    "omega": 1.0, "dc": 0.0, "supply_amplitude": 1.7e308,
+    "harmonics": [{"n": 1, "a": 0.0, "b": 1e10}, {"n": 2, "a": 0.0, "b": 1e10}],
+}
+
+
+def _huge_supply_dec_file(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(HUGE_SUPPLY_SPECTRUM))
+    return _dec_file(tmp_path, spec)
+
+
+def test_hysteresis_constitutive_range_near_the_float64_limit(tmp_path, capsys):
+    dec = _huge_supply_dec_file(tmp_path)
+    (element,) = [b["element"] for b in json.loads(dec.read_text())["branches"]]
+    span = 1.0 / abs(element["scale"])
+    assert math.isfinite(span) and not math.isfinite(2.0 * span)
+    loop = tmp_path / "loop.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["hysteresis", str(dec), "--branch", "memristor",
+                         "--samples-per-period", "64", "-o", str(loop)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = np.loadtxt(tmp_path / "loop_constitutive.csv", delimiter=",", skiprows=1)
+    assert np.isfinite(rows).all()
+    assert rows[0, 0] == -span and rows[-1, 0] == span and rows[500, 0] == 0.0
+    assert (np.diff(rows[:, 0]) > 0).all()
+
+
+@pytest.mark.parametrize("scale", [0.0, -0.0, 5e-324])
+def test_hysteresis_without_a_finite_control_range_exits_2_before_writing(
+    tmp_path, capsys, scale
+):
+    dec = _huge_supply_dec_file(tmp_path)
+    doc = json.loads(dec.read_text())
+    doc["branches"][0]["element"].update(scale=scale, coeffs=[], constitutive_coeffs=[])
+    dec.write_text(json.dumps(doc))
+    loop = tmp_path / "loop.csv"
+    assert cli.main(["hysteresis", str(dec), "--branch", "memristor", "-o", str(loop)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: constitutive scale") and "Traceback" not in err
+    assert not loop.exists() and not (tmp_path / "loop_constitutive.csv").exists()
 
 
 def test_exit_codes_for_bad_input(tmp_path, capsys):

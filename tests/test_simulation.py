@@ -152,23 +152,28 @@ def test_branch_average_power():
     assert abs(branch_average_power(trace, "companion_inductor")) <= 1e-9 * scale
 
 
+def _loop_states(config):
+    return supply_states(SUPPLY, config, loop_indices(config))
+
+
 def test_hysteresis_loop_closure_and_planes():
     dec = decompose_load(SUPPLY, motivating_spectrum())
-    states = supply_states(SUPPLY)
+    whole = supply_states(SUPPLY)
+    states = _loop_states(SimulationConfig())
     x, y = hysteresis_loop(dec.memcapacitor, states)
     assert len(x) == 8193
     assert abs(x[0] - x[-1]) <= 1e-9 * float(np.max(np.abs(x)))
     assert abs(y[0] - y[-1]) <= 1e-9 * float(np.max(np.abs(y)))
-    np.testing.assert_array_equal(x, states.u[: len(x)])
+    np.testing.assert_array_equal(x, whole.u[: len(x)])
 
     phi_axis, i_ind = hysteresis_loop(dec.meminductor, states)
-    np.testing.assert_array_equal(phi_axis, states.phi[: len(phi_axis)])
+    np.testing.assert_array_equal(phi_axis, whole.phi[: len(phi_axis)])
     assert abs(i_ind[0] - i_ind[-1]) <= 1e-9 * float(np.max(np.abs(i_ind)))
 
 
 def test_hysteresis_single_period_wraps():
     element = memductance_from_sines(SUPPLY, [2.0, 0.0, 0.5])
-    states = supply_states(SUPPLY, SimulationConfig(periods=1, samples_per_period=1024))
+    states = _loop_states(SimulationConfig(periods=1, samples_per_period=1024))
     x, y = hysteresis_loop(element, states)
     assert len(x) == 1025
     assert x[0] == x[-1]
@@ -177,9 +182,9 @@ def test_hysteresis_single_period_wraps():
 
 def test_hysteresis_conditioner_charge_closed_form():
     cond = synthesize_conditioner(SUPPLY, motivating_spectrum())
-    states = supply_states(SUPPLY, SimulationConfig(periods=1, samples_per_period=4096))
+    states = _loop_states(SimulationConfig(periods=1, samples_per_period=4096))
     _, q = hysteresis_loop(cond.memcapacitor, states)
-    t = np.concatenate([states.t, [SUPPLY.period]])[: len(q)]
+    t = np.append(states.t[:-1], SUPPLY.period)
     expected = (100.0 * math.sqrt(2.0) / OMEGA) * np.sin(OMEGA * t) - (
         25.0 * math.sqrt(2.0) / OMEGA
     ) * np.sin(2.0 * OMEGA * t)
@@ -188,7 +193,7 @@ def test_hysteresis_conditioner_charge_closed_form():
 
 def test_hysteresis_constant_capacitance_is_a_line():
     element = memcapacitance_from_cosines(SUPPLY, [4.0])
-    states = supply_states(SUPPLY, SimulationConfig(periods=1, samples_per_period=1024))
+    states = _loop_states(SimulationConfig(periods=1, samples_per_period=1024))
     u, q = hysteresis_loop(element, states)
     c0 = element.incremental.evaluate(0.0)
     assert float(np.max(np.abs(q - c0 * u))) <= 1e-12 * float(np.max(np.abs(q)))
@@ -215,7 +220,7 @@ def test_capacitance_column_time_average():
 
 
 def test_hysteresis_rejects_lti():
-    states = supply_states(SUPPLY, SimulationConfig(periods=1, samples_per_period=1024))
+    states = _loop_states(SimulationConfig(periods=1, samples_per_period=1024))
     with pytest.raises(ValidationError):
         hysteresis_loop(MemoryElement(kind=ElementKind.RESISTOR, scalar_value=1.0), states)
 
@@ -424,22 +429,28 @@ def test_hysteresis_extra_pairs_ride_in_the_loop_pass(make, evaluated):
     element = make()
     config = SimulationConfig(periods=2, samples_per_period=512)
     whole = supply_states(SUPPLY, config)
-    drive, response = hysteresis_loop(element, whole)
+    waves = branch_current(element, whole)
+    drive, response = {
+        ElementKind.MEMRISTOR: (whole.u, waves.current),
+        ElementKind.MEMINDUCTOR: (whole.phi, waves.current),
+        ElementKind.MEMCAPACITOR: (whole.u, waves.charge),
+    }[element.kind]
+    idx = loop_indices(config)
     grid = np.linspace(-2.0, 2.0, 101) / abs(element.constitutive.scale)
     passes = evaluated.passes
-    loop = supply_states(SUPPLY, config, loop_indices(config))
-    got = hysteresis_loop(element, loop, (element.constitutive, grid))
+    got = hysteresis_loop(element, _loop_states(config), (element.constitutive, grid))
     assert evaluated.passes == passes + 1
     assert len(got) == 3
-    assert got[0].tobytes() == drive.tobytes()
-    assert got[1].tobytes() == response.tobytes()
+    assert got[0].tobytes() == drive[idx].tobytes()
+    assert got[1].tobytes() == response[idx].tobytes()
     assert got[2].tobytes() == element.constitutive.evaluate(grid).tobytes()
 
 
 def test_memcapacitor_hysteresis_evaluates_only_memcapacitance(evaluated):
     dec = decompose_load(SUPPLY, motivating_spectrum())
-    states = supply_states(SUPPLY, SimulationConfig(periods=1, samples_per_period=256))
-    u, q = hysteresis_loop(dec.memcapacitor, states)
+    config = SimulationConfig(periods=1, samples_per_period=256)
+    u, q = hysteresis_loop(dec.memcapacitor, _loop_states(config))
     assert len(evaluated) == 1 and evaluated[0] is dec.memcapacitor.incremental
     idx = np.arange(257) % 256
-    np.testing.assert_array_equal(q, branch_current(dec.memcapacitor, states).charge[idx])
+    whole = supply_states(SUPPLY, config)
+    np.testing.assert_array_equal(q, branch_current(dec.memcapacitor, whole).charge[idx])

@@ -339,8 +339,7 @@ def test_verify_rejects_non_finite_current_through_projection(monkeypatch):
 @pytest.mark.parametrize("tamper", [
     lambda s: dataclasses.replace(s, scale=-s.scale),
     lambda s: dataclasses.replace(s, scale=s.scale * (1.0 + 2.0**-40)),
-    lambda s: dataclasses.replace(s, offset=1e-300),
-], ids=["negated-scale", "scale-off-by-2^-40", "offset"])
+], ids=["negated-scale", "scale-off-by-2^-40"])
 def test_elements_off_the_orbit_take_the_clenshaw_route(monkeypatch, slot, tamper):
     dec = decompose_load(SUPPLY, THREE_MEMORIES)
     memories = ("memristor", "meminductor", "memcapacitor")
