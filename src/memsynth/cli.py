@@ -6,9 +6,13 @@ simulate a decomposition to CSV, print power figures, and dump hysteresis
 loops.  All output is deterministic: identical inputs and flags produce byte
 identical files.  orjson renders them: every JSON document is
 ``json.dumps(doc, indent=2)`` byte for byte, and every CSV cell is the
-``repr`` of its float.
+``repr`` of its float.  A JSON document holds only dicts with plain ASCII
+keys, lists, finite floats, ints, bools, ``null`` and plain ASCII strings
+(see :func:`_dump_json`).  No output holds a nan or an infinity: a result
+that is not finite stops the command with exit 3 before any file is written.
 
-Exit codes: 0 success, 2 invalid input, 3 numerical verification failure.
+Exit codes: 0 success, 2 invalid input, 3 numerical verification failure or
+a result that is not finite.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import functools
 import json
 import math
 import sys
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -73,31 +76,27 @@ _ORJSON_OPTIONS = orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY
 #: per-float check is faster (the two break even near 40 floats)
 _ARRAY_MIN = 40
 
-_INT64_MIN, _INT64_END = -(2**63), 2**63
-
 _DIGITS = "0123456789"
 
 
 def _dump_json(doc: dict) -> str:
-    """``json.dumps(doc, indent=2) + "\\n"``, byte for byte.
+    """``json.dumps(doc, indent=2) + "\\n"``, byte for byte, for memsynth's documents.
+
+    A document is built from dicts, lists, finite floats, ints, bools,
+    ``None`` and strings; every key and string is one that :func:`_plain`
+    accepts.  Anything else raises ``TypeError``: other types, subclasses
+    included, keys or strings that are not plain, ints outside orjson's
+    64-bit range and nesting deeper than orjson's 254 levels.  A nan or an
+    infinity raises :class:`NumericalError` (exit 3), so no non-standard
+    ``NaN`` or ``Infinity`` is ever written.  Nothing is written either way,
+    since the whole text is made before it is emitted.
 
     orjson lays out the document and shares ``repr``'s shortest digits, but
     not all of its spelling.  orjson writes an exponent as ``1.5e-7``, which
-    one pass over the text pads to ``1.5e-07``.  Every value orjson spells
-    otherwise goes to orjson as ``null``, and its stdlib text is filled in
-    afterwards, in document order:
-
-    * floats in [1e-5, 1e-4), which orjson writes positionally;
-    * floats of magnitude 1e16 and up (``1e16`` for ``1e+16``), nan and
-      infinities;
-    * ints outside int64;
-    * strings that are not plain printable ASCII or that hold ``null`` or
-      ``e-``, and ``None`` itself.
-
-    A dict key of that kind goes to orjson as a run of ``null``s instead.
-    Keys must be strings, as they are in every memsynth document; anything
-    else that is not JSON raises ``TypeError``, as the stdlib does, and so
-    does nesting deeper than orjson's 254 levels.
+    one pass over the text pads to ``1.5e-07``.  A float that orjson spells
+    otherwise, in [1e-5, 1e-4) (positional) or of magnitude 1e16 and up
+    (``1e16`` for ``1e+16``), goes to orjson as ``null``, and so does
+    ``None``; their stdlib text is filled in afterwards, in document order.
     """
     fills: list[str] = []
     text = orjson.dumps(_orjson_ready(doc, fills), option=_ORJSON_OPTIONS).decode() + "\n"
@@ -116,8 +115,8 @@ def _plain(text: str) -> bool:
     return text.isascii() and text.isprintable() and "null" not in text and "e-" not in text
 
 
-#: the stdlib spelling of the floats ``repr`` spells otherwise
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+def _not_finite(value) -> NumericalError:
+    return NumericalError(f"result {value!r} is not finite and cannot be written as JSON")
 
 
 def _float_array(values: list, fills: list[str]) -> np.ndarray:
@@ -127,8 +126,11 @@ def _float_array(values: list, fills: list[str]) -> np.ndarray:
     fill = ((m >= 1e-5) & (m < 1e-4)) | ~(m < 1e16)
     if fill.any():
         where = fill.nonzero()[0]
-        spelled = list(map(float.__repr__, x[where].tolist()))
-        fills.extend(map(_NON_FINITE.get, spelled, spelled))
+        spelled = x[where].tolist()
+        for value in spelled:
+            if not math.isfinite(value):
+                raise _not_finite(value)
+        fills.extend(map(float.__repr__, spelled))
         x[where] = np.nan
     return x
 
@@ -139,56 +141,32 @@ def _orjson_ready(value, fills: list[str]):
     if kind is float:
         m = abs(value)
         if 1e-5 <= m < 1e-4 or not m < 1e16:
-            spelled = float.__repr__(value)
-            fills.append(_NON_FINITE.get(spelled, spelled))
+            if not math.isfinite(value):
+                raise _not_finite(value)
+            fills.append(float.__repr__(value))
             return None
         return value
     if kind is dict:
         out = {}
-        runs = 0
         for key, item in value.items():
             if type(key) is not str or not _plain(key):
-                if not isinstance(key, str):
-                    raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
-                # a key cannot be null, so a run of nulls, longer than any
-                # before it in this dict, stands in for the key's text
-                runs += 1
-                fills.append(encode_basestring_ascii(key)[1:-1])
-                fills.extend([""] * (runs - 1))
-                key = "null" * runs
+                raise TypeError(f"JSON key {key!r} is not a plain string")
             out[key] = _orjson_ready(item, fills)
         return out
-    if kind is list or kind is tuple:
+    if kind is list:
         if len(value) >= _ARRAY_MIN and set(map(type, value)) == {float}:
             return _float_array(value, fills)
         return [_orjson_ready(item, fills) for item in value]
     if kind is str:
         if _plain(value):
             return value
-        fills.append(encode_basestring_ascii(value))
-        return None
-    if kind is int:
-        if _INT64_MIN <= value < _INT64_END:
-            return value
-        fills.append(int.__repr__(value))
-        return None
+        raise TypeError(f"JSON string {value!r} is not plain")
+    if kind is int or kind is bool:
+        return value
     if value is None:
         fills.append("null")
         return None
-    if kind is bool:
-        return value
-    # subclasses, in the order the stdlib tests them
-    if isinstance(value, str):
-        return _orjson_ready(str.__str__(value), fills)
-    if isinstance(value, int):
-        return _orjson_ready(int.__int__(value), fills)
-    if isinstance(value, float):
-        return _orjson_ready(float.__float__(value), fills)
-    if isinstance(value, (list, tuple)):
-        return _orjson_ready(list(value), fills)
-    if isinstance(value, dict):
-        return _orjson_ready(dict(value.items()), fills)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _emit(text: str, path: Optional[str]) -> None:
@@ -293,8 +271,9 @@ def cmd_compensate(args: argparse.Namespace) -> int:
             for conv in ("rms", "paper")
         },
     }
-    _emit(_dump_json(conditioner.to_dict()), args.output)
-    _emit(_dump_json(report), args.report)
+    conditioner_text, report_text = _dump_json(conditioner.to_dict()), _dump_json(report)
+    _emit(conditioner_text, args.output)
+    _emit(report_text, args.report)
     return 0
 
 
@@ -351,13 +330,14 @@ def cmd_hysteresis(args: argparse.Namespace) -> int:
         grid = span * np.linspace(-1.0, 1.0, CONSTITUTIVE_POINTS)
     states = supply_states(decomposition.supply, config, loop_indices(config))
     drive, response, curve = hysteresis_loop(element, states, (series, grid))
-    _emit(columns_to_csv(_LOOP_HEADERS[element.kind.value], [drive, response]), args.output)
-
+    # both tables are rendered, and so checked, before either is written
+    loop = columns_to_csv(_LOOP_HEADERS[element.kind.value], [drive, response])
     table = columns_to_csv("control,value", [grid, curve])
     constitutive_path = args.constitutive_output
     if constitutive_path is None and args.output is not None:
         base = Path(args.output)
         constitutive_path = str(base.with_name(base.stem + "_constitutive" + base.suffix))
+    _emit(loop, args.output)
     _emit(table, constitutive_path)
     return 0
 

@@ -287,7 +287,8 @@ def compute_powers(
 
     ``convention`` selects how the dc component enters the current rms:
     "rms" weights dc^2 fully, "paper" halves it like an ac amplitude (see
-    module docstring).  Active power is unaffected: P = A b1 / 2.
+    module docstring).  Active power is unaffected: P = A b1 / 2.  A spectrum
+    whose powers leave the float64 range raises :class:`ValidationError`.
     """
     if convention not in PF_CONVENTIONS:
         raise ValidationError(f"unknown pf convention {convention!r}")
@@ -296,8 +297,16 @@ def compute_powers(
     active = supply.amplitude * spectrum.b(1) / 2.0
     # a left-to-right scalar sum: zero entries leave it bit-identical
     ac_sum = sum(a * a + b * b for a, b in zip(spectrum.cos, spectrum.sin))
-    rms_i = math.sqrt(dc_weight * spectrum.dc**2 + 0.5 * ac_sum)
+    try:
+        rms_i = math.sqrt(dc_weight * spectrum.dc**2 + 0.5 * ac_sum)
+    except OverflowError:  # a float ** raises where * would give inf
+        rms_i = math.inf
     apparent = supply.rms * rms_i
+    if not (math.isfinite(active) and math.isfinite(apparent)):
+        raise ValidationError(
+            f"the powers of this spectrum on supply amplitude {supply.amplitude!r}"
+            " leave the float64 range"
+        )
     pf = active / apparent if apparent > 0.0 else 0.0
     return PowerSummary(
         active_power=active,

@@ -41,7 +41,7 @@ import orjson
 
 from .chebyshev import evaluate_many
 from .elements import ElementKind, MemoryElement
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .harmonics import SupplyVoltage
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -302,12 +302,16 @@ def columns_to_csv(header: str, columns: Sequence[Optional[np.ndarray]]) -> str:
 
     A ``None`` column gives empty cells, so at least one column must be an
     array.  Every other cell is ``repr(float(column[k]))``, the shortest
-    string that reads back as the same float64.
+    string that reads back as the same float64.  A column that holds a nan
+    or an infinity raises :class:`NumericalError` before any text is made.
     """
     arrays = [None if col is None else np.asarray(col, dtype=float) for col in columns]
     lengths = {len(col) for col in arrays if col is not None}
     if len(lengths) != 1:
         raise ValueError("CSV columns must be arrays of one length, at least one of them")
+    for k, col in enumerate(arrays):
+        if col is not None and not np.isfinite(col).all():
+            raise NumericalError(f"CSV column {k + 1} of {header!r} is not finite throughout")
     n = lengths.pop()
     chunks = [header]
     for start in range(0, n, CSV_CHUNK_ROWS):

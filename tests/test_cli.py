@@ -1,10 +1,16 @@
 """Command line behaviour: outputs, determinism, exit codes."""
 
+import contextlib
+import copy
 import dataclasses
+import functools
+import io
 import json
 import math
 import struct
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memsynth import cli, synthesis
+from memsynth.errors import NumericalError
 
 AMP = 230.0 * math.sqrt(2.0)
 OMEGA = 100.0 * math.pi
@@ -56,10 +63,10 @@ def test_load_model_bridge_validation(capsys):
     {},
     [],
     {"a": [], "b": {}, "c": [[], {}, [[]]]},
-    {"floats": [0.1, -0.0, 1e-310, 1e300, 1e16, 1e-05, np.float64(2.5)]},
-    {"non_finite": [float("nan"), float("inf"), -float("inf")], "x": float("nan")},
-    {"mixed": [1.5, 2, True, None, "s", (0.25, 0.5)], "int": 2**70, "flag": False},
-    {"text": 'h\u00e9llo "q" \\ \n\t\u2603 \U0001f600', "n": np.float64(3.25)},
+    {"floats": [0.1, -0.0, 1e-310, 1e300, 1e16, 1e-05, 2.5]},
+    {"extremes": [5e-324, -1.7976931348623157e308, 9999999999999998.0], "x": -1e-05},
+    {"mixed": [1.5, 2, True, None, "s", [0.25, 0.5]], "int": 2**64 - 1, "flag": False},
+    {"text": 'h "q" \\ /', "n": 3.25, "min": -(2**63)},
     {"deep": {"er": {"est": [1.5, {"k": [0.1, 0.2]}]}}},
 ])
 def test_dump_json_matches_stdlib_indent_2(doc):
@@ -74,6 +81,51 @@ def test_dump_json_rejects_what_stdlib_rejects():
             cli._dump_json(doc)
 
 
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+#: JSON values that no memsynth document holds, though the stdlib writes them
+OUTSIDE_THE_GRAMMAR = [
+    np.float64(2.5), (0.25, 0.5), 2**64, -(2**63) - 1, 2**70,
+    "h\u00e9llo", "\u2603", "a\nb", "\x7f", "null", "e-5",
+    {"k\u00e9": 1.0}, {"null": 1.0}, {"a\nb": 1.0}, {"e-": 1.0},
+    _Str("s"), _Int(3), _Float(2.5), _List([1.0]), _Dict(k=1.0),
+]
+
+
+@pytest.mark.parametrize("value", OUTSIDE_THE_GRAMMAR)
+def test_dump_json_raises_type_error_outside_the_grammar(value):
+    for doc in ({"k": value}, [1.0, value], [value] + [1.0] * cli._ARRAY_MIN):
+        with pytest.raises(TypeError):
+            cli._dump_json(doc)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_dump_json_refuses_non_finite_floats(value):
+    floats = [1.0] * cli._ARRAY_MIN
+    for doc in ({"x": value}, {"x": [0.5, value]}, {"x": [*floats, value]},
+                {"x": [value, *floats]}, {"x": [*floats, 2e-5, value, 1e16]}):
+        with pytest.raises(NumericalError, match="not finite"):
+            cli._dump_json(doc)
+
+
 #: the edges of the bands where orjson spells a float otherwise than ``repr``
 BAND_EDGES = [
     float(x)
@@ -81,32 +133,30 @@ BAND_EDGES = [
     for x in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf))
 ]
 SPECIAL_FLOATS = [0.0, 5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
-                  1.7976931348623157e308, float("inf"), float("nan"), *BAND_EDGES]
+                  1.7976931348623157e308, *BAND_EDGES]
 
 _floats = st.one_of(
-    st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
+    st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+    .filter(math.isfinite),
     st.sampled_from(SPECIAL_FLOATS + [-x for x in SPECIAL_FLOATS]),
-    st.floats(),
+    st.floats(allow_nan=False, allow_infinity=False),
 )
+#: strings that :func:`cli._plain` accepts
 _strings = st.one_of(
-    st.text(),
-    st.lists(st.sampled_from(["null", "nu", "ll", "e-", "e", "-5", "a", " ", '"', "\\",
-                              "\x00", "\n", "\x1f", "\x7f", "\u00e9", "\u2603", "\U0001f600"]),
+    st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E)),
+    st.lists(st.sampled_from(["nu", "ll", "e", "-5", "a", " ", '"', "\\", "n", "-"]),
              max_size=6).map("".join),
-)
+).filter(cli._plain)
 _ints = st.one_of(
-    st.integers(),
-    st.sampled_from([2**63 - 1, 2**63, 2**64, -(2**63), -(2**63) - 1, 2**70, -(2**70)]),
+    st.integers(-(2**63), 2**64 - 1),
+    st.sampled_from([2**63 - 1, 2**63, 2**64 - 1, -(2**63)]),
 )
-_json_scalars = st.one_of(
-    _floats, _floats.map(np.float64), _strings, _ints, st.none(), st.booleans()
-)
+_json_scalars = st.one_of(_floats, _strings, _ints, st.none(), st.booleans())
 _long_float_lists = st.lists(_floats, min_size=cli._ARRAY_MIN, max_size=cli._ARRAY_MIN + 8)
 _json_docs = st.recursive(
     st.one_of(_json_scalars, _long_float_lists),
     lambda inner: st.one_of(
         st.lists(inner, max_size=6),
-        st.lists(inner, max_size=6).map(tuple),
         st.dictionaries(_strings, inner, max_size=6),
     ),
     max_leaves=12,
@@ -649,3 +699,149 @@ def test_series_that_overflow_on_a_small_amplitude_exit_2_before_writing(
     assert "overflow the float64 range" in err
     assert "Traceback" not in err and "Warning" not in err
     assert not out.exists() and not report.exists()
+
+
+#: a spectrum whose ac terms square to inf: its rms current and apparent power overflow
+OVERFLOWING_AC_SPECTRUM = {
+    "omega": OMEGA, "dc": 0.0, "supply_amplitude": 325.0,
+    "harmonics": [{"n": 1, "a": 1e300, "b": 1.0}, {"n": 3, "a": 1e300, "b": 1.0}],
+}
+#: a spectrum whose dc**2 raises OverflowError
+OVERFLOWING_DC_SPECTRUM = dict(
+    OVERFLOWING_AC_SPECTRUM, dc=1e300, harmonics=[{"n": 1, "a": 1.0, "b": 1.0}]
+)
+
+
+@pytest.mark.parametrize("spectrum", [OVERFLOWING_AC_SPECTRUM, OVERFLOWING_DC_SPECTRUM],
+                         ids=["ac", "dc"])
+@pytest.mark.parametrize("command", ["report", "compensate"])
+def test_powers_that_leave_float64_exit_2_before_writing(tmp_path, capsys, command, spectrum):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(spectrum))
+    out, report = tmp_path / "out.json", tmp_path / "report.json"
+    extra = ["--report", str(report)] if command == "compensate" else []
+    assert cli.main([command, str(spec), "-o", str(out), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the powers of this spectrum") and "Traceback" not in err
+    assert not out.exists() and not report.exists()
+
+
+# verification squares the raw waveforms, and their overflow still warns
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_characterize_refuses_a_nan_error_before_writing(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(OVERFLOWING_AC_SPECTRUM))
+    out = tmp_path / "out.json"
+    assert cli.main(["characterize", str(spec), "-o", str(out)]) == 3
+    assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _memristor_dec(amplitude, omega, scale, coeffs, constitutive_coeffs):
+    element = {"kind": "memristor", "control": "flux", "scale": scale, "coeffs": coeffs,
+               "constitutive_coeffs": constitutive_coeffs, "scalar_value": None,
+               "companion": None}
+    return {"supply": {"amplitude": amplitude, "omega": omega},
+            "branches": [{"label": "memristor", "element": element}]}
+
+
+# a consistent memristor whose Chebyshev argument scale*phi overflows, and one
+# whose constitutive curve overflows on its own control range
+NON_FINITE_DECOMPOSITIONS = {
+    "argument": _memristor_dec(325.0, OMEGA, 1e300, [1.0, 0.0, 1.0],
+                               [0.0, 1e-300, 0.0, 1e-300 / 3]),
+    "constitutive": _memristor_dec(1.0, 1.0, 1e-300, [1.7e8, 0.0, 1.7e8],
+                                   [0.0, 1.7e308, 0.0, 1.7e308 / 3]),
+}
+
+
+# the overflowing Clenshaw sums warn; the written cells are what is checked here
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command, case", [
+    ("simulate", "argument"), ("hysteresis", "argument"), ("hysteresis", "constitutive"),
+])
+def test_non_finite_samples_exit_3_before_writing(tmp_path, capsys, command, case):
+    dec = tmp_path / "dec.json"
+    dec.write_text(json.dumps(NON_FINITE_DECOMPOSITIONS[case]))
+    out = tmp_path / "out.csv"
+    branch = ["--branch", "memristor"] if command == "hysteresis" else []
+    assert cli.main([command, str(dec), *branch, "--samples-per-period", "64",
+                     "-o", str(out)]) == 3
+    assert "not finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [dec]
+
+
+def _raise_on_constant(name):
+    raise AssertionError(f"non-standard JSON constant {name}")
+
+
+@functools.cache
+def _fuzz_seeds() -> dict:
+    """A valid ``rectifier --nmax 12`` spectrum and its conditioner."""
+    with tempfile.TemporaryDirectory() as tmp:
+        spec, cond = Path(tmp, "spec.json"), Path(tmp, "cond.json")
+        assert cli.main(["load-model", "rectifier", "--nmax", "12", "-o", str(spec)]) == 0
+        assert cli.main(["compensate", str(spec), "-o", str(cond),
+                         "--report", str(Path(tmp, "report.json"))]) == 0
+        return {"spectrum": json.loads(spec.read_text()),
+                "conditioner": json.loads(cond.read_text())}
+
+
+def _leaf_paths(value, path=()):
+    if isinstance(value, dict):
+        return [p for key, item in value.items() for p in _leaf_paths(item, path + (key,))]
+    if isinstance(value, list):
+        return [p for k, item in enumerate(value) for p in _leaf_paths(item, path + (k,))]
+    return [path]
+
+
+MUTANT_VALUES = [0, 0.0, -0.0, 1e-320, -1e-320, 1e300, -1e300, 1e308, -1e308, 2**70,
+                 10**400, float("nan"), float("inf"), -float("inf"), True, None, "1", [1.0]]
+
+_FUZZ_COMMANDS = {
+    "spectrum": [["characterize"], ["compensate", "--report", "{dir}/report.json"], ["report"]],
+    "conditioner": [["simulate", "--samples-per-period", "64"],
+                    ["hysteresis", "--branch", "memcapacitor", "--samples-per-period", "64"]],
+}
+
+
+@st.composite
+def _mutants(draw):
+    kind = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    doc = copy.deepcopy(_fuzz_seeds()[kind])
+    paths = _leaf_paths(doc)
+    for path in draw(st.lists(st.sampled_from(paths), min_size=1, max_size=2, unique=True)):
+        *parents, last = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = draw(st.sampled_from(MUTANT_VALUES))
+    return kind, doc, draw(st.sampled_from(_FUZZ_COMMANDS[kind]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_mutants())
+def test_mutated_documents_exit_cleanly_and_write_only_finite_numbers(mutant):
+    kind, doc, command = mutant
+    with tempfile.TemporaryDirectory() as tmp:
+        source = Path(tmp, "in.json")
+        source.write_text(json.dumps(doc))
+        argv = [command[0], str(source), *(a.format(dir=tmp) for a in command[1:]),
+                "-o", str(Path(tmp, "out.csv" if kind == "conditioner" else "out.json"))]
+        err = io.StringIO()
+        # some of these inputs still make numpy warn on overflow; this test
+        # pins exit codes and written bytes, so it ignores the warnings
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = cli.main(argv)
+        assert code in (0, 2, 3), err.getvalue()
+        written = sorted(p for p in Path(tmp).iterdir() if p != source)
+        if code and not (command[0] == "characterize" and "verification failed" in err.getvalue()):
+            assert written == [], err.getvalue()
+        for path in written:
+            if path.suffix == ".json":
+                json.loads(path.read_text(), parse_constant=_raise_on_constant)
+            else:
+                for line in path.read_text().splitlines()[1:]:
+                    cells = [float(cell) for cell in line.split(",") if cell]
+                    assert all(map(math.isfinite, cells)), line

@@ -17,7 +17,7 @@ from memsynth.elements import (
     memcapacitance_from_cosines,
     memductance_from_sines,
 )
-from memsynth.errors import ValidationError
+from memsynth.errors import NumericalError, ValidationError
 from memsynth.harmonics import HarmonicSpectrum, evaluate_waveform
 from memsynth.loads import (
     bridge_spectrum,
@@ -281,13 +281,24 @@ def _reference_csv(header, columns):
     return "\n".join(lines) + "\n"
 
 
+def _assert_csv_or_refusal(header, columns):
+    """The per-cell text when every cell is finite; a NumericalError otherwise."""
+    if all(np.isfinite(col).all() for col in columns if col is not None):
+        text = columns_to_csv(header, columns)
+        assert text == _reference_csv(header, columns)
+        return text
+    with pytest.raises(NumericalError, match="not finite"):
+        columns_to_csv(header, columns)
+    return None
+
+
 @pytest.mark.parametrize("rows", [0, 1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1])
 def test_columns_to_csv_matches_per_cell_repr_on_special_floats(rows):
     specials = np.resize(np.array(SPECIAL_FLOATS), rows)
     columns = [specials, None, -specials[::-1].copy(), None]
-    text = columns_to_csv("a,b,c,d", columns)
-    assert text == _reference_csv("a,b,c,d", columns)
-    assert text.count("\n") == rows + 1
+    text = _assert_csv_or_refusal("a,b,c,d", columns)
+    if text is not None:
+        assert text.count("\n") == rows + 1
     for column in (specials, -specials):
         assert float_cells(column) == [repr(float(x)) for x in column]
 
@@ -318,7 +329,7 @@ def _csv_columns(draw):
 @given(_csv_columns())
 def test_columns_to_csv_matches_per_cell_repr(columns):
     header = ",".join(f"c{j}" for j in range(len(columns)))
-    assert columns_to_csv(header, columns) == _reference_csv(header, columns)
+    _assert_csv_or_refusal(header, columns)
 
 
 def test_repr_fallback_picks_exactly_the_cells_outside_the_shared_layout():
@@ -346,11 +357,13 @@ def test_fallback_cells_at_chunk_edges(special):
     rows = [0, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS]
     column[rows] = special
     columns = [column, -column]
-    text = columns_to_csv("a,b", columns)
-    assert text == _reference_csv("a,b", columns)
-    lines = text.split("\n")
-    for k in rows:
-        assert lines[k + 1] == f"{special!r},{-special!r}"
+    text = _assert_csv_or_refusal("a,b", columns)
+    if math.isfinite(special):
+        lines = text.split("\n")
+        for k in rows:
+            assert lines[k + 1] == f"{special!r},{-special!r}"
+    else:
+        assert text is None
 
 
 def test_float_cells_on_empty_and_strided_columns():
