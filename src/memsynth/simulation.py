@@ -25,8 +25,10 @@ trace's ``C_of_t`` column alike.
 
 CSV is written column by column (:func:`columns_to_csv`): every cell is the
 shortest round-trip ``repr`` of its float64 sample.  orjson's compiled Ryu
-formatter renders a whole chunk of a column at once (:func:`float_cells`);
-only the cells whose layout differs from ``repr`` go through
+formatter renders a whole chunk of a column at once (:func:`float_cells`)
+with ``repr``'s shortest digits.  The finite cells it lays out differently
+(1e-9 <= |x| < 1e-4 and |x| >= 1e16) are respelled as strings; only nan and
+the infinities, which orjson writes as ``null``, go through
 ``float.__repr__``.
 """
 
@@ -268,32 +270,51 @@ CSV_CHUNK_ROWS = 1024
 
 
 def repr_fallback(x: np.ndarray) -> np.ndarray:
-    """Mask of the samples orjson lays out differently from ``float.__repr__``.
+    """Mask of the samples orjson spells differently from ``float.__repr__``.
 
-    For a nonzero magnitude in [1e-4, 1e16) both print the same shortest
-    digits positionally (``0.0001``, ``9999999999999998.0``), and both print
-    ``0.0`` and ``-0.0``.  Outside it ``repr`` switches to exponent form
-    (``1e-05``, ``1e+16``) where orjson does not or spells it differently
-    (``0.00009999999999999999``, ``1e16``), and orjson writes ``null`` for
-    nan and the infinities.
+    For a magnitude in [1e-4, 1e16) both print the same shortest digits
+    positionally (``0.0001``, ``9999999999999998.0``).  Below 1e-9 both
+    print them with a two- or three-digit negative exponent (``1.5e-12``,
+    ``5e-324``), and both print ``0.0`` and ``-0.0``.  The rest is flagged:
+    orjson writes ``0.0000123``, ``1.5e-7`` and ``1e16`` where ``repr``
+    writes ``1.23e-05``, ``1.5e-07`` and ``1e+16``, and ``null`` for nan and
+    the infinities.
     """
     mag = np.abs(x)
-    return ~((mag >= 1e-4) & (mag < 1e16)) & (x != 0)
+    return ~((mag < 1e-9) | ((mag >= 1e-4) & (mag < 1e16)))
+
+
+def _respell(token: str) -> str:
+    """``repr``'s spelling of a finite orjson token that :func:`repr_fallback` flags.
+
+    Both carry the same shortest digits, so only the layout changes: the
+    exponent of 1e-9 <= |x| < 1e-5 gains a leading zero, that of
+    |x| >= 1e16 a plus sign, and the positional ``[-]0.0000ddd`` of
+    1e-5 <= |x| < 1e-4 becomes ``[-]d.dde-05``.
+    """
+    if "e" in token:
+        return token[:-1] + "0" + token[-1] if "e-" in token else token.replace("e", "e+")
+    sign, digits = ("-", token[7:]) if token[0] == "-" else ("", token[6:])
+    if len(digits) == 1:
+        return f"{sign}{digits}e-05"
+    return f"{sign}{digits[0]}.{digits[1:]}e-05"
 
 
 def float_cells(chunk: np.ndarray) -> list[str]:
     """``[repr(float(x)) for x in chunk]`` for a 1-D float64 array.
 
-    orjson renders the whole chunk with compiled Ryu code; the cells that
-    :func:`repr_fallback` picks are then rewritten by ``float.__repr__``.
+    orjson renders the whole chunk with compiled Ryu code, which already
+    finds ``repr``'s shortest digits; the tokens that :func:`repr_fallback`
+    flags are respelled in ``repr``'s layout, and only nan and the
+    infinities (orjson's ``null``) go through ``float.__repr__``.
     """
     chunk = np.ascontiguousarray(chunk, dtype=float)
     if not len(chunk):
         return []
     cells = orjson.dumps(chunk, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
-    fix = np.flatnonzero(repr_fallback(chunk))
-    for k, x in zip(fix.tolist(), chunk[fix].tolist()):
-        cells[k] = float.__repr__(x)
+    for k in np.flatnonzero(repr_fallback(chunk)).tolist():
+        token = cells[k]
+        cells[k] = float.__repr__(float(chunk[k])) if token == "null" else _respell(token)
     return cells
 
 

@@ -5,6 +5,7 @@ import io
 import math
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,6 +40,7 @@ from memsynth.simulation import (
     simulate,
     supply_states,
     trace_to_csv,
+    _respell,
 )
 from memsynth.synthesis import decompose_load, synthesize_conditioner
 
@@ -332,14 +334,53 @@ def test_columns_to_csv_matches_per_cell_repr(columns):
     _assert_csv_or_refusal(header, columns)
 
 
+def _orjson_tokens(values):
+    text = orjson.dumps(np.asarray(values, dtype=float), option=orjson.OPT_SERIALIZE_NUMPY)
+    return text[1:-1].decode().split(",")
+
+
 def test_repr_fallback_picks_exactly_the_cells_outside_the_shared_layout():
-    inside = [1e-4, float(np.nextafter(1e-4, 1.0)), 0.1, 1.0, 1e15,
-              float(np.nextafter(1e16, 0.0)), 0.0, -0.0]
-    outside = [float(np.nextafter(1e-4, 0.0)), 1e-5, 5e-324, 1e16,
-               float(np.nextafter(1e16, np.inf)), 1e300, float("inf"), float("nan")]
+    edges = [1e-9, 1e-5, 1e-4, 1e16]
+    values = [float(y) for x in edges for y in (np.nextafter(x, 0.0), x, np.nextafter(x, np.inf))]
+    values += [5e-324, 1e-300, 0.0, -0.0, float("nan"), float("inf"), float("-inf"), 0.1, 1e300]
     for sign in (1.0, -1.0):
-        assert not repr_fallback(sign * np.array(inside)).any()
-        assert repr_fallback(sign * np.array(outside)).all()
+        column = sign * np.array(values)
+        differs = [t != repr(x) for t, x in zip(_orjson_tokens(column), column.tolist())]
+        assert repr_fallback(column).tolist() == differs
+    # the oracle is not vacuous: both spellings agree on some cells and not on others
+    assert 0 < sum(differs) < len(differs)
+    assert not repr_fallback(np.array([5e-324, 1e-300, float(np.nextafter(1e-9, 0.0))])).any()
+
+
+@pytest.mark.parametrize(
+    "value, token, spelled",
+    [
+        (0.00002, "0.00002", "2e-05"),
+        (-0.0000123, "-0.0000123", "-1.23e-05"),
+        (1.5e-7, "1.5e-7", "1.5e-07"),
+        (-1e-9, "-1e-9", "-1e-09"),
+        (1e16, "1e16", "1e+16"),
+        (1.7976931348623157e308, "1.7976931348623157e308", "1.7976931348623157e+308"),
+    ],
+)
+def test_respell_turns_each_orjson_layout_into_repr(value, token, spelled):
+    assert _orjson_tokens([value]) == [token]
+    assert _respell(token) == spelled == repr(value)
+    assert float_cells(np.array([value])) == [spelled]
+
+
+def test_float_cells_match_repr_on_every_power_of_ten():
+    powers = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    for column in (powers, -powers):
+        assert float_cells(column) == [repr(x) for x in column.tolist()]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_float_cells_match_repr_on_random_bit_patterns(seed):
+    bits = np.random.default_rng(seed).integers(0, 2**64, 4 * CSV_CHUNK_ROWS + 7, dtype=np.uint64)
+    column = bits.view(np.float64)
+    assert float_cells(column) == [repr(x) for x in column.tolist()]
 
 
 def test_float_cells_on_a_column_wholly_in_the_fallback_range():
@@ -351,7 +392,7 @@ def test_float_cells_on_a_column_wholly_in_the_fallback_range():
     assert columns_to_csv("t,C", columns) == _reference_csv("t,C", columns)
 
 
-@pytest.mark.parametrize("special", [1e-5, -3e-300, 1e16, float("nan"), float("-inf")])
+@pytest.mark.parametrize("special", [1e-5, 1.5e-7, -3e-300, 1e16, float("nan"), float("-inf")])
 def test_fallback_cells_at_chunk_edges(special):
     column = np.linspace(1.0, 2.0, 2 * CSV_CHUNK_ROWS + 3)
     rows = [0, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS]
