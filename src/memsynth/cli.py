@@ -11,6 +11,15 @@ keys, lists, finite floats, ints, bools, ``null`` and plain ASCII strings
 (see :func:`_dump_json`).  No output holds a nan or an infinity: a result
 that is not finite stops the command with exit 3 before any file is written.
 
+orjson also parses the input documents, which must be standard UTF-8 JSON:
+a byte order mark, invalid UTF-8, a lone surrogate escape such as
+``"\\ud800"``, the constants ``NaN``, ``Infinity`` and ``-Infinity``, a
+number beyond the float64 range (``1e400``, a 400-digit integer) and nesting
+deeper than :data:`MAX_JSON_DEPTH` levels are all rejected with exit 2, even
+under a key memsynth ignores.  orjson reads an integer of 2^64 and above as
+the float it rounds to, so ``2**70`` written out as a coefficient reads as
+``1.1805916207174113e+21`` and as a harmonic order is not an integer.
+
 Exit codes: 0 success, 2 invalid input, 3 numerical verification failure or
 a result that is not finite.
 """
@@ -19,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from pathlib import Path
@@ -46,6 +54,7 @@ from .loads import (
 )
 from .simulation import (
     SimulationConfig,
+    _respell,
     columns_to_csv,
     hysteresis_loop,
     loop_indices,
@@ -78,6 +87,21 @@ _ARRAY_MIN = 40
 
 _DIGITS = "0123456789"
 
+#: input documents nested deeper than this are rejected unparsed; memsynth's
+#: own documents nest 5 deep
+MAX_JSON_DEPTH = 1000
+
+#: every byte but the four brackets and the quote, which :func:`_read_json` reads
+_NOT_MARKS = bytes(sorted(set(range(256)) - set(b'[]{}"')))
+
+#: the nesting step of each byte: +1 for an opening bracket, -1 for a closing one
+_DEPTH_STEPS = np.zeros(256, dtype=np.int8)
+_DEPTH_STEPS[list(b"[{")] = 1
+_DEPTH_STEPS[list(b"]}")] = -1
+
+#: brackets and quotes read per step of :func:`_read_json`'s running depth
+_DEPTH_CHUNK = 1 << 16
+
 
 def _dump_json(doc: dict) -> str:
     """``json.dumps(doc, indent=2) + "\\n"``, byte for byte, for memsynth's documents.
@@ -97,6 +121,9 @@ def _dump_json(doc: dict) -> str:
     otherwise, in [1e-5, 1e-4) (positional) or of magnitude 1e16 and up
     (``1e16`` for ``1e+16``), goes to orjson as ``null``, and so does
     ``None``; their stdlib text is filled in afterwards, in document order.
+    The fills of a long float list are orjson's own tokens for them, respelled
+    by :func:`memsynth.simulation._respell`; a lone float is spelled by
+    ``repr``.
     """
     fills: list[str] = []
     text = orjson.dumps(_orjson_ready(doc, fills), option=_ORJSON_OPTIONS).decode() + "\n"
@@ -126,11 +153,11 @@ def _float_array(values: list, fills: list[str]) -> np.ndarray:
     fill = ((m >= 1e-5) & (m < 1e-4)) | ~(m < 1e16)
     if fill.any():
         where = fill.nonzero()[0]
-        spelled = x[where].tolist()
-        for value in spelled:
-            if not math.isfinite(value):
-                raise _not_finite(value)
-        fills.extend(map(float.__repr__, spelled))
+        spelled = x[where]
+        tokens = orjson.dumps(spelled, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+        if "null" in tokens:  # orjson's spelling of nan and the infinities
+            raise _not_finite(spelled[tokens.index("null")].item())
+        fills.extend(map(_respell, tokens))
         x[where] = np.nan
     return x
 
@@ -177,10 +204,34 @@ def _emit(text: str, path: Optional[str]) -> None:
 
 
 def _read_json(path: str) -> dict:
+    """The document in ``path``, parsed by orjson once its nesting depth is checked.
+
+    orjson recurses on nesting and crashes the process when the stack runs
+    out (past about 120 000 levels with an 8 MiB stack), so a document nested
+    deeper than :data:`MAX_JSON_DEPTH` is rejected before it is parsed.  The
+    check skips the brackets inside strings, since a closing one there would
+    hide real depth: the escaped backslashes and quotes are dropped first,
+    so every quote left opens or closes a string.  The check runs over chunks
+    of the brackets and quotes, so its arrays stay small on a large file, and
+    stops at the first chunk past the bound.
+    """
+    data = Path(path).read_bytes()
+    bare = data.replace(b"\\\\", b"").replace(b'\\"', b"") if b"\\" in data else data
+    marks = np.frombuffer(bare.translate(None, _NOT_MARKS), dtype=np.uint8)
+    if len(marks) > MAX_JSON_DEPTH:  # fewer marks hold too few brackets to nest deeper
+        depth, quoted = 0, False
+        for start in range(0, len(marks), _DEPTH_CHUNK):
+            chunk = marks[start:start + _DEPTH_CHUNK]
+            inside = np.bitwise_xor.accumulate(chunk == ord('"')) ^ quoted
+            steps = _DEPTH_STEPS[chunk]
+            steps[inside] = 0
+            running = steps.cumsum(dtype=np.int64)
+            if depth + running.max() > MAX_JSON_DEPTH:
+                raise ValidationError(f"{path}: nested deeper than {MAX_JSON_DEPTH} levels")
+            depth, quoted = depth + int(running[-1]), bool(inside[-1])
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except json.JSONDecodeError as exc:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
 
 

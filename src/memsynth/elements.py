@@ -392,8 +392,9 @@ def _coefficient_list(value, name: str) -> list:
     """A JSON list of float64-range numbers; strings, booleans and nested values are rejected."""
     if not isinstance(value, list):
         raise ValidationError(f"{name} must be a list of numbers, got {value!r}")
-    # json yields exactly int and float for numbers; bool is its own type, and
-    # an int may lie beyond float64, so any non-float entry goes through _real
+    # orjson yields exactly int and float for numbers, and a float for integers
+    # of 2^64 and above; bool is its own type, and a Python caller's int may lie
+    # beyond float64, so any non-float entry goes through _real
     if set(map(type, value)) <= {float}:
         return value
     return [_real(c, f"{name} entries") for c in value]

@@ -181,9 +181,10 @@ class HarmonicSpectrum:
             raise ValidationError(f"spectrum document missing key: {exc}") from exc
         if not isinstance(harmonics, list):
             raise ValidationError("harmonics must be a list")
-        # one type pass per column; json yields exactly int and float for
-        # numbers, so anything else goes through the per-harmonic checks,
-        # which name the first offending value
+        # one type pass per column; orjson yields exactly int and float for
+        # numbers (a float for integers of 2^64 and above), so anything else
+        # goes through the per-harmonic checks, which name the first
+        # offending value
         try:
             n, a, b = ([h[key] for h in harmonics] for key in ("n", "a", "b"))
             typed = set(map(type, n)) <= {int} and set(map(type, a + b)) <= {float}

@@ -7,7 +7,10 @@ import functools
 import io
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -595,7 +598,7 @@ def test_env_var_controls_default_truncation(tmp_path, monkeypatch, capsys):
     assert cli.main(["load-model", "rectifier", "--A", "1.0"]) == 2
 
 
-#: a JSON integer no float64 can hold
+#: a JSON integer no float64 can hold; orjson refuses to parse it
 HUGE = 10**400
 
 
@@ -613,7 +616,7 @@ def test_spectrum_with_integer_beyond_float64_exits_2(tmp_path, capsys, command,
     out, report = tmp_path / "out.json", tmp_path / "report.json"
     extra = ["--report", str(report)] if command == "compensate" else []
     assert cli.main([command, str(spec), "-o", str(out), *extra]) == 2
-    assert "within the float64 range" in capsys.readouterr().err
+    assert "not valid JSON" in capsys.readouterr().err
     assert not out.exists() and not report.exists()
 
 
@@ -629,7 +632,7 @@ def test_decomposition_with_integer_beyond_float64_exits_2(
     tmp_path, capsys, command, label, key, value
 ):
     dec = _edited_dec_file(tmp_path, label, key, value)
-    _assert_rejected(tmp_path, capsys, command, dec, "within the float64 range")
+    _assert_rejected(tmp_path, capsys, command, dec, "not valid JSON")
 
 
 @pytest.mark.parametrize("key", ["amplitude", "omega"])
@@ -639,7 +642,153 @@ def test_decomposition_supply_with_integer_beyond_float64_exits_2(tmp_path, caps
     doc = json.loads(dec.read_text())
     doc["supply"][key] = HUGE
     dec.write_text(json.dumps(doc))
-    _assert_rejected(tmp_path, capsys, command, dec, "within the float64 range")
+    _assert_rejected(tmp_path, capsys, command, dec, "not valid JSON")
+
+
+#: JSON value texts the reader refuses: the non-standard constants, and
+#: numbers beyond the float64 range
+UNREADABLE_VALUES = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400",
+                     pytest.param("9" * 400, id="400-digits")]
+
+
+def _raw_file(tmp_path, doc, raw, name="raw.json"):
+    """``doc`` as JSON with every ``"@"`` string replaced by the text ``raw``."""
+    path = tmp_path / name
+    path.write_bytes(json.dumps(doc).replace('"@"', raw).encode())
+    return path
+
+
+@pytest.mark.parametrize("key", ["b", "supply_amplitude", "n_max"])  # the reader ignores n_max
+@pytest.mark.parametrize("raw", UNREADABLE_VALUES)
+def test_spectrum_with_an_unreadable_number_exits_2(tmp_path, capsys, raw, key):
+    doc = {"omega": OMEGA, "dc": 0.0, "harmonics": [{"n": 1, "a": 0.0, "b": 1.0}],
+           "supply_amplitude": AMP, "n_max": 1}
+    if key == "b":
+        doc["harmonics"][0]["b"] = "@"
+    else:
+        doc[key] = "@"
+    spec = _raw_file(tmp_path, doc, raw)
+    out = tmp_path / "out.json"
+    assert cli.main(["characterize", str(spec), "-o", str(out)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("raw", UNREADABLE_VALUES)
+@pytest.mark.parametrize("command", ["simulate", "hysteresis"])
+def test_decomposition_with_an_unreadable_number_exits_2(tmp_path, capsys, command, raw):
+    doc = json.loads(_dec_file(tmp_path).read_text())
+    doc["verification"]["max_rel_rms_error"] = "@"  # a key the reader ignores
+    dec = _raw_file(tmp_path, doc, raw)
+    _assert_rejected(tmp_path, capsys, command, dec, "not valid JSON")
+
+
+def test_order_of_2_to_the_64_is_not_an_integer(tmp_path, capsys):
+    # orjson reads an integer of 2^64 and above as a float
+    doc = {"omega": OMEGA, "harmonics": [{"n": "@", "a": 0.0, "b": 1.0}],
+           "supply_amplitude": AMP}
+    spec = _raw_file(tmp_path, doc, str(2**64))
+    out = tmp_path / "out.json"
+    assert cli.main(["characterize", str(spec), "-o", str(out)]) == 2
+    assert "harmonic order n must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: b"\xef\xbb\xbf" + text,  # a UTF-8 byte order mark
+    lambda text: text.replace(b'"memcapacitor"', b'"mem\xffcapacitor"'),  # invalid UTF-8
+    lambda text: text.replace(b'"memcapacitor"', b'"\\ud800"'),  # a lone surrogate
+], ids=["bom", "invalid-utf8", "lone-surrogate"])
+@pytest.mark.parametrize("command", ["simulate", "hysteresis"])
+def test_decomposition_that_is_not_standard_utf8_json_exits_2(tmp_path, capsys, command, edit):
+    dec = _dec_file(tmp_path)
+    dec.write_bytes(edit(dec.read_bytes()))
+    _assert_rejected(tmp_path, capsys, command, dec, "not valid JSON")
+
+
+def test_integer_coefficient_reads_as_its_float(tmp_path):
+    # 2**70 is beyond orjson's 64-bit integers; it reads as the float it rounds to
+    outputs = []
+    for raw in (str(2**70), repr(float(2**70))):
+        doc = {"omega": OMEGA, "dc": 0.0, "supply_amplitude": AMP,
+               "harmonics": [{"n": 1, "a": 0.0, "b": 1.0}, {"n": 3, "a": "@", "b": 0.0}]}
+        out = tmp_path / "out.json"
+        assert cli.main(["characterize", str(_raw_file(tmp_path, doc, raw)), "-o", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert repr(float(2**70)) == "1.1805916207174113e+21"
+    assert outputs[0] == outputs[1]
+
+
+#: JSON texts of a list nested ``d`` deep; in all but the first, strings hold
+#: closing brackets and escapes that a count of every bracket would misread
+NESTINGS = {
+    "plain": lambda d: "[" * d + "]" * d,
+    "closing-bracket-strings": lambda d: '["]", ' * d + "0" + "]" * d,
+    "closing-bracket-run": lambda d: '["' + "]" * d + '", ' + "[" * (d - 1) + "]" * d,
+    "escaped-quotes": lambda d: '["\\"]", ' * d + "0" + "]" * d,
+    "escaped-backslashes": lambda d: '["\\\\", "]", ' * d + "0" + "]" * d,
+}
+
+
+def _nested_file(tmp_path, depth, nesting="plain"):
+    """A spectrum document whose ignored ``n_max`` holds a list nested ``depth`` deep."""
+    doc = {"omega": OMEGA, "supply_amplitude": AMP, "n_max": "@",
+           "harmonics": [{"n": 1, "a": 0.0, "b": 1.0}]}
+    return _raw_file(tmp_path, doc, NESTINGS[nesting](depth))
+
+
+@pytest.mark.parametrize("nesting", NESTINGS)
+@pytest.mark.parametrize("depth", [cli.MAX_JSON_DEPTH, 2000])
+def test_document_nested_too_deep_exits_2(tmp_path, capsys, depth, nesting):
+    # the document's own object is one more level
+    out = tmp_path / "out.json"
+    spec = _nested_file(tmp_path, depth, nesting)
+    assert cli.main(["characterize", str(spec), "-o", str(out)]) == 2
+    assert f"nested deeper than {cli.MAX_JSON_DEPTH} levels" in capsys.readouterr().err
+    assert not out.exists()
+    spec = _nested_file(tmp_path, cli.MAX_JSON_DEPTH - 1, nesting)
+    assert cli.main(["characterize", str(spec), "-o", str(out)]) == 0
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+def test_nesting_depth_carries_across_chunks(tmp_path, capsys, monkeypatch, chunk):
+    monkeypatch.setattr(cli, "_DEPTH_CHUNK", chunk)
+    out = tmp_path / "out.json"
+    for nesting in NESTINGS:
+        for depth, code in [(cli.MAX_JSON_DEPTH - 1, 0), (cli.MAX_JSON_DEPTH, 2)]:
+            spec = _nested_file(tmp_path, depth, nesting)
+            assert cli.main(["characterize", str(spec), "-o", str(out)]) == code, nesting
+    assert capsys.readouterr().err.count("nested deeper than") == len(NESTINGS)
+
+
+def test_brackets_inside_strings_are_not_counted(tmp_path):
+    doc = {"omega": OMEGA, "supply_amplitude": AMP, "n_max": "@",
+           "harmonics": [{"n": 1, "a": 0.0, "b": 1.0}]}
+    spec = _raw_file(tmp_path, doc, '"' + "[" * 2000 + '"')
+    assert cli.main(["characterize", str(spec), "-o", str(tmp_path / "out.json")]) == 0
+
+
+def test_unclosed_brackets_are_counted_from_one_past_the_bound(tmp_path, capsys):
+    path = tmp_path / "open.json"
+    for count, message in [(cli.MAX_JSON_DEPTH, "not valid JSON"),
+                           (cli.MAX_JSON_DEPTH + 1, "nested deeper")]:
+        path.write_text("[" * count)
+        assert cli.main(["characterize", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("nesting", NESTINGS)
+def test_document_nested_a_million_deep_exits_2_without_a_crash(tmp_path, nesting):
+    # a crash in the parser would kill the process, so it runs in its own
+    src = str(Path(cli.__file__).parents[1])
+    out = tmp_path / "out.json"
+    argv = ["characterize", str(_nested_file(tmp_path, 1_000_000, nesting)), "-o", str(out)]
+    code = "import sys; from memsynth import cli; sys.exit(cli.main(sys.argv[1:]))"
+    run = subprocess.run([sys.executable, "-c", code, *argv], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 2, run.stderr
+    assert "nested deeper than" in run.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["characterize", "compensate", "report"])
