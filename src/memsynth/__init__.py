@@ -54,7 +54,6 @@ from .simulation import (
     hysteresis_loop,
     simulate,
     supply_states,
-    trace_to_csv,
 )
 from .synthesis import (
     AssignmentPolicy,
@@ -66,6 +65,7 @@ from .synthesis import (
     synthesize_conditioner,
     verify_decomposition,
 )
+from .textio import trace_to_csv
 
 __version__ = "0.1.0"
 

@@ -22,28 +22,18 @@ Every Chebyshev series of a simulation is evaluated in one shared pass
 (:func:`memsynth.chebyshev.evaluate_many`), once per output: the
 memcapacitor's ``C_M(phi)`` samples feed its current, its charge and the
 trace's ``C_of_t`` column alike.
-
-CSV is written column by column (:func:`columns_to_csv`): every cell is the
-shortest round-trip ``repr`` of its float64 sample.  orjson's compiled Ryu
-formatter renders a whole chunk of a column at once (:func:`float_cells`)
-with ``repr``'s shortest digits.  The finite cells it lays out differently
-(1e-9 <= |x| < 1e-4 and |x| >= 1e16) are respelled as strings; only nan and
-the infinities, which orjson writes as ``null``, go through
-``float.__repr__``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
-import orjson
 
 from .chebyshev import evaluate_many
 from .elements import ElementKind, MemoryElement
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .harmonics import SupplyVoltage
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -257,117 +247,3 @@ def hysteresis_loop(element: MemoryElement, states: SupplyStates, *extra) -> tup
     drive = states.phi if element.kind is ElementKind.MEMINDUCTOR else states.u
     return (drive, current, *samples[len(pairs) :])
 
-
-_GM_KINDS = (ElementKind.MEMRISTOR, ElementKind.RESISTOR)
-_GAMMA_KINDS = (ElementKind.MEMINDUCTOR, ElementKind.INDUCTOR)
-_CM_KINDS = (ElementKind.MEMCAPACITOR, ElementKind.CAPACITOR)
-
-TRACE_HEADER = "t,u,phi,sigma,i_total,i_dc,i_GM,i_GammaM,i_CM,q_CM,C_of_t"
-
-#: rows rendered at a time by :func:`columns_to_csv`; bounds the Python
-#: floats and strings alive at once to one chunk's worth
-CSV_CHUNK_ROWS = 1024
-
-
-def repr_fallback(x: np.ndarray) -> np.ndarray:
-    """Mask of the samples orjson spells differently from ``float.__repr__``.
-
-    For a magnitude in [1e-4, 1e16) both print the same shortest digits
-    positionally (``0.0001``, ``9999999999999998.0``).  Below 1e-9 both
-    print them with a two- or three-digit negative exponent (``1.5e-12``,
-    ``5e-324``), and both print ``0.0`` and ``-0.0``.  The rest is flagged:
-    orjson writes ``0.0000123``, ``1.5e-7`` and ``1e16`` where ``repr``
-    writes ``1.23e-05``, ``1.5e-07`` and ``1e+16``, and ``null`` for nan and
-    the infinities.
-    """
-    mag = np.abs(x)
-    return ~((mag < 1e-9) | ((mag >= 1e-4) & (mag < 1e16)))
-
-
-def _respell(token: str) -> str:
-    """``repr``'s spelling of a finite orjson token that :func:`repr_fallback` flags.
-
-    Both carry the same shortest digits, so only the layout changes: the
-    exponent of 1e-9 <= |x| < 1e-5 gains a leading zero, that of
-    |x| >= 1e16 a plus sign, and the positional ``[-]0.0000ddd`` of
-    1e-5 <= |x| < 1e-4 becomes ``[-]d.dde-05``.
-    """
-    if "e" in token:
-        return token[:-1] + "0" + token[-1] if "e-" in token else token.replace("e", "e+")
-    sign, digits = ("-", token[7:]) if token[0] == "-" else ("", token[6:])
-    if len(digits) == 1:
-        return f"{sign}{digits}e-05"
-    return f"{sign}{digits[0]}.{digits[1:]}e-05"
-
-
-def float_cells(chunk: np.ndarray) -> list[str]:
-    """``[repr(float(x)) for x in chunk]`` for a 1-D float64 array.
-
-    orjson renders the whole chunk with compiled Ryu code, which already
-    finds ``repr``'s shortest digits; the tokens that :func:`repr_fallback`
-    flags are respelled in ``repr``'s layout, and only nan and the
-    infinities (orjson's ``null``) go through ``float.__repr__``.
-    """
-    chunk = np.ascontiguousarray(chunk, dtype=float)
-    if not len(chunk):
-        return []
-    cells = orjson.dumps(chunk, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
-    for k in np.flatnonzero(repr_fallback(chunk)).tolist():
-        token = cells[k]
-        cells[k] = float.__repr__(float(chunk[k])) if token == "null" else _respell(token)
-    return cells
-
-
-def columns_to_csv(header: str, columns: Sequence[Optional[np.ndarray]]) -> str:
-    """CSV text with one row per sample of equal-length float columns.
-
-    A ``None`` column gives empty cells, so at least one column must be an
-    array.  Every other cell is ``repr(float(column[k]))``, the shortest
-    string that reads back as the same float64.  A column that holds a nan
-    or an infinity raises :class:`NumericalError` before any text is made.
-    """
-    arrays = [None if col is None else np.asarray(col, dtype=float) for col in columns]
-    lengths = {len(col) for col in arrays if col is not None}
-    if len(lengths) != 1:
-        raise ValueError("CSV columns must be arrays of one length, at least one of them")
-    for k, col in enumerate(arrays):
-        if col is not None and not np.isfinite(col).all():
-            raise NumericalError(f"CSV column {k + 1} of {header!r} is not finite throughout")
-    n = lengths.pop()
-    chunks = [header]
-    for start in range(0, n, CSV_CHUNK_ROWS):
-        stop = start + CSV_CHUNK_ROWS
-        cells = [repeat("") if col is None else float_cells(col[start:stop]) for col in arrays]
-        chunks.append("\n".join(map(",".join, zip(*cells))))
-    chunks.append("")
-    return "\n".join(chunks)
-
-
-def trace_to_csv(trace: SimulationTrace) -> str:
-    """Render a trace with the fixed column layout.
-
-    Branch families are summed into their columns (an LTI companion inductor
-    lands in i_GammaM, a companion capacitor in i_CM) so every row satisfies
-    i_total = i_dc + i_GM + i_GammaM + i_CM.  q_CM and C_of_t describe the
-    memcapacitor element itself.  Families with no branch yield empty cells.
-    """
-    if not trace.branches:
-        return TRACE_HEADER + "\n"
-
-    def family(kinds) -> Optional[np.ndarray]:
-        picked = [b.current for b in trace.branches if b.element.kind in kinds]
-        if not picked:
-            return None
-        out = picked[0].copy()
-        for extra in picked[1:]:
-            out += extra
-        return out
-
-    q_cm = None
-    for branch in trace.branches:
-        if branch.element.kind is ElementKind.MEMCAPACITOR:
-            q_cm = branch.charge
-    columns = [trace.t, trace.u, trace.states.phi, trace.states.sigma, trace.i_total,
-               family((ElementKind.DC_SOURCE,)), family(_GM_KINDS), family(_GAMMA_KINDS),
-               family(_CM_KINDS), q_cm, trace.capacitance]
-    return columns_to_csv(TRACE_HEADER, columns)

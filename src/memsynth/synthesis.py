@@ -89,6 +89,17 @@ class AssignmentPolicy:
 
 DEFAULT_POLICY = AssignmentPolicy()
 
+#: the label of each element kind's branch in a decomposition document
+BRANCH_LABELS = {
+    ElementKind.DC_SOURCE: "dc",
+    ElementKind.RESISTOR: "resistor",
+    ElementKind.MEMRISTOR: "memristor",
+    ElementKind.MEMINDUCTOR: "meminductor",
+    ElementKind.MEMCAPACITOR: "memcapacitor",
+    ElementKind.INDUCTOR: "companion_inductor",
+    ElementKind.CAPACITOR: "companion_capacitor",
+}
+
 
 @dataclass(frozen=True)
 class LoadDecomposition:
@@ -107,24 +118,8 @@ class LoadDecomposition:
     companions: tuple[MemoryElement, ...] = ()
 
     def branches(self) -> list[tuple[str, MemoryElement]]:
-        out: list[tuple[str, MemoryElement]] = []
-        if self.dc is not None:
-            out.append(("dc", self.dc))
-        if self.memristor is not None:
-            label = "resistor" if self.memristor.kind is ElementKind.RESISTOR else "memristor"
-            out.append((label, self.memristor))
-        if self.meminductor is not None:
-            out.append(("meminductor", self.meminductor))
-        if self.memcapacitor is not None:
-            out.append(("memcapacitor", self.memcapacitor))
-        for companion in self.companions:
-            label = (
-                "companion_inductor"
-                if companion.kind is ElementKind.INDUCTOR
-                else "companion_capacitor"
-            )
-            out.append((label, companion))
-        return out
+        slots = (self.dc, self.memristor, self.meminductor, self.memcapacitor, *self.companions)
+        return [(BRANCH_LABELS[element.kind], element) for element in slots if element is not None]
 
     def to_dict(self) -> dict:
         return {
@@ -148,12 +143,15 @@ class LoadDecomposition:
         slots: dict[str, MemoryElement] = {}
         companions: list[MemoryElement] = []
         for label, element in raw:
+            if label != BRANCH_LABELS[element.kind]:
+                raise ValidationError(
+                    f"branch label {label!r} does not match its element kind"
+                    f" {element.kind.value!r}, whose label is {BRANCH_LABELS[element.kind]!r}"
+                )
             if label in ("companion_inductor", "companion_capacitor"):
                 companions.append(element)
                 continue
             slot = "memristor" if label == "resistor" else label
-            if slot not in ("dc", "memristor", "meminductor", "memcapacitor"):
-                raise ValidationError(f"unknown branch label {label!r}")
             if slot in slots:
                 raise ValidationError(f"duplicate branch label {label!r}")
             slots[slot] = element
@@ -366,12 +364,14 @@ def verify_decomposition(
     wanted[:, 1 : target.n_max + 1] = target.cos, target.sin
     wanted[0, 0] = target.dc
     got = np.array([(projected.dc, *projected.cos), (0.0, *projected.sin)])
-    target_wave = _grid_samples(wanted, spp)
+    # both waveforms in units of the largest target coefficient, so that no
+    # square overflows
+    scale = float(np.max(np.abs(wanted))) or 1.0
+    target_wave = _grid_samples(wanted / scale, spp)
     target_rms = float(np.sqrt(np.mean(target_wave**2)))
-    err_rms = float(np.sqrt(np.mean((current - target_wave) ** 2)))
+    err_rms = float(np.sqrt(np.mean((current / scale - target_wave) ** 2)))
     rel = err_rms / target_rms if target_rms > 0.0 else err_rms
 
-    scale = float(np.max(np.abs(wanted))) or 1.0
     worst = float(np.max(np.abs(got - wanted)))
     return VerificationReport(
         rel_rms_error=rel,

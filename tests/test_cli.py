@@ -8,7 +8,6 @@ import io
 import json
 import math
 import os
-import struct
 import subprocess
 import sys
 import tempfile
@@ -20,8 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memsynth import cli, synthesis
-from memsynth.errors import NumericalError
+from memsynth import cli, synthesis, textio
 
 AMP = 230.0 * math.sqrt(2.0)
 OMEGA = 100.0 * math.pi
@@ -60,129 +58,6 @@ def test_load_model_rectifier(capsys):
 def test_load_model_bridge_validation(capsys):
     assert cli.main(["load-model", "bridge", "--delta", "4.0"]) == 2
     assert "error:" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("doc", [
-    {},
-    [],
-    {"a": [], "b": {}, "c": [[], {}, [[]]]},
-    {"floats": [0.1, -0.0, 1e-310, 1e300, 1e16, 1e-05, 2.5]},
-    {"extremes": [5e-324, -1.7976931348623157e308, 9999999999999998.0], "x": -1e-05},
-    {"mixed": [1.5, 2, True, None, "s", [0.25, 0.5]], "int": 2**64 - 1, "flag": False},
-    {"text": 'h "q" \\ /', "n": 3.25, "min": -(2**63)},
-    {"deep": {"er": {"est": [1.5, {"k": [0.1, 0.2]}]}}},
-])
-def test_dump_json_matches_stdlib_indent_2(doc):
-    assert cli._dump_json(doc) == json.dumps(doc, indent=2) + "\n"
-
-
-def test_dump_json_rejects_what_stdlib_rejects():
-    for doc in ({"k": np.int64(3)}, {"k": object()}, [np.arange(2)]):
-        with pytest.raises(TypeError):
-            json.dumps(doc, indent=2)
-        with pytest.raises(TypeError):
-            cli._dump_json(doc)
-
-
-class _Str(str):
-    pass
-
-
-class _Int(int):
-    pass
-
-
-class _Float(float):
-    pass
-
-
-class _List(list):
-    pass
-
-
-class _Dict(dict):
-    pass
-
-
-#: JSON values that no memsynth document holds, though the stdlib writes them
-OUTSIDE_THE_GRAMMAR = [
-    np.float64(2.5), (0.25, 0.5), 2**64, -(2**63) - 1, 2**70,
-    "h\u00e9llo", "\u2603", "a\nb", "\x7f", "null", "e-5",
-    {"k\u00e9": 1.0}, {"null": 1.0}, {"a\nb": 1.0}, {"e-": 1.0},
-    _Str("s"), _Int(3), _Float(2.5), _List([1.0]), _Dict(k=1.0),
-]
-
-
-@pytest.mark.parametrize("value", OUTSIDE_THE_GRAMMAR)
-def test_dump_json_raises_type_error_outside_the_grammar(value):
-    for doc in ({"k": value}, [1.0, value], [value] + [1.0] * cli._ARRAY_MIN):
-        with pytest.raises(TypeError):
-            cli._dump_json(doc)
-
-
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
-def test_dump_json_refuses_non_finite_floats(value):
-    floats = [1.0] * cli._ARRAY_MIN
-    for doc in ({"x": value}, {"x": [0.5, value]}, {"x": [*floats, value]},
-                {"x": [value, *floats]}, {"x": [*floats, 2e-5, value, 1e16]}):
-        with pytest.raises(NumericalError, match="not finite"):
-            cli._dump_json(doc)
-
-
-#: the edges of the bands where orjson spells a float otherwise than ``repr``
-BAND_EDGES = [
-    float(x)
-    for edge in (1e-5, 1e-4, 1e16)
-    for x in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf))
-]
-SPECIAL_FLOATS = [0.0, 5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
-                  1.7976931348623157e308, *BAND_EDGES]
-
-_floats = st.one_of(
-    st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
-    .filter(math.isfinite),
-    st.sampled_from(SPECIAL_FLOATS + [-x for x in SPECIAL_FLOATS]),
-    st.floats(allow_nan=False, allow_infinity=False),
-)
-#: strings that :func:`cli._plain` accepts
-_strings = st.one_of(
-    st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E)),
-    st.lists(st.sampled_from(["nu", "ll", "e", "-5", "a", " ", '"', "\\", "n", "-"]),
-             max_size=6).map("".join),
-).filter(cli._plain)
-_ints = st.one_of(
-    st.integers(-(2**63), 2**64 - 1),
-    st.sampled_from([2**63 - 1, 2**63, 2**64 - 1, -(2**63)]),
-)
-_json_scalars = st.one_of(_floats, _strings, _ints, st.none(), st.booleans())
-_long_float_lists = st.lists(_floats, min_size=cli._ARRAY_MIN, max_size=cli._ARRAY_MIN + 8)
-_json_docs = st.recursive(
-    st.one_of(_json_scalars, _long_float_lists),
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=6),
-        st.dictionaries(_strings, inner, max_size=6),
-    ),
-    max_leaves=12,
-)
-
-
-@settings(max_examples=120, deadline=None)
-@given(_json_docs)
-def test_dump_json_matches_stdlib_on_any_document(doc):
-    assert cli._dump_json(doc) == json.dumps(doc, indent=2) + "\n"
-
-
-@pytest.mark.parametrize("value", BAND_EDGES)
-def test_dump_json_fills_exactly_the_floats_orjson_spells_otherwise(value):
-    # a fill where none is needed still prints the stdlib text, so only this
-    # test sees a band that grew by one ulp
-    band = 1e-5 <= value < 1e-4 or value >= 1e16
-    for x in (value, -value):
-        want = [repr(x)] if band else []
-        for doc, fills_wanted in ((x, want), ([x] * cli._ARRAY_MIN, want * cli._ARRAY_MIN)):
-            fills = []
-            cli._orjson_ready(doc, fills)
-            assert fills == fills_wanted
 
 
 def test_byte_determinism(tmp_path):
@@ -540,11 +415,14 @@ def _edited_dec_file(tmp_path, label, key, value):
 
 
 def _assert_rejected(tmp_path, capsys, command, dec, message):
+    """The command's error text, once it is checked to exit 2 with ``message`` and write nothing."""
     branch = ["--branch", "memcapacitor"] if command == "hysteresis" else []
     assert cli.main([command, str(dec), *branch, "-o", str(tmp_path / "x.csv")]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
     assert not (tmp_path / "x.csv").exists()
     assert not (tmp_path / "x_constitutive.csv").exists()
+    return err
 
 
 @pytest.mark.parametrize("label, key, value", MALFORMED_ELEMENT_VALUES)
@@ -575,6 +453,35 @@ def test_decomposition_supply_must_be_numbers(tmp_path, capsys, key, value):
     doc["supply"][key] = value
     dec.write_text(json.dumps(doc))
     _assert_rejected(tmp_path, capsys, "simulate", dec, "must be a number")
+
+
+#: relabellings of a rectifier decomposition's branches, to another kind's label or to none
+MISMATCHED_LABELS = {
+    "dc-as-memcapacitor": {"dc": "memcapacitor"},
+    "memcapacitor-as-meminductor": {"memcapacitor": "meminductor"},
+    "companion-inductor-as-capacitor": {"companion_inductor": "companion_capacitor"},
+    "all-three": {"dc": "memcapacitor", "memcapacitor": "meminductor",
+                  "companion_inductor": "companion_capacitor"},
+    "unknown-label": {"memcapacitor": "capacitor"},
+}
+
+
+@pytest.mark.parametrize("relabel", MISMATCHED_LABELS.values(), ids=MISMATCHED_LABELS)
+@pytest.mark.parametrize("command", ["simulate", "hysteresis"])
+def test_branch_label_must_match_its_element_kind(tmp_path, capsys, command, relabel):
+    spec = tmp_path / "spec.json"
+    assert cli.main(["load-model", "rectifier", "--nmax", "12", "-o", str(spec)]) == 0
+    dec = _dec_file(tmp_path, spec)
+    doc = json.loads(dec.read_text())
+    for branch in doc["branches"]:
+        branch["label"] = relabel.get(branch["label"], branch["label"])
+    dec.write_text(json.dumps(doc))
+    before = sorted(tmp_path.iterdir())
+    # the label that two of these documents give the memcapacitor
+    branch = ["--branch", "meminductor"] if command == "hysteresis" else []
+    assert cli.main([command, str(dec), *branch, "-o", str(tmp_path / "x.csv")]) == 2
+    assert "does not match its element kind" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_malformed_nmax_env_leaves_other_subcommands_working(tmp_path, monkeypatch, capsys):
@@ -694,16 +601,21 @@ def test_order_of_2_to_the_64_is_not_an_integer(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("edit", [
-    lambda text: b"\xef\xbb\xbf" + text,  # a UTF-8 byte order mark
-    lambda text: text.replace(b'"memcapacitor"', b'"mem\xffcapacitor"'),  # invalid UTF-8
-    lambda text: text.replace(b'"memcapacitor"', b'"\\ud800"'),  # a lone surrogate
+@pytest.mark.parametrize("edit, reason", [
+    (lambda text: b"\xef\xbb\xbf" + text, "byte order mark"),
+    (lambda text: text.replace(b'"memcapacitor"', b'"mem\xffcapacitor"'), "not valid UTF-8"),
+    (lambda text: text.replace(b'"memcapacitor"', b'"\\ud800"'), "surrogate"),
 ], ids=["bom", "invalid-utf8", "lone-surrogate"])
 @pytest.mark.parametrize("command", ["simulate", "hysteresis"])
-def test_decomposition_that_is_not_standard_utf8_json_exits_2(tmp_path, capsys, command, edit):
+def test_decomposition_that_is_not_standard_utf8_json_exits_2(
+    tmp_path, capsys, command, edit, reason
+):
     dec = _dec_file(tmp_path)
     dec.write_bytes(edit(dec.read_bytes()))
-    _assert_rejected(tmp_path, capsys, command, dec, "not valid JSON")
+    err = _assert_rejected(tmp_path, capsys, command, dec, "not valid JSON")
+    assert reason in err
+    # only the surrogate escape is named as one
+    assert ("surrogate" in err) == (reason == "surrogate")
 
 
 def test_integer_coefficient_reads_as_its_float(tmp_path):
@@ -738,24 +650,24 @@ def _nested_file(tmp_path, depth, nesting="plain"):
 
 
 @pytest.mark.parametrize("nesting", NESTINGS)
-@pytest.mark.parametrize("depth", [cli.MAX_JSON_DEPTH, 2000])
+@pytest.mark.parametrize("depth", [textio.MAX_JSON_DEPTH, 2000])
 def test_document_nested_too_deep_exits_2(tmp_path, capsys, depth, nesting):
     # the document's own object is one more level
     out = tmp_path / "out.json"
     spec = _nested_file(tmp_path, depth, nesting)
     assert cli.main(["characterize", str(spec), "-o", str(out)]) == 2
-    assert f"nested deeper than {cli.MAX_JSON_DEPTH} levels" in capsys.readouterr().err
+    assert f"nested deeper than {textio.MAX_JSON_DEPTH} levels" in capsys.readouterr().err
     assert not out.exists()
-    spec = _nested_file(tmp_path, cli.MAX_JSON_DEPTH - 1, nesting)
+    spec = _nested_file(tmp_path, textio.MAX_JSON_DEPTH - 1, nesting)
     assert cli.main(["characterize", str(spec), "-o", str(out)]) == 0
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 4096])
 def test_nesting_depth_carries_across_chunks(tmp_path, capsys, monkeypatch, chunk):
-    monkeypatch.setattr(cli, "_DEPTH_CHUNK", chunk)
+    monkeypatch.setattr(textio, "_DEPTH_CHUNK", chunk)
     out = tmp_path / "out.json"
     for nesting in NESTINGS:
-        for depth, code in [(cli.MAX_JSON_DEPTH - 1, 0), (cli.MAX_JSON_DEPTH, 2)]:
+        for depth, code in [(textio.MAX_JSON_DEPTH - 1, 0), (textio.MAX_JSON_DEPTH, 2)]:
             spec = _nested_file(tmp_path, depth, nesting)
             assert cli.main(["characterize", str(spec), "-o", str(out)]) == code, nesting
     assert capsys.readouterr().err.count("nested deeper than") == len(NESTINGS)
@@ -770,8 +682,8 @@ def test_brackets_inside_strings_are_not_counted(tmp_path):
 
 def test_unclosed_brackets_are_counted_from_one_past_the_bound(tmp_path, capsys):
     path = tmp_path / "open.json"
-    for count, message in [(cli.MAX_JSON_DEPTH, "not valid JSON"),
-                           (cli.MAX_JSON_DEPTH + 1, "nested deeper")]:
+    for count, message in [(textio.MAX_JSON_DEPTH, "not valid JSON"),
+                           (textio.MAX_JSON_DEPTH + 1, "nested deeper")]:
         path.write_text("[" * count)
         assert cli.main(["characterize", str(path)]) == 2
         assert message in capsys.readouterr().err
@@ -875,15 +787,17 @@ def test_powers_that_leave_float64_exit_2_before_writing(tmp_path, capsys, comma
     assert not out.exists() and not report.exists()
 
 
-# verification squares the raw waveforms, and their overflow still warns
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_characterize_refuses_a_nan_error_before_writing(tmp_path, capsys):
+@pytest.mark.parametrize("spectrum", [OVERFLOWING_AC_SPECTRUM, OVERFLOWING_DC_SPECTRUM],
+                         ids=["ac", "dc"])
+def test_characterize_verifies_a_spectrum_whose_squares_overflow(tmp_path, spectrum):
+    # verification squares the waveforms in units of the target's peak, so
+    # nothing overflows (pyproject.toml turns a RuntimeWarning into an error)
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(OVERFLOWING_AC_SPECTRUM))
+    spec.write_text(json.dumps(spectrum))
     out = tmp_path / "out.json"
-    assert cli.main(["characterize", str(spec), "-o", str(out)]) == 3
-    assert "not finite" in capsys.readouterr().err
-    assert not out.exists()
+    assert cli.main(["characterize", str(spec), "-o", str(out)]) == 0
+    error = json.loads(out.read_text())["verification"]["max_rel_rms_error"]
+    assert math.isfinite(error) and error <= cli.VERIFY_GATE
 
 
 def _memristor_dec(amplitude, omega, scale, coeffs, constitutive_coeffs):

@@ -5,10 +5,7 @@ import io
 import math
 
 import numpy as np
-import orjson
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from memsynth import chebyshev, simulation
 
@@ -18,7 +15,7 @@ from memsynth.elements import (
     memcapacitance_from_cosines,
     memductance_from_sines,
 )
-from memsynth.errors import NumericalError, ValidationError
+from memsynth.errors import ValidationError
 from memsynth.harmonics import HarmonicSpectrum, evaluate_waveform
 from memsynth.loads import (
     bridge_spectrum,
@@ -27,22 +24,16 @@ from memsynth.loads import (
     rectifier_spectrum,
 )
 from memsynth.simulation import (
-    CSV_CHUNK_ROWS,
     MAX_GRID_SAMPLES,
-    TRACE_HEADER,
     SimulationConfig,
     branch_current,
-    columns_to_csv,
-    float_cells,
     hysteresis_loop,
     loop_indices,
-    repr_fallback,
     simulate,
     supply_states,
-    trace_to_csv,
-    _respell,
 )
 from memsynth.synthesis import decompose_load, synthesize_conditioner
+from memsynth.textio import TRACE_HEADER, trace_to_csv
 
 from trace_branches import branch, branch_average_power
 
@@ -263,164 +254,6 @@ def test_trace_csv_empty_families_and_exact_cells():
 def test_trace_csv_header_only_when_empty():
     trace = simulate(decompose_load(SUPPLY, HarmonicSpectrum(OMEGA)))
     assert trace_to_csv(trace) == TRACE_HEADER + "\n"
-
-
-SPECIAL_FLOATS = [
-    0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e-5, 1e16, 1.7976931348623157e308,
-    0.1, -1.0 / 3.0, float("inf"), float("-inf"), float("nan"),
-    # the edges of the range where orjson and ``repr`` lay a float out alike
-    1e-4, float(np.nextafter(1e-4, 0.0)), float(np.nextafter(1e-4, 1.0)),
-    float(np.nextafter(1e16, 0.0)), float(np.nextafter(1e16, np.inf)), 9999999999999998.0,
-]
-
-
-def _reference_csv(header, columns):
-    """The per-cell loop the columnar writer replaced."""
-    n = len(next(col for col in columns if col is not None))
-    lines = [header]
-    for k in range(n):
-        lines.append(",".join("" if col is None else repr(float(col[k])) for col in columns))
-    return "\n".join(lines) + "\n"
-
-
-def _assert_csv_or_refusal(header, columns):
-    """The per-cell text when every cell is finite; a NumericalError otherwise."""
-    if all(np.isfinite(col).all() for col in columns if col is not None):
-        text = columns_to_csv(header, columns)
-        assert text == _reference_csv(header, columns)
-        return text
-    with pytest.raises(NumericalError, match="not finite"):
-        columns_to_csv(header, columns)
-    return None
-
-
-@pytest.mark.parametrize("rows", [0, 1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1])
-def test_columns_to_csv_matches_per_cell_repr_on_special_floats(rows):
-    specials = np.resize(np.array(SPECIAL_FLOATS), rows)
-    columns = [specials, None, -specials[::-1].copy(), None]
-    text = _assert_csv_or_refusal("a,b,c,d", columns)
-    if text is not None:
-        assert text.count("\n") == rows + 1
-    for column in (specials, -specials):
-        assert float_cells(column) == [repr(float(x)) for x in column]
-
-
-@st.composite
-def _csv_columns(draw):
-    rows = draw(st.sampled_from(
-        [0, 1, 2, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS + 5]
-    ))
-    present = draw(st.lists(st.booleans(), min_size=1, max_size=6).filter(any))
-    pool = np.array(draw(st.lists(
-        st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()), min_size=1, max_size=12
-    )))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    columns = []
-    for keep in present:
-        if not keep:
-            columns.append(None)
-            continue
-        # drawn values, mixed with random bit patterns (subnormals, nan payloads)
-        bits = rng.integers(0, 2**64, rows, dtype=np.uint64, endpoint=False).view(np.float64)
-        picked = pool[rng.integers(0, len(pool), rows)]
-        columns.append(np.where(rng.random(rows) < 0.5, picked, bits))
-    return columns
-
-
-@settings(max_examples=60, deadline=None)
-@given(_csv_columns())
-def test_columns_to_csv_matches_per_cell_repr(columns):
-    header = ",".join(f"c{j}" for j in range(len(columns)))
-    _assert_csv_or_refusal(header, columns)
-
-
-def _orjson_tokens(values):
-    text = orjson.dumps(np.asarray(values, dtype=float), option=orjson.OPT_SERIALIZE_NUMPY)
-    return text[1:-1].decode().split(",")
-
-
-def test_repr_fallback_picks_exactly_the_cells_outside_the_shared_layout():
-    edges = [1e-9, 1e-5, 1e-4, 1e16]
-    values = [float(y) for x in edges for y in (np.nextafter(x, 0.0), x, np.nextafter(x, np.inf))]
-    values += [5e-324, 1e-300, 0.0, -0.0, float("nan"), float("inf"), float("-inf"), 0.1, 1e300]
-    for sign in (1.0, -1.0):
-        column = sign * np.array(values)
-        differs = [t != repr(x) for t, x in zip(_orjson_tokens(column), column.tolist())]
-        assert repr_fallback(column).tolist() == differs
-    # the oracle is not vacuous: both spellings agree on some cells and not on others
-    assert 0 < sum(differs) < len(differs)
-    assert not repr_fallback(np.array([5e-324, 1e-300, float(np.nextafter(1e-9, 0.0))])).any()
-
-
-@pytest.mark.parametrize(
-    "value, token, spelled",
-    [
-        (0.00002, "0.00002", "2e-05"),
-        (-0.0000123, "-0.0000123", "-1.23e-05"),
-        (1.5e-7, "1.5e-7", "1.5e-07"),
-        (-1e-9, "-1e-9", "-1e-09"),
-        (1e16, "1e16", "1e+16"),
-        (1.7976931348623157e308, "1.7976931348623157e308", "1.7976931348623157e+308"),
-    ],
-)
-def test_respell_turns_each_orjson_layout_into_repr(value, token, spelled):
-    assert _orjson_tokens([value]) == [token]
-    assert _respell(token) == spelled == repr(value)
-    assert float_cells(np.array([value])) == [spelled]
-
-
-def test_float_cells_match_repr_on_every_power_of_ten():
-    powers = np.array([float(f"1e{e}") for e in range(-323, 309)])
-    for column in (powers, -powers):
-        assert float_cells(column) == [repr(x) for x in column.tolist()]
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_float_cells_match_repr_on_random_bit_patterns(seed):
-    bits = np.random.default_rng(seed).integers(0, 2**64, 4 * CSV_CHUNK_ROWS + 7, dtype=np.uint64)
-    column = bits.view(np.float64)
-    assert float_cells(column) == [repr(x) for x in column.tolist()]
-
-
-def test_float_cells_on_a_column_wholly_in_the_fallback_range():
-    # like the C_of_t column of a bridge conditioner, about 1e-5 F throughout
-    column = 1e-5 * (1.0 + 0.3 * np.sin(np.linspace(0.0, 7.0, 3 * CSV_CHUNK_ROWS + 11)))
-    assert repr_fallback(column).all()
-    assert float_cells(column) == [repr(float(x)) for x in column]
-    columns = [np.arange(column.size) * 1e-3, column]
-    assert columns_to_csv("t,C", columns) == _reference_csv("t,C", columns)
-
-
-@pytest.mark.parametrize("special", [1e-5, 1.5e-7, -3e-300, 1e16, float("nan"), float("-inf")])
-def test_fallback_cells_at_chunk_edges(special):
-    column = np.linspace(1.0, 2.0, 2 * CSV_CHUNK_ROWS + 3)
-    rows = [0, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS]
-    column[rows] = special
-    columns = [column, -column]
-    text = _assert_csv_or_refusal("a,b", columns)
-    if math.isfinite(special):
-        lines = text.split("\n")
-        for k in rows:
-            assert lines[k + 1] == f"{special!r},{-special!r}"
-    else:
-        assert text is None
-
-
-def test_float_cells_on_empty_and_strided_columns():
-    assert float_cells(np.array([])) == []
-    assert columns_to_csv("a,b", [np.array([]), None]) == "a,b\n"
-    strided = np.linspace(-1e-6, 3.0, 3 * CSV_CHUNK_ROWS)[::3]
-    assert not strided.flags.c_contiguous
-    assert float_cells(strided) == [repr(float(x)) for x in strided]
-    assert columns_to_csv("a", [strided]) == _reference_csv("a", [strided])
-
-
-def test_columns_to_csv_rejects_unequal_or_missing_columns():
-    with pytest.raises(ValueError):
-        columns_to_csv("a,b", [np.zeros(3), np.zeros(4)])
-    with pytest.raises(ValueError):
-        columns_to_csv("a", [None])
 
 
 class _KernelLog(list):
