@@ -40,7 +40,7 @@ first-kind basis (``U_n = 2(T_n + T_{n-2} + ...)``, lowest term once).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate, compress
 from typing import Sequence
@@ -53,11 +53,6 @@ from .errors import ValidationError
 class ChebyshevKind(str, Enum):
     FIRST = "first"
     SECOND = "second"
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
 
 
 #: points per block of :func:`evaluate_many`; bounds its scratch arrays
@@ -134,36 +129,28 @@ class ChebyshevSeries:
     coeffs[k] multiplies T_k (first kind) or U_k (second kind).  An empty
     coefficient tuple is the zero series.  ``coeffs`` may be given as a
     sequence or a 1-D array; it is stored as a tuple of floats, and
-    :attr:`array` holds the same values as an array.
+    :attr:`array` holds the same values as a read-only array.
     """
 
     kind: ChebyshevKind
     coeffs: tuple[float, ...]
     scale: float = 1.0
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if type(self.kind) is not ChebyshevKind:  # the Enum call costs ~1 us
             object.__setattr__(self, "kind", ChebyshevKind(self.kind))
-        coeffs = self.coeffs
-        if isinstance(coeffs, np.ndarray):
-            # keep a copy for ``array``, which would otherwise rebuild it
-            array = self.__dict__["_array"] = _read_only(np.array(coeffs, dtype=float))
-            coeffs = array.tolist()
-        coeffs = tuple(map(float, coeffs))
-        if not all(map(math.isfinite, coeffs)):
+        array = np.array(self.coeffs, dtype=float)
+        if array.ndim != 1:
+            raise ValidationError("series coefficients must be a flat sequence")
+        if not np.isfinite(array).all():
             raise ValidationError("series coefficients must be finite")
-        object.__setattr__(self, "coeffs", coeffs)
+        array.flags.writeable = False
+        object.__setattr__(self, "coeffs", tuple(array.tolist()))
+        object.__setattr__(self, "array", array)
         object.__setattr__(self, "scale", float(self.scale))
         if not math.isfinite(self.scale):
             raise ValidationError("scale must be finite")
-
-    @property
-    def array(self) -> np.ndarray:
-        """``coeffs`` as a read-only float64 array, built once."""
-        array = self.__dict__.get("_array")
-        if array is None:
-            array = self.__dict__["_array"] = _read_only(np.array(self.coeffs, dtype=float))
-        return array
 
     def evaluate(self, v):
         """Series value at control value(s) ``v`` (scalar or array)."""

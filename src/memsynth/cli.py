@@ -81,17 +81,6 @@ def _policy(args: argparse.Namespace) -> AssignmentPolicy:
     )
 
 
-def _summary_dict(summary) -> dict:
-    return {
-        "active_power": summary.active_power,
-        "apparent_power": summary.apparent_power,
-        "power_factor": summary.power_factor,
-        "rms_voltage": summary.rms_voltage,
-        "rms_current": summary.rms_current,
-        "convention": summary.convention,
-    }
-
-
 def cmd_load_model(args: argparse.Namespace) -> int:
     model = LoadModel(
         kind=LoadKind(args.model),
@@ -136,16 +125,17 @@ def cmd_compensate(args: argparse.Namespace) -> int:
     supply, spectrum = _read_spectrum(args.spectrum, args.amplitude)
     conditioner = synthesize_conditioner(supply, spectrum, _policy(args))
     active, _, dc = fryze_split(supply, spectrum)
-    compensated = HarmonicSpectrum(spectrum.omega, dc, active.cos, active.sin)
+    # the active current is the fundamental sine alone
+    compensated = HarmonicSpectrum(spectrum.omega, dc, active.cos[:1], active.sin[:1])
     report = {
         "supply": {"amplitude": supply.amplitude, "omega": supply.omega},
         "dc_component": dc,
         "before": {
-            conv: _summary_dict(compute_powers(supply, spectrum, conv))
+            conv: dict(vars(compute_powers(supply, spectrum, conv)))
             for conv in ("rms", "paper")
         },
         "after": {
-            conv: _summary_dict(compute_powers(supply, compensated, conv))
+            conv: dict(vars(compute_powers(supply, compensated, conv)))
             for conv in ("rms", "paper")
         },
     }
@@ -168,7 +158,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     doc = {
         "supply": {"amplitude": supply.amplitude, "omega": supply.omega},
         "powers": {
-            conv: _summary_dict(compute_powers(supply, spectrum, conv))
+            conv: dict(vars(compute_powers(supply, spectrum, conv)))
             for conv in conventions
         },
     }
@@ -185,11 +175,7 @@ _LOOP_HEADERS = {
 
 def cmd_hysteresis(args: argparse.Namespace) -> int:
     decomposition = LoadDecomposition.from_dict(read_json(args.decomposition))
-    element = None
-    for label, candidate in decomposition.branches():
-        if label == args.branch:
-            element = candidate
-            break
+    element = dict(decomposition.branches()).get(args.branch)
     if element is None:
         raise ValidationError(f"decomposition has no branch labelled {args.branch!r}")
     config = SimulationConfig(args.periods, args.samples_per_period)

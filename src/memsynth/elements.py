@@ -87,7 +87,6 @@ class MemoryElement:
     """
 
     kind: ElementKind
-    control: Optional[ControlVariable] = None
     incremental: Optional[ChebyshevSeries] = None
     constitutive: Optional[ChebyshevSeries] = None
     scalar_value: Optional[float] = None
@@ -96,31 +95,30 @@ class MemoryElement:
         # an Enum call costs ~1 us, so members skip it
         if type(self.kind) is not ElementKind:
             object.__setattr__(self, "kind", ElementKind(self.kind))
-        if self.control is not None and type(self.control) is not ControlVariable:
-            object.__setattr__(self, "control", ControlVariable(self.control))
         if self.scalar_value is not None:
             object.__setattr__(self, "scalar_value", float(self.scalar_value))
         if self.kind in CONTROL_OF_KIND:
-            if self.control is not CONTROL_OF_KIND[self.kind]:
-                raise ValidationError(
-                    f"{self.kind.value} needs control {CONTROL_OF_KIND[self.kind].value!r},"
-                    f" got {getattr(self.control, 'value', None)!r}"
-                )
             if self.incremental is None or self.incremental.kind is not ChebyshevKind.SECOND:
                 raise ValidationError("memory element needs a second-kind incremental series")
             if self.constitutive is None or self.constitutive.kind is not ChebyshevKind.FIRST:
                 raise ValidationError("memory element needs a first-kind constitutive series")
+            # a document holds one scale for both series
+            if self.incremental.scale != self.constitutive.scale:
+                raise ValidationError("memory element needs one scale for both series")
             if self.scalar_value is not None:
                 raise ValidationError("memory element takes no scalar value")
         else:
             if self.incremental is not None or self.constitutive is not None:
                 raise ValidationError(f"{self.kind.value} takes no series")
-            if self.control is not None:
-                raise ValidationError(f"{self.kind.value} takes no control variable")
             if self.scalar_value is None or not math.isfinite(self.scalar_value):
                 raise ValidationError(f"{self.kind.value} needs a finite scalar value")
             if self.kind in LTI_KINDS and self.scalar_value <= 0.0:
                 raise ValidationError(f"{self.kind.value} value must be positive")
+
+    @property
+    def control(self) -> Optional[ControlVariable]:
+        """The control variable its kind fixes; None for LTI kinds and dc sources."""
+        return CONTROL_OF_KIND.get(self.kind)
 
     @property
     def is_memory(self) -> bool:
@@ -178,8 +176,7 @@ def _memory_element(
     the terms with overflow warnings off; a term that overflowed is reported
     here, with the branch and the supply that made it.
     """
-    control = CONTROL_OF_KIND[kind]
-    scale = orbit_scale(supply, control)
+    scale = orbit_scale(supply, CONTROL_OF_KIND[kind])
     u = np.zeros(n[-1])
     u[n - 1] = inc
     t = np.zeros(n[-1] + 1)
@@ -192,9 +189,7 @@ def _memory_element(
             f"{kind.value} on supply amplitude {supply.amplitude!r}, omega {supply.omega!r}:"
             " series coefficients overflow the float64 range"
         ) from exc
-    return MemoryElement(
-        kind=kind, control=control, incremental=incremental, constitutive=constitutive
-    )
+    return MemoryElement(kind=kind, incremental=incremental, constitutive=constitutive)
 
 
 def memductance_from_sines(supply: SupplyVoltage, sin) -> MemoryElement:
@@ -336,7 +331,6 @@ def regularize(
     con[1] += constitutive_linear
     regular = MemoryElement(
         kind=element.kind,
-        control=element.control,
         incremental=ChebyshevSeries(ChebyshevKind.SECOND, inc, scale=element.incremental.scale),
         constitutive=ChebyshevSeries(ChebyshevKind.FIRST, con, scale=element.constitutive.scale),
     )
@@ -403,10 +397,11 @@ def _coefficient_list(value, name: str) -> list:
 def element_from_dict(doc: dict) -> MemoryElement:
     """Read an element back; malformed values are rejected, never coerced.
 
-    A memory element's ``coeffs`` must be the derivative of its
-    ``constitutive_coeffs`` to within :data:`SERIES_CONSISTENCY_RTOL` of its
-    largest coefficient, so the incremental and constitutive series cannot
-    describe two different elements.
+    A memory element's ``control`` must be the one its kind fixes, and its
+    ``coeffs`` must be the derivative of its ``constitutive_coeffs`` to within
+    :data:`SERIES_CONSISTENCY_RTOL` of its largest coefficient, so the
+    incremental and constitutive series cannot describe two different
+    elements.
     """
     try:
         kind = ElementKind(doc["kind"])
@@ -417,12 +412,15 @@ def element_from_dict(doc: dict) -> MemoryElement:
             scale = _real(doc["scale"], "scale")
             inc = _coefficient_list(doc["coeffs"], "coeffs")
             con = _coefficient_list(doc["constitutive_coeffs"], "constitutive_coeffs")
-            control = ControlVariable(doc["control"])
+            control = doc["control"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad memory element document: {exc}") from exc
+        if control != CONTROL_OF_KIND[kind].value:
+            raise ValidationError(
+                f"{kind.value} needs control {CONTROL_OF_KIND[kind].value!r}, got {control!r}"
+            )
         element = MemoryElement(
             kind=kind,
-            control=control,
             incremental=ChebyshevSeries(ChebyshevKind.SECOND, inc, scale=scale),
             constitutive=ChebyshevSeries(ChebyshevKind.FIRST, con, scale=scale),
         )

@@ -188,14 +188,6 @@ class SimulationTrace:
     i_total: np.ndarray
 
     @property
-    def capacitance(self) -> Optional[np.ndarray]:
-        """C_M(phi) of the memcapacitor branch, or None."""
-        for branch in reversed(self.branches):
-            if branch.element.kind is ElementKind.MEMCAPACITOR:
-                return branch.capacitance
-        return None
-
-    @property
     def t(self) -> np.ndarray:
         return self.states.t
 

@@ -275,9 +275,11 @@ def _grid_samples(ab: np.ndarray, spp: int) -> np.ndarray:
 
     Column 0 holds (dc, 0); one inverse real FFT evaluates every order.
     """
-    half = (ab[0] - 1j * ab[1]) * (spp / 2.0)
-    half[0] = ab[0, 0] * spp
-    return np.fft.irfft(half, n=spp)
+    half = (ab[0] - 1j * ab[1]) * 0.5
+    half[0] = ab[0, 0]
+    # an unscaled inverse: a coefficient times spp/2 could overflow where
+    # every sample is finite
+    return np.fft.irfft(half, n=spp, norm="forward")
 
 
 def steady_state_current(decomposition: LoadDecomposition, spp: int) -> Optional[np.ndarray]:
@@ -357,25 +359,26 @@ def verify_decomposition(
     if current is None:
         config = SimulationConfig(periods=1, samples_per_period=spp)
         current = simulate(decomposition, config).i_total
-    projected = project_waveform(current, target.omega, n_max)
 
     # rows (a, b) over orders 0..n_max; column 0 holds (dc, 0)
     wanted = np.zeros((2, n_max + 1))
     wanted[:, 1 : target.n_max + 1] = target.cos, target.sin
     wanted[0, 0] = target.dc
-    got = np.array([(projected.dc, *projected.cos), (0.0, *projected.sin)])
-    # both waveforms in units of the largest target coefficient, so that no
-    # square overflows
+    # everything in units of the largest target coefficient, so that neither
+    # FFT nor any square overflows
     scale = float(np.max(np.abs(wanted))) or 1.0
-    target_wave = _grid_samples(wanted / scale, spp)
+    wanted /= scale
+    current = current / scale
+    projected = project_waveform(current, target.omega, n_max)
+    got = np.array([(projected.dc, *projected.cos), (0.0, *projected.sin)])
+    target_wave = _grid_samples(wanted, spp)
     target_rms = float(np.sqrt(np.mean(target_wave**2)))
-    err_rms = float(np.sqrt(np.mean((current / scale - target_wave) ** 2)))
+    err_rms = float(np.sqrt(np.mean((current - target_wave) ** 2)))
     rel = err_rms / target_rms if target_rms > 0.0 else err_rms
 
-    worst = float(np.max(np.abs(got - wanted)))
     return VerificationReport(
         rel_rms_error=rel,
-        max_coefficient_error=worst / scale,
+        max_coefficient_error=float(np.max(np.abs(got - wanted))),
         n_max=n_max,
         samples_per_period=spp,
     )

@@ -290,8 +290,9 @@ def trace_to_csv(trace: SimulationTrace) -> str:
         picked = [b.current for b in trace.branches if b.element.kind in kinds]
         return functools.reduce(np.add, picked) if picked else None
 
-    memcaps = [b for b in trace.branches if b.element.kind is ElementKind.MEMCAPACITOR]
+    memcap = next((b for b in trace.branches if b.element.kind is ElementKind.MEMCAPACITOR), None)
+    charge, capacitance = (memcap.charge, memcap.capacitance) if memcap else (None, None)
     columns = [trace.t, trace.u, trace.states.phi, trace.states.sigma, trace.i_total,
                family((ElementKind.DC_SOURCE,)), family(_GM_KINDS), family(_GAMMA_KINDS),
-               family(_CM_KINDS), memcaps[-1].charge if memcaps else None, trace.capacitance]
+               family(_CM_KINDS), charge, capacitance]
     return columns_to_csv(TRACE_HEADER, columns)

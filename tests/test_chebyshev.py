@@ -148,3 +148,30 @@ def test_series_rejects_nonfinite():
         ChebyshevSeries(ChebyshevKind.FIRST, (1.0, float("nan")))
     with pytest.raises(ValidationError):
         ChebyshevSeries(ChebyshevKind.FIRST, (1.0,), scale=float("inf"))
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [(), (1.0, -0.0, 2.5e-300, 7), np.array([3.0, -0.0, 1e300])],
+    ids=["empty", "tuple", "array"],
+)
+def test_series_array_holds_coeffs_and_takes_no_part_in_eq_or_repr(coeffs):
+    series = ChebyshevSeries(ChebyshevKind.SECOND, coeffs, scale=-0.5)
+    assert all(type(c) is float for c in series.coeffs)
+    assert series.array.dtype == np.float64
+    assert series.array.tobytes() == np.array(series.coeffs).tobytes()
+    assert not series.array.flags.writeable
+    with pytest.raises(ValueError):
+        series.array[...] = 0.0
+    if isinstance(coeffs, np.ndarray):  # the series holds a copy
+        coeffs[0] = 99.0
+        assert series.coeffs[0] == series.array[0] == 3.0
+    assert "array" not in repr(series)
+    twin = ChebyshevSeries(ChebyshevKind.SECOND, series.coeffs, scale=-0.5)
+    object.__setattr__(twin, "array", np.zeros(3))
+    assert twin == series and hash(twin) == hash(series)
+
+
+def test_series_rejects_nested_coefficients():
+    with pytest.raises(ValidationError, match="flat"):
+        ChebyshevSeries(ChebyshevKind.FIRST, [[1.0, 2.0]])

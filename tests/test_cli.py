@@ -145,11 +145,14 @@ def test_characterize_gate_catches_a_tampered_memristor(tmp_path, monkeypatch, c
 
     def tampered(supply, spectrum, policy):
         dec = decompose(supply, spectrum, policy)
-        series = dec.memristor.incremental
+        series, curve = dec.memristor.incremental, dec.memristor.constitutive
         coeffs = (series.coeffs[0] * (1.0 + 1e-3),) + series.coeffs[1:]
-        series = dataclasses.replace(series, coeffs=coeffs, scale=series.scale * scale_factor)
+        scale = series.scale * scale_factor  # an element holds one scale
+        series = dataclasses.replace(series, coeffs=coeffs, scale=scale)
+        curve = dataclasses.replace(curve, scale=scale)
         return dataclasses.replace(
-            dec, memristor=dataclasses.replace(dec.memristor, incremental=series)
+            dec,
+            memristor=dataclasses.replace(dec.memristor, incremental=series, constitutive=curve),
         )
 
     simulated = []
@@ -787,10 +790,18 @@ def test_powers_that_leave_float64_exit_2_before_writing(tmp_path, capsys, comma
     assert not out.exists() and not report.exists()
 
 
-@pytest.mark.parametrize("spectrum", [OVERFLOWING_AC_SPECTRUM, OVERFLOWING_DC_SPECTRUM],
-                         ids=["ac", "dc"])
+#: a finite term whose closed-form current overflowed when its coefficient
+#: was scaled by samples_per_period / 2 before the inverse FFT
+NEAR_LIMIT_SPECTRUM = dict(OVERFLOWING_AC_SPECTRUM, harmonics=[{"n": 1, "a": 1.7e308, "b": 1.0}])
+
+
+@pytest.mark.parametrize(
+    "spectrum",
+    [OVERFLOWING_AC_SPECTRUM, OVERFLOWING_DC_SPECTRUM, NEAR_LIMIT_SPECTRUM],
+    ids=["ac", "dc", "near-limit"],
+)
 def test_characterize_verifies_a_spectrum_whose_squares_overflow(tmp_path, spectrum):
-    # verification squares the waveforms in units of the target's peak, so
+    # verification works in units of the target's largest coefficient, so
     # nothing overflows (pyproject.toml turns a RuntimeWarning into an error)
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(spectrum))

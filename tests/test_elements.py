@@ -12,6 +12,7 @@ import pytest
 
 from memsynth.chebyshev import ChebyshevKind, ChebyshevSeries
 from memsynth.elements import (
+    CONTROL_OF_KIND,
     ControlVariable,
     ElementKind,
     MemoryElement,
@@ -153,11 +154,8 @@ def test_memory_element_validation():
     series_u = ChebyshevSeries(ChebyshevKind.SECOND, (1.0,))
     series_t = ChebyshevSeries(ChebyshevKind.FIRST, (0.0, 1.0))
     with pytest.raises(ValidationError):
-        MemoryElement(kind=ElementKind.MEMRISTOR, incremental=series_u, constitutive=series_t)
-    with pytest.raises(ValidationError):
         MemoryElement(
             kind=ElementKind.MEMRISTOR,
-            control=ControlVariable.FLUX,
             incremental=series_t,  # wrong kind
             constitutive=series_t,
         )
@@ -171,24 +169,39 @@ def test_memory_element_validation():
     assert MemoryElement(kind=ElementKind.DC_SOURCE, scalar_value=-3.0).scalar_value == -3.0
 
 
+BUILT = {
+    ElementKind.MEMRISTOR: memductance_from_sines(SUPPLY, [3.0, 0.0, -1.0]),
+    ElementKind.MEMINDUCTOR: inverse_meminductance_from_spectrum(SUPPLY, [2.0], []),
+    ElementKind.MEMCAPACITOR: memcapacitance_from_cosines(SUPPLY, [2.0]),
+}
+
+
 @pytest.mark.parametrize(
     "kind, control",
     [
-        (ElementKind.MEMRISTOR, ControlVariable.TIME_INTEGRATED_FLUX),
-        (ElementKind.MEMCAPACITOR, ControlVariable.TIME_INTEGRATED_FLUX),
-        (ElementKind.MEMINDUCTOR, ControlVariable.FLUX),
-        (ElementKind.MEMRISTOR, None),
+        (kind, control)
+        for kind in BUILT
+        for control in ("flux", "time_integrated_flux", "charge", None)
+        if control != CONTROL_OF_KIND[kind].value
     ],
 )
 def test_memory_element_rejects_mismatched_control(kind, control):
-    series_u = ChebyshevSeries(ChebyshevKind.SECOND, (1.0,))
-    series_t = ChebyshevSeries(ChebyshevKind.FIRST, (0.0, 1.0))
+    assert BUILT[kind].control is CONTROL_OF_KIND[kind]
+    doc = element_to_dict(BUILT[kind])
+    doc["control"] = control
     with pytest.raises(ValidationError, match="needs control"):
-        MemoryElement(kind=kind, control=control, incremental=series_u, constitutive=series_t)
-    doc = element_to_dict(memcapacitance_from_cosines(SUPPLY, [2.0]))
-    doc["control"] = "charge"  # no charge-controlled element exists
-    with pytest.raises(ValidationError):
         element_from_dict(doc)
+
+
+def test_memory_element_needs_one_scale_for_both_series():
+    # element_to_dict writes one scale, so its own document would fail the
+    # series consistency check on the way back in
+    incremental = ChebyshevSeries(ChebyshevKind.SECOND, (2.0,), scale=1.0)
+    constitutive = ChebyshevSeries(ChebyshevKind.FIRST, (0.0, 1.0), scale=2.0)
+    with pytest.raises(ValidationError, match="one scale"):
+        MemoryElement(
+            kind=ElementKind.MEMRISTOR, incremental=incremental, constitutive=constitutive
+        )
 
 
 def test_needs_regularization():
@@ -198,7 +211,6 @@ def test_needs_regularization():
     assert not needs_regularization(with_linear)
     zero = MemoryElement(
         kind=ElementKind.MEMCAPACITOR,
-        control=ControlVariable.FLUX,
         incremental=ChebyshevSeries(ChebyshevKind.SECOND, ()),
         constitutive=ChebyshevSeries(ChebyshevKind.FIRST, ()),
     )

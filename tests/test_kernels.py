@@ -18,7 +18,6 @@ from memsynth import chebyshev
 from memsynth.chebyshev import ChebyshevKind, ChebyshevSeries, evaluate_many
 from memsynth.elements import (
     COEFF_DROP_TOLERANCE,
-    ControlVariable,
     ElementKind,
     MemoryElement,
     inverse_meminductance_from_spectrum,
@@ -223,7 +222,6 @@ def test_series_consistency_matches_the_series_loop_exactly(n_inc, n_con):
     rng = np.random.default_rng(n_inc * 1000 + n_con)
     element = MemoryElement(
         kind=ElementKind.MEMCAPACITOR,
-        control=ControlVariable.FLUX,
         incremental=ChebyshevSeries(ChebyshevKind.SECOND, tuple(rng.normal(size=n_inc)), -0.37),
         constitutive=ChebyshevSeries(ChebyshevKind.FIRST, tuple(rng.normal(size=n_con)), -0.37),
     )
@@ -265,8 +263,6 @@ def _sign_pow(k):
 def _reference_element(kind, u, t, scale):
     return MemoryElement(
         kind=kind,
-        control=(ControlVariable.TIME_INTEGRATED_FLUX if kind is ElementKind.MEMINDUCTOR
-                 else ControlVariable.FLUX),
         incremental=ChebyshevSeries(ChebyshevKind.SECOND, _reference_trimmed(u), scale=scale),
         constitutive=ChebyshevSeries(ChebyshevKind.FIRST, _reference_trimmed(t), scale=scale),
     )

@@ -116,7 +116,7 @@ def test_memcapacitor_analytic_current_matches_differenced_charge():
     # periodic central difference of the charge column
     numeric = (np.roll(memcap.charge, -1) - np.roll(memcap.charge, 1)) / (2.0 * dt)
     assert _rms(numeric - memcap.current) <= 1e-6 * _rms(memcap.current)
-    np.testing.assert_array_equal(memcap.charge, trace.capacitance * trace.u)
+    np.testing.assert_array_equal(memcap.charge, memcap.capacitance * trace.u)
 
 
 def test_simulate_reconstructs_motivating_waveform():
@@ -124,14 +124,13 @@ def test_simulate_reconstructs_motivating_waveform():
     trace = simulate(decompose_load(SUPPLY, spectrum))
     target = evaluate_waveform(spectrum, trace.t)
     assert _rms(trace.i_total - target) <= 1e-9 * _rms(target)
-    assert trace.capacitance is not None
+    assert branch(trace, "memcapacitor").capacitance is not None
 
 
 def test_simulate_empty_decomposition():
     trace = simulate(decompose_load(SUPPLY, HarmonicSpectrum(OMEGA)))
     assert trace.branches == ()
     assert np.all(trace.i_total == 0.0)
-    assert trace.capacitance is None
     with pytest.raises(ValueError):
         branch(trace, "memristor")
 
@@ -206,7 +205,7 @@ def test_capacitance_column_time_average():
         trace = simulate(cond, SimulationConfig(periods=1, samples_per_period=4096))
         coeffs = cond.memcapacitor.incremental.coeffs
         expected = sum(coeffs[::2])
-        mean = float(np.mean(trace.capacitance))
+        mean = float(np.mean(branch(trace, "memcapacitor").capacitance))
         assert mean == pytest.approx(expected, rel=1e-9), name
         if name in ("motivating", "rectifier"):
             assert mean == pytest.approx(coeffs[0], rel=1e-9), name
@@ -248,7 +247,7 @@ def test_trace_csv_empty_families_and_exact_cells():
     assert rows[k][5] == ""  # no dc branch
     assert float(rows[k][0]) == float(trace.t[k])
     assert float(rows[k][4]) == float(trace.i_total[k])
-    assert float(rows[k][10]) == float(trace.capacitance[k])
+    assert float(rows[k][10]) == float(branch(trace, "memcapacitor").capacitance[k])
 
 
 def test_trace_csv_header_only_when_empty():

@@ -346,9 +346,11 @@ def test_elements_off_the_orbit_take_the_clenshaw_route(monkeypatch, slot, tampe
     assert [getattr(dec, name).kind.value for name in memories] == list(memories)
     assert steady_state_current(dec, 8192) is not None
     element = getattr(dec, slot)
-    off = dataclasses.replace(
-        dec, **{slot: dataclasses.replace(element, incremental=tamper(element.incremental))}
+    # an element holds one scale, so both series take the tampered one
+    off_element = dataclasses.replace(
+        element, incremental=tamper(element.incremental), constitutive=tamper(element.constitutive)
     )
+    off = dataclasses.replace(dec, **{slot: off_element})
     assert steady_state_current(off, 8192) is None
     seen = _spy_simulate(monkeypatch)
     verify_decomposition(off, THREE_MEMORIES)
