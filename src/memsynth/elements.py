@@ -39,7 +39,7 @@ import numpy as np
 
 from .chebyshev import ChebyshevKind, ChebyshevSeries
 from .errors import ValidationError
-from .harmonics import SupplyVoltage, _real
+from .harmonics import MAX_HARMONIC_ORDER, SupplyVoltage, _real
 
 #: synthesized coefficients below this magnitude are treated as zero
 COEFF_DROP_TOLERANCE = 1e-15
@@ -337,8 +337,12 @@ def regularize(
     return RegularizedElement(element=regular, companion=companion, gamma=gamma)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def verify_series_consistency(element: MemoryElement) -> float:
-    """Max deviation between the incremental series and d(constitutive)/dv."""
+    """Max deviation between the incremental series and d(constitutive)/dv.
+
+    A derivative beyond the float64 range reads inf or nan, never a warning.
+    """
     if not element.is_memory:
         raise ValidationError("series consistency applies to memory elements")
     # the coefficients of constitutive.derivative(), k * c_k * scale in that order
@@ -361,7 +365,7 @@ def check_series_consistency(element: MemoryElement, what: str) -> None:
     """
     deviation = verify_series_consistency(element)
     bound = SERIES_CONSISTENCY_RTOL * float(np.abs(element.incremental.array).max(initial=0.0))
-    if deviation > bound:
+    if not deviation <= bound:  # nan included
         raise ValidationError(
             f"{what}: coeffs are not the derivative of constitutive_coeffs"
             f" (deviation {deviation:.3e} > {bound:.3e})"
@@ -382,10 +386,16 @@ def element_to_dict(element: MemoryElement) -> dict:
     }
 
 
-def _coefficient_list(value, name: str) -> list:
-    """A JSON list of float64-range numbers; strings, booleans and nested values are rejected."""
+def _coefficient_list(value, name: str, limit: int) -> list:
+    """A JSON list of at most ``limit`` float64-range numbers.
+
+    Strings, booleans and nested values are rejected; the length is checked
+    first, before any entry is read.
+    """
     if not isinstance(value, list):
         raise ValidationError(f"{name} must be a list of numbers, got {value!r}")
+    if len(value) > limit:
+        raise ValidationError(f"{name} holds {len(value)} entries, more than the limit of {limit}")
     # orjson yields exactly int and float for numbers, and a float for integers
     # of 2^64 and above; bool is its own type, and a Python caller's int may lie
     # beyond float64, so any non-float entry goes through _real
@@ -397,8 +407,10 @@ def _coefficient_list(value, name: str) -> list:
 def element_from_dict(doc: dict) -> MemoryElement:
     """Read an element back; malformed values are rejected, never coerced.
 
-    A memory element's ``control`` must be the one its kind fixes, and its
-    ``coeffs`` must be the derivative of its ``constitutive_coeffs`` to within
+    A memory element holds at most :data:`MAX_HARMONIC_ORDER` incremental
+    and one more constitutive coefficients, the most memsynth writes.  Its
+    ``control`` must be the one its kind fixes, and its ``coeffs`` must be
+    the derivative of its ``constitutive_coeffs`` to within
     :data:`SERIES_CONSISTENCY_RTOL` of its largest coefficient, so the
     incremental and constitutive series cannot describe two different
     elements.
@@ -410,8 +422,10 @@ def element_from_dict(doc: dict) -> MemoryElement:
     if kind in CONTROL_OF_KIND:
         try:
             scale = _real(doc["scale"], "scale")
-            inc = _coefficient_list(doc["coeffs"], "coeffs")
-            con = _coefficient_list(doc["constitutive_coeffs"], "constitutive_coeffs")
+            inc = _coefficient_list(doc["coeffs"], "coeffs", MAX_HARMONIC_ORDER)
+            con = _coefficient_list(
+                doc["constitutive_coeffs"], "constitutive_coeffs", MAX_HARMONIC_ORDER + 1
+            )
             control = doc["control"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad memory element document: {exc}") from exc

@@ -44,6 +44,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: the limit every waveform array (t, u, phi, sigma, each branch) is 32 MiB
 MAX_GRID_SAMPLES = 2**22
 
+#: fewest samples per period a simulation grid may hold
+MIN_SAMPLES_PER_PERIOD = 64
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -59,8 +62,9 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if int(self.periods) != self.periods or self.periods < 1:
             raise ValidationError("periods must be a positive integer")
-        if int(self.samples_per_period) != self.samples_per_period or self.samples_per_period < 64:
-            raise ValidationError("samples_per_period must be an integer >= 64")
+        spp = self.samples_per_period
+        if int(spp) != spp or spp < MIN_SAMPLES_PER_PERIOD:
+            raise ValidationError(f"samples_per_period must be an integer >= {MIN_SAMPLES_PER_PERIOD}")
         object.__setattr__(self, "periods", int(self.periods))
         object.__setattr__(self, "samples_per_period", int(self.samples_per_period))
         if self.periods * self.samples_per_period > MAX_GRID_SAMPLES:
@@ -196,6 +200,9 @@ class SimulationTrace:
         return self.states.u
 
 
+# a series whose argument leaves [-1, 1] by far overflows in Clenshaw; the
+# writers refuse the non-finite samples that come of it (exit 3)
+@np.errstate(over="ignore", invalid="ignore")
 def simulate(
     decomposition: "LoadDecomposition", config: Optional[SimulationConfig] = None
 ) -> SimulationTrace:
@@ -217,6 +224,7 @@ def simulate(
     return SimulationTrace(states=states, branches=tuple(branches), i_total=total)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def hysteresis_loop(element: MemoryElement, states: SupplyStates, *extra) -> tuple:
     """The element's characteristic loop, drawn over exactly ``states``.
 

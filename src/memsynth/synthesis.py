@@ -55,7 +55,7 @@ from .harmonics import (
     project_waveform,
     spectrum_negate,
 )
-from .simulation import SimulationConfig, simulate
+from .simulation import MIN_SAMPLES_PER_PERIOD, SimulationConfig, simulate
 
 
 class PolicyMode(str, Enum):
@@ -260,13 +260,14 @@ class VerificationReport:
     samples_per_period: int
 
 
-#: smallest verification grid, in samples per period
-VERIFY_MIN_SAMPLES = 8192
+def verification_grid(order: int) -> int:
+    """Verification samples per period for currents up to harmonic ``order``.
 
-
-def verification_grid(n_max: int) -> int:
-    """Verification samples per period: the smallest power of two >= max(8192, 4 n_max)."""
-    need = max(VERIFY_MIN_SAMPLES, 4 * n_max)
+    The smallest power of two >= max(:data:`MIN_SAMPLES_PER_PERIOD`, 4 order):
+    every order then sits below a quarter of the grid, so none aliases, and
+    the floor is the simulation's own, for the off-orbit Clenshaw route.
+    """
+    need = max(MIN_SAMPLES_PER_PERIOD, 4 * order)
     return 1 << (need - 1).bit_length()
 
 
@@ -282,6 +283,7 @@ def _grid_samples(ab: np.ndarray, spp: int) -> np.ndarray:
     return np.fft.irfft(half, n=spp, norm="forward")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def steady_state_current(decomposition: LoadDecomposition, spp: int) -> Optional[np.ndarray]:
     """Terminal current on the endpoint-exclusive grid of ``spp`` samples per period.
 
@@ -298,7 +300,8 @@ def steady_state_current(decomposition: LoadDecomposition, spp: int) -> Optional
     The series never reads ``scale``, so it stands for the element only when
     that scale is exactly :func:`orbit_scale`.
     Otherwise, or when an order reaches ``spp/2``, the result is None and the
-    current has to be simulated.
+    current has to be simulated.  A current beyond the float64 range reads
+    inf, without a warning; projecting it is refused.
     """
     supply = decomposition.supply
     amp, w = supply.amplitude, supply.omega
@@ -325,7 +328,7 @@ def steady_state_current(decomposition: LoadDecomposition, spp: int) -> Optional
         elif kind is ElementKind.CAPACITOR:
             ab[0, 1] += value * amp * w
         else:
-            c = np.array(element.incremental.coeffs)
+            c = element.incremental.array
             m = np.arange(1, len(c) + 1)
             if kind is ElementKind.MEMRISTOR:
                 ab[1, m] += amp * c
@@ -343,9 +346,11 @@ def verify_decomposition(
 ) -> VerificationReport:
     """Rebuild one period of the current, re-project it, and compare against ``target``.
 
-    The grid is the :func:`verification_grid` of the target's order.  The
-    current comes from :func:`steady_state_current`, or, for an element off
-    the steady-state orbit, from :func:`simulate`.
+    The grid is the :func:`verification_grid` of the larger of the target's
+    ``n_max`` and the decomposition's highest order (its longest memory
+    series), so a term the target lacks can neither alias nor vanish on the
+    grid.  The current comes from :func:`steady_state_current`, or, for an
+    element off the steady-state orbit, from :func:`simulate`.
 
     ``rel_rms_error`` is the waveform mismatch normalized by the target rms
     (absolute when the target is identically zero).  The coefficient error is
@@ -354,7 +359,8 @@ def verify_decomposition(
     """
     _check_frequency(decomposition.supply.omega, target.omega)
     n_max = max(target.n_max, 1)
-    spp = verification_grid(n_max)
+    orders = [len(e.incremental.coeffs) for _, e in decomposition.branches() if e.is_memory]
+    spp = verification_grid(max([n_max, *orders]))
     current = steady_state_current(decomposition, spp)
     if current is None:
         config = SimulationConfig(periods=1, samples_per_period=spp)

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memsynth import cli, synthesis, textio
+from memsynth.harmonics import MAX_HARMONIC_ORDER
 
 AMP = 230.0 * math.sqrt(2.0)
 OMEGA = 100.0 * math.pi
@@ -91,7 +92,7 @@ def test_characterize_branches_and_verification(tmp_path):
     assert ver["max_rel_rms_error"] <= 1e-9
     assert ver["max_coefficient_error"] <= 1e-9
     assert ver["n_max"] == 2
-    assert ver["samples_per_period"] == 8192
+    assert ver["samples_per_period"] == 64
 
 
 @pytest.mark.parametrize("n_max", [3000, 4000])
@@ -829,8 +830,6 @@ NON_FINITE_DECOMPOSITIONS = {
 }
 
 
-# the overflowing Clenshaw sums warn; the written cells are what is checked here
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command, case", [
     ("simulate", "argument"), ("hysteresis", "argument"), ("hysteresis", "constitutive"),
 ])
@@ -842,6 +841,18 @@ def test_non_finite_samples_exit_3_before_writing(tmp_path, capsys, command, cas
     assert cli.main([command, str(dec), *branch, "--samples-per-period", "64",
                      "-o", str(out)]) == 3
     assert "not finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [dec]
+
+
+def test_series_longer_than_memsynth_writes_exit_2_before_writing(tmp_path, capsys):
+    dec = tmp_path / "dec.json"
+    limit = MAX_HARMONIC_ORDER
+    dec.write_text(json.dumps(
+        _memristor_dec(325.0, OMEGA, -OMEGA / 325.0, [0.0] * (limit + 1), [0.0] * (limit + 1))
+    ))
+    out = tmp_path / "out.csv"
+    assert cli.main(["simulate", str(dec), "--samples-per-period", "64", "-o", str(out)]) == 2
+    assert f"coeffs holds {limit + 1} entries" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [dec]
 
 
@@ -903,10 +914,7 @@ def test_mutated_documents_exit_cleanly_and_write_only_finite_numbers(mutant):
         argv = [command[0], str(source), *(a.format(dir=tmp) for a in command[1:]),
                 "-o", str(Path(tmp, "out.csv" if kind == "conditioner" else "out.json"))]
         err = io.StringIO()
-        # some of these inputs still make numpy warn on overflow; this test
-        # pins exit codes and written bytes, so it ignores the warnings
-        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
-            warnings.simplefilter("ignore", RuntimeWarning)
+        with contextlib.redirect_stderr(err):
             code = cli.main(argv)
         assert code in (0, 2, 3), err.getvalue()
         written = sorted(p for p in Path(tmp).iterdir() if p != source)

@@ -27,7 +27,7 @@ from memsynth.elements import (
     verify_series_consistency,
 )
 from memsynth.errors import ValidationError
-from memsynth.harmonics import SupplyVoltage
+from memsynth.harmonics import MAX_HARMONIC_ORDER, SupplyVoltage
 
 AMP = 230.0 * math.sqrt(2.0)
 OMEGA = 100.0 * math.pi
@@ -360,6 +360,27 @@ def test_element_from_dict_rejects_inconsistent_series(builder):
     doc["coeffs"] = doc["coeffs"] + [doc["coeffs"][0]]
     with pytest.raises(ValidationError, match="not the derivative"):
         element_from_dict(doc)
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e300])
+def test_element_from_dict_rejects_a_derivative_beyond_float64(scale):
+    # 2 * 1e308 overflows; times a zero scale it was nan, and nan passed the check
+    doc = element_to_dict(memductance_from_sines(SUPPLY, [2.0, 0.0, 0.0, -3.0]))
+    doc.update(scale=scale, coeffs=[1.0], constitutive_coeffs=[0.0, 0.0, 1e308])
+    with pytest.raises(ValidationError, match="not the derivative"):
+        element_from_dict(doc)
+
+
+def test_element_from_dict_bounds_the_series_length():
+    # at the limit: the longest series memsynth writes, order MAX_HARMONIC_ORDER
+    limit = MAX_HARMONIC_ORDER
+    doc = element_to_dict(memductance_from_sines(SUPPLY, [2.0, 0.0, 0.0, -3.0]))
+    at_limit = dict(doc, coeffs=[0.0] * limit, constitutive_coeffs=[0.0] * (limit + 1))
+    assert len(element_from_dict(at_limit).incremental.coeffs) == limit
+    # one entry more: refused on the length, before any entry is read
+    for key, length in [("coeffs", limit + 1), ("constitutive_coeffs", limit + 2)]:
+        with pytest.raises(ValidationError, match=f"{key} holds {length} entries"):
+            element_from_dict(dict(at_limit, **{key: ["0"] * length}))
 
 
 def test_element_from_dict_checks_an_empty_incremental_series():

@@ -41,6 +41,7 @@ from memsynth.synthesis import (
     PolicyMode,
     decompose_load,
     synthesize_conditioner,
+    verification_grid,
     verify_decomposition,
 )
 
@@ -131,6 +132,12 @@ def test_verification_holds_on_every_policy_and_route(load):
                 report = verify_decomposition(network, target)
                 assert report.rel_rms_error <= 1e-12, (mode, route)
                 assert report.max_coefficient_error <= 1e-12, (mode, route)
+                top = max((len(element.incremental.coeffs)
+                           for _, element in network.branches() if element.is_memory), default=1)
+                # decompose_load builds no series longer than the target's order
+                assert top <= max(target.n_max, 1), (mode, route)
+                grid = verification_grid(max(target.n_max, top))
+                assert report.samples_per_period == grid, (mode, route)
 
 
 @SETTINGS

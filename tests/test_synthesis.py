@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from memsynth.elements import ElementKind
+from memsynth.elements import ElementKind, memductance_from_sines
 from memsynth.errors import ValidationError
 from memsynth.harmonics import (
     HarmonicSpectrum,
@@ -58,7 +58,7 @@ def test_motivating_auto_decomposition():
     assert report.rel_rms_error <= 1e-12
     assert report.max_coefficient_error <= 1e-12
     assert report.n_max == 2
-    assert report.samples_per_period == 8192
+    assert report.samples_per_period == 64
 
 
 def test_motivating_forced_capacitive():
@@ -253,10 +253,25 @@ def test_compensated_powers_reach_unity():
 
 
 def test_verification_grid_rule():
-    assert [verification_grid(n) for n in (1, 199, 2048)] == [8192] * 3
-    assert verification_grid(2049) == 16384
-    assert verification_grid(4096) == 16384
-    assert verification_grid(4097) == 32768
+    orders = (1, 16, 17, 199, 2048, 2049, 4096, 4097)
+    assert [verification_grid(n) for n in orders] == [
+        64, 64, 128, 1024, 8192, 16384, 16384, 32768
+    ]
+
+
+def test_verify_sizes_the_grid_by_the_decompositions_highest_order():
+    # a spurious order-64 sine on the memristor, the fundamental kept: the
+    # 64-sample grid of the target's n_max of 2 alone samples it only at its
+    # zeros, and the round trip would pass
+    spectrum = motivating_spectrum()
+    dec = decompose_load(SUPPLY, spectrum)
+    sines = np.zeros(64)
+    sines[0], sines[63] = spectrum.b(1), 1.0
+    spurious = dataclasses.replace(dec, memristor=memductance_from_sines(SUPPLY, sines))
+    report = verify_decomposition(spurious, spectrum)
+    assert report.samples_per_period == verification_grid(64) == 256
+    assert report.n_max == 2
+    assert report.rel_rms_error > 1e-6
 
 
 def test_verify_grows_grid_for_high_orders():
@@ -307,7 +322,7 @@ def test_verify_simulates_exactly_one_period(monkeypatch):
     assert seen == []  # on the orbit the current is never simulated
     off = dataclasses.replace(dec, meminductor=_mirrored(dec.meminductor))
     report = verify_decomposition(off, spectrum)
-    assert [(c.periods, c.samples_per_period) for c in seen] == [(1, 8192)]
+    assert [(c.periods, c.samples_per_period) for c in seen] == [(1, 64)]
     # the mirrored element is the same element, and Clenshaw evaluates it as one
     assert report.rel_rms_error <= 1e-12
     assert report.max_coefficient_error <= 1e-12
