@@ -31,6 +31,8 @@ Skipping an exactly zero coefficient changes no output bit of
 * the last step adds ``+0.0``, which maps either zero to ``+0.0``;
 * a series shorter than the longest one rests at a signed zero until its
   top coefficient ``c``, where ``2x * (+-0) + c - (+-0)`` is exactly ``c``.
+  So trailing zero coefficients change nothing, and the pass starts at the
+  highest nonzero coefficient of any series.
 
 Derivatives stay inside the two bases: ``d/dx T_n = n U_{n-1}`` exactly, and
 a second-kind series is differentiated by first re-expressing it in the
@@ -70,9 +72,9 @@ def evaluate_many(pairs: Sequence[tuple["ChebyshevSeries", object]]) -> list[np.
     controls = [np.asarray(v, dtype=float) for _, v in pairs]
     flat = [v.ravel() for v in controls]
     bounds = [0, *accumulate(v.size for v in flat)]
-    top = max((len(s.coeffs) for s in series), default=0)
     # (k, c_k) of the backward steps that add a coefficient (k = 0 is unused)
     terms = [list(compress(enumerate(s.coeffs), s.coeffs)) for s in series]
+    top = max((t[-1][0] + 1 for t in terms if t), default=0)
     out = np.empty(bounds[-1])
     for lo in range(0, len(out), CLENSHAW_BLOCK_POINTS):
         hi = min(lo + CLENSHAW_BLOCK_POINTS, len(out))

@@ -29,14 +29,7 @@ from .harmonics import (
     compute_powers,
     fryze_split,
 )
-from .loads import (
-    DEFAULT_N_MAX,
-    MOTIVATING_AMPLITUDE,
-    MOTIVATING_OMEGA,
-    N_MAX_ENV_VAR,
-    LoadKind,
-    LoadModel,
-)
+from .loads import DEFAULT_N_MAX, N_MAX_ENV_VAR, LoadKind, LoadModel
 from .simulation import (
     SimulationConfig,
     hysteresis_loop,
@@ -45,6 +38,7 @@ from .simulation import (
     supply_states,
 )
 from .synthesis import (
+    DEFAULT_POLICY,
     AssignmentPolicy,
     EvenSineRoute,
     LoadDecomposition,
@@ -76,16 +70,14 @@ def _read_spectrum(path: str, amplitude: Optional[float]) -> tuple[SupplyVoltage
 
 
 def _policy(args: argparse.Namespace) -> AssignmentPolicy:
-    return AssignmentPolicy(
-        mode=PolicyMode(args.policy), route_even_sines=EvenSineRoute(args.route_even_sines)
-    )
+    return AssignmentPolicy(mode=args.policy, route_even_sines=args.route_even_sines)
 
 
 def cmd_load_model(args: argparse.Namespace) -> int:
     model = LoadModel(
-        kind=LoadKind(args.model),
-        amplitude=args.amplitude if args.amplitude is not None else MOTIVATING_AMPLITUDE,
-        omega=args.omega if args.omega is not None else MOTIVATING_OMEGA,
+        kind=args.model,
+        amplitude=args.amplitude,
+        omega=args.omega,
         n_max=args.nmax,
         i_dc=args.idc,
         delta=args.delta,
@@ -207,16 +199,20 @@ def cmd_hysteresis(args: argparse.Namespace) -> int:
 
 
 def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--periods", type=int, default=2)
-    parser.add_argument("--samples-per-period", type=int, default=8192)
+    parser.add_argument("--periods", type=int, default=SimulationConfig.periods)
+    parser.add_argument(
+        "--samples-per-period", type=int, default=SimulationConfig.samples_per_period
+    )
 
 
 def _add_policy_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--policy", choices=[m.value for m in PolicyMode], default="auto")
+    parser.add_argument(
+        "--policy", choices=[m.value for m in PolicyMode], default=DEFAULT_POLICY.mode.value
+    )
     parser.add_argument(
         "--route-even-sines",
         choices=[r.value for r in EvenSineRoute],
-        default="memristor",
+        default=DEFAULT_POLICY.route_even_sines.value,
     )
 
 
@@ -231,12 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("load-model", help="emit a benchmark load spectrum as JSON")
     p.add_argument("model", choices=[k.value for k in LoadKind])
-    p.add_argument("--A", dest="amplitude", type=float, default=None)
-    p.add_argument("--omega", type=float, default=None)
+    p.add_argument("--A", dest="amplitude", type=float, default=LoadModel.amplitude)
+    p.add_argument("--omega", type=float, default=LoadModel.omega)
     p.add_argument("--nmax", type=int, default=None,
                    help=f"truncation order (default {DEFAULT_N_MAX}, env {N_MAX_ENV_VAR})")
-    p.add_argument("--idc", type=float, default=1.0)
-    p.add_argument("--delta", type=float, default=0.0)
+    p.add_argument("--idc", type=float, default=LoadModel.i_dc)
+    p.add_argument("--delta", type=float, default=LoadModel.delta)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_load_model)
 

@@ -55,7 +55,7 @@ from .harmonics import (
     project_waveform,
     spectrum_negate,
 )
-from .simulation import MIN_SAMPLES_PER_PERIOD, SimulationConfig, simulate
+from .simulation import simulate  # noqa: F401 - the benchmark tracer wraps it under this name
 
 
 class PolicyMode(str, Enum):
@@ -263,18 +263,19 @@ class VerificationReport:
 def verification_grid(order: int) -> int:
     """Verification samples per period for currents up to harmonic ``order``.
 
-    The smallest power of two >= max(:data:`MIN_SAMPLES_PER_PERIOD`, 4 order):
-    every order then sits below a quarter of the grid, so none aliases, and
-    the floor is the simulation's own, for the off-orbit Clenshaw route.
+    The smallest power of two >= 4 order: every order then sits below a
+    quarter of the grid, so none aliases and none reaches the Nyquist order.
     """
-    need = max(MIN_SAMPLES_PER_PERIOD, 4 * order)
-    return 1 << (need - 1).bit_length()
+    return 1 << (4 * order - 1).bit_length()
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _grid_samples(ab: np.ndarray, spp: int) -> np.ndarray:
     """Samples at ``t_k = k T / spp`` of the (a, b) rows over orders 0..top < spp/2.
 
-    Column 0 holds (dc, 0); one inverse real FFT evaluates every order.
+    Column 0 holds (dc, 0); one inverse real FFT evaluates every order.  A
+    sum beyond the float64 range reads inf or nan, without a warning;
+    projecting it is refused.
     """
     half = (ab[0] - 1j * ab[1]) * 0.5
     half[0] = ab[0, 0]
@@ -284,8 +285,8 @@ def _grid_samples(ab: np.ndarray, spp: int) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def steady_state_current(decomposition: LoadDecomposition, spp: int) -> Optional[np.ndarray]:
-    """Terminal current on the endpoint-exclusive grid of ``spp`` samples per period.
+def steady_state_rows(decomposition: LoadDecomposition) -> np.ndarray:
+    """(a, b) rows of the terminal current over orders 0..top; column 0 holds (dc, 0).
 
     On the steady-state orbit a memory element's argument ``scale * v`` is
     exactly ``cos(w t)`` (flux) or ``sin(w t)`` (time-integrated flux), and
@@ -297,27 +298,28 @@ def steady_state_current(decomposition: LoadDecomposition, spp: int) -> Optional
     * memcapacitor ``A w sum m c_k cos(m w t)``;
     * meminductor ``-(A/w) sum c_k sin(m (pi/2 - w t))``.
 
-    The series never reads ``scale``, so it stands for the element only when
-    that scale is exactly :func:`orbit_scale`.
-    Otherwise, or when an order reaches ``spp/2``, the result is None and the
-    current has to be simulated.  A current beyond the float64 range reads
-    inf, without a warning; projecting it is refused.
+    ``top`` is the longest memory series, at least 1.  The series never
+    reads ``scale``, so it stands for the element only when that scale is
+    exactly :func:`orbit_scale`; any other scale is refused.  A row beyond
+    the float64 range reads inf, without a warning.
     """
     supply = decomposition.supply
     amp, w = supply.amplitude, supply.omega
-    branches = [element for _, element in decomposition.branches()]
+    branches = decomposition.branches()
     top = 1
-    for element in branches:
+    for label, element in branches:
         if element.is_memory:
             series = element.incremental
-            if series.scale != orbit_scale(supply, element.control):
-                return None
+            orbit = orbit_scale(supply, element.control)
+            if series.scale != orbit:
+                raise ValidationError(
+                    f"{label} scale {series.scale!r} is off the steady-state orbit,"
+                    f" whose scale is {orbit!r}"
+                )
             top = max(top, len(series.coeffs))
-    if 2 * top >= spp:
-        return None
 
     ab = np.zeros((2, top + 1))
-    for element in branches:
+    for _, element in branches:
         kind, value = element.kind, element.scalar_value
         if kind is ElementKind.DC_SOURCE:
             ab[0, 0] += value
@@ -338,7 +340,7 @@ def steady_state_current(decomposition: LoadDecomposition, spp: int) -> Optional
                 # -sin(m (pi/2 - t)) is (-1)^ceil(m/2) times cos(m t) at odd m
                 # and times sin(m t) at even m
                 ab[1 - m % 2, m] += (-1.0) ** ((m + 1) // 2) * (amp / w) * c
-    return _grid_samples(ab, spp)
+    return ab
 
 
 def verify_decomposition(
@@ -346,11 +348,11 @@ def verify_decomposition(
 ) -> VerificationReport:
     """Rebuild one period of the current, re-project it, and compare against ``target``.
 
-    The grid is the :func:`verification_grid` of the larger of the target's
-    ``n_max`` and the decomposition's highest order (its longest memory
-    series), so a term the target lacks can neither alias nor vanish on the
-    grid.  The current comes from :func:`steady_state_current`, or, for an
-    element off the steady-state orbit, from :func:`simulate`.
+    The current is sampled from :func:`steady_state_rows`, so an element off
+    the steady-state orbit is refused.  The grid is the
+    :func:`verification_grid` of the larger of the target's ``n_max`` and
+    the rows' top order, so a term the target lacks can neither alias nor
+    vanish on the grid.
 
     ``rel_rms_error`` is the waveform mismatch normalized by the target rms
     (absolute when the target is identically zero).  The coefficient error is
@@ -359,22 +361,18 @@ def verify_decomposition(
     """
     _check_frequency(decomposition.supply.omega, target.omega)
     n_max = max(target.n_max, 1)
-    orders = [len(e.incremental.coeffs) for _, e in decomposition.branches() if e.is_memory]
-    spp = verification_grid(max([n_max, *orders]))
-    current = steady_state_current(decomposition, spp)
-    if current is None:
-        config = SimulationConfig(periods=1, samples_per_period=spp)
-        current = simulate(decomposition, config).i_total
+    rows = steady_state_rows(decomposition)
+    spp = verification_grid(max(n_max, rows.shape[1] - 1))
 
     # rows (a, b) over orders 0..n_max; column 0 holds (dc, 0)
     wanted = np.zeros((2, n_max + 1))
     wanted[:, 1 : target.n_max + 1] = target.cos, target.sin
     wanted[0, 0] = target.dc
     # everything in units of the largest target coefficient, so that neither
-    # FFT nor any square overflows
+    # a sample, the FFT nor any square overflows
     scale = float(np.max(np.abs(wanted))) or 1.0
     wanted /= scale
-    current = current / scale
+    current = _grid_samples(rows / scale, spp)
     projected = project_waveform(current, target.omega, n_max)
     got = np.array([(projected.dc, *projected.cos), (0.0, *projected.sin)])
     target_wave = _grid_samples(wanted, spp)

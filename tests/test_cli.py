@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memsynth import cli, synthesis, textio
+from memsynth import cli, textio
 from memsynth.harmonics import MAX_HARMONIC_ORDER
 
 AMP = 230.0 * math.sqrt(2.0)
@@ -92,7 +92,7 @@ def test_characterize_branches_and_verification(tmp_path):
     assert ver["max_rel_rms_error"] <= 1e-9
     assert ver["max_coefficient_error"] <= 1e-9
     assert ver["n_max"] == 2
-    assert ver["samples_per_period"] == 64
+    assert ver["samples_per_period"] == 8
 
 
 @pytest.mark.parametrize("n_max", [3000, 4000])
@@ -136,7 +136,7 @@ def test_characterize_gate_failure(tmp_path, monkeypatch, capsys):
     assert "verification failed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("scale_factor", [1.0, 1.0 + 2.0**-40], ids=["spectral", "clenshaw"])
+@pytest.mark.parametrize("scale_factor", [1.0, 1.0 + 2.0**-40], ids=["spectral", "off-orbit"])
 def test_characterize_gate_catches_a_tampered_memristor(tmp_path, monkeypatch, capsys,
                                                         scale_factor):
     spec = tmp_path / "spec.json"
@@ -156,20 +156,17 @@ def test_characterize_gate_catches_a_tampered_memristor(tmp_path, monkeypatch, c
             memristor=dataclasses.replace(dec.memristor, incremental=series, constitutive=curve),
         )
 
-    simulated = []
-    simulate = synthesis.simulate
-
-    def spy(decomposition, config):
-        simulated.append(config)
-        return simulate(decomposition, config)
-
     monkeypatch.setattr(cli, "decompose_load", tampered)
-    monkeypatch.setattr(synthesis, "simulate", spy)
     out = tmp_path / "d.json"
+    if scale_factor != 1.0:
+        # verification refuses the element before anything is written
+        assert cli.main(["characterize", str(spec), "-o", str(out)]) == 2
+        assert "orbit" in capsys.readouterr().err
+        assert not out.exists()
+        return
     assert cli.main(["characterize", str(spec), "-o", str(out)]) == 3
     assert "verification failed" in capsys.readouterr().err
     assert json.loads(out.read_text())["verification"]["max_rel_rms_error"] > cli.VERIFY_GATE
-    assert len(simulated) == (scale_factor != 1.0)
 
 
 def test_compensate_report(tmp_path):
@@ -794,12 +791,20 @@ def test_powers_that_leave_float64_exit_2_before_writing(tmp_path, capsys, comma
 #: a finite term whose closed-form current overflowed when its coefficient
 #: was scaled by samples_per_period / 2 before the inverse FFT
 NEAR_LIMIT_SPECTRUM = dict(OVERFLOWING_AC_SPECTRUM, harmonics=[{"n": 1, "a": 1.7e308, "b": 1.0}])
+#: finite terms whose current sums to 2e308 at t = 0, so it leaves float64
+#: unless it is sampled in units of the target
+DC_AND_FUNDAMENTAL_SPECTRUM = dict(
+    OVERFLOWING_AC_SPECTRUM,
+    dc=1e308,
+    harmonics=[{"n": 1, "a": 1e308, "b": 162.6}, {"n": 2, "a": 3.0, "b": 0.0}],
+)
 
 
 @pytest.mark.parametrize(
     "spectrum",
-    [OVERFLOWING_AC_SPECTRUM, OVERFLOWING_DC_SPECTRUM, NEAR_LIMIT_SPECTRUM],
-    ids=["ac", "dc", "near-limit"],
+    [OVERFLOWING_AC_SPECTRUM, OVERFLOWING_DC_SPECTRUM, NEAR_LIMIT_SPECTRUM,
+     DC_AND_FUNDAMENTAL_SPECTRUM],
+    ids=["ac", "dc", "near-limit", "dc-and-fundamental"],
 )
 def test_characterize_verifies_a_spectrum_whose_squares_overflow(tmp_path, spectrum):
     # verification works in units of the target's largest coefficient, so

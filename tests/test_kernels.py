@@ -2,9 +2,9 @@
 
 The reference loops live here, not in the library.  Kernels that keep the
 loop's arithmetic order must match it exactly; the FFT projection and the
-verification's steady-state current (one inverse FFT against Clenshaw
-simulation) sum in a different order and must match to a tolerance fixed by
-float64 round-off.
+verification's steady-state current (its Fourier rows sampled by one inverse
+FFT, against Clenshaw simulation) sum in a different order and must match to
+a tolerance fixed by float64 round-off.
 """
 
 import math
@@ -35,12 +35,13 @@ from memsynth.synthesis import (
     EvenSineRoute,
     LoadDecomposition,
     PolicyMode,
+    _grid_samples,
     decompose_load,
-    steady_state_current,
+    steady_state_rows,
     synthesize_conditioner,
     verification_grid,
 )
-from memsynth.simulation import SimulationConfig, simulate
+from memsynth.simulation import MIN_SAMPLES_PER_PERIOD, SimulationConfig, simulate
 
 from test_properties import SETTINGS, loads
 
@@ -126,6 +127,11 @@ def test_clenshaw_matches_tuple_rotation_exactly(second_kind, degree):
     (got,) = evaluate_many([(ChebyshevSeries(_kind(second_kind), coeffs), x)])
     want = 0.0 + _reference_clenshaw(coeffs, x, second_kind)
     assert np.array_equal(got, want)
+    # trailing zeros of either sign change no bit, alone or beside a shorter series
+    padded = ChebyshevSeries(_kind(second_kind), coeffs + (0.0, -0.0) * 500)
+    constant = ChebyshevSeries(ChebyshevKind.FIRST, (1.0,))
+    for pairs in ([(padded, x)], [(padded, x), (constant, x)]):
+        assert evaluate_many(pairs)[0].tobytes() == got.tobytes()
 
 
 @pytest.mark.parametrize("second_kind", [False, True])
@@ -402,13 +408,14 @@ def test_decompose_load_matches_the_sparse_reference(load):
 
 def _assert_spectral_current_matches_clenshaw(supply, spectrum):
     _, nonactive, _ = fryze_split(supply, spectrum)
-    spp = verification_grid(max(spectrum.n_max, 1))
+    # the simulation takes no fewer than MIN_SAMPLES_PER_PERIOD samples
+    spp = max(MIN_SAMPLES_PER_PERIOD, verification_grid(max(spectrum.n_max, 1)))
     for mode in PolicyMode:
         for route in EvenSineRoute:
             policy = AssignmentPolicy(mode=mode, route_even_sines=route)
             for network in (decompose_load(supply, spectrum, policy),
                             synthesize_conditioner(supply, spectrum, policy)):
-                got = steady_state_current(network, spp)
+                got = _grid_samples(steady_state_rows(network), spp)
                 want = simulate(network, SimulationConfig(1, spp)).i_total
                 tol = 1e-12 * float(np.max(np.abs(want)))
                 assert np.max(np.abs(got - want)) <= tol, (mode, route)

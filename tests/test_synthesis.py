@@ -30,7 +30,8 @@ from memsynth.synthesis import (
     LoadDecomposition,
     PolicyMode,
     decompose_load,
-    steady_state_current,
+    _grid_samples,
+    steady_state_rows,
     synthesize_conditioner,
     verification_grid,
     verify_decomposition,
@@ -58,7 +59,7 @@ def test_motivating_auto_decomposition():
     assert report.rel_rms_error <= 1e-12
     assert report.max_coefficient_error <= 1e-12
     assert report.n_max == 2
-    assert report.samples_per_period == 64
+    assert report.samples_per_period == 8
 
 
 def test_motivating_forced_capacitive():
@@ -255,7 +256,7 @@ def test_compensated_powers_reach_unity():
 def test_verification_grid_rule():
     orders = (1, 16, 17, 199, 2048, 2049, 4096, 4097)
     assert [verification_grid(n) for n in orders] == [
-        64, 64, 128, 1024, 8192, 16384, 16384, 32768
+        4, 64, 128, 1024, 8192, 16384, 16384, 32768
     ]
 
 
@@ -303,51 +304,35 @@ THREE_MEMORIES = HarmonicSpectrum.from_terms(
 )
 
 
-def _spy_simulate(monkeypatch):
-    seen = []
-
-    def spy(decomposition, config=None):
-        seen.append(config)
-        return simulate(decomposition, config)
-
-    monkeypatch.setattr(synthesis, "simulate", spy)
-    return seen
-
-
-def test_verify_simulates_exactly_one_period(monkeypatch):
-    seen = _spy_simulate(monkeypatch)
+def test_verify_refuses_a_mirrored_element():
+    # the mirrored element is the same element, but the rows stand for it
+    # only at the orbit scale
     spectrum = motivating_spectrum()
     dec = decompose_load(SUPPLY, spectrum)
-    verify_decomposition(dec, spectrum)
-    assert seen == []  # on the orbit the current is never simulated
     off = dataclasses.replace(dec, meminductor=_mirrored(dec.meminductor))
-    report = verify_decomposition(off, spectrum)
-    assert [(c.periods, c.samples_per_period) for c in seen] == [(1, 64)]
-    # the mirrored element is the same element, and Clenshaw evaluates it as one
-    assert report.rel_rms_error <= 1e-12
-    assert report.max_coefficient_error <= 1e-12
+    with pytest.raises(ValidationError, match="meminductor scale .* off the steady-state orbit"):
+        verify_decomposition(off, spectrum)
 
 
 def test_verify_rejects_non_finite_current_through_projection(monkeypatch):
     projected = []
 
-    def corrupt(decomposition, config=None):
-        trace = simulate(decomposition, config)
-        trace.i_total[7] = np.nan
-        return trace
-
     def spy_project(samples, omega, n_max):
         projected.append(n_max)
         return project_waveform(samples, omega, n_max)
 
-    monkeypatch.setattr(synthesis, "simulate", corrupt)
     monkeypatch.setattr(synthesis, "project_waveform", spy_project)
-    spectrum = motivating_spectrum()
-    dec = decompose_load(SUPPLY, spectrum)
-    off = dataclasses.replace(dec, memcapacitor=_mirrored(dec.memcapacitor))
-    with pytest.raises(ValidationError, match="finite"):
-        verify_decomposition(off, spectrum)
-    assert projected == [2]
+    # an on-orbit memristor whose current A c_0 leaves float64
+    supply = SupplyVoltage(10.0, 100.0)
+    memristor = memductance_from_sines(supply, [1.0])
+    series = dataclasses.replace(memristor.incremental, coeffs=(1e308,))
+    dec = LoadDecomposition(
+        supply=supply, memristor=dataclasses.replace(memristor, incremental=series)
+    )
+    spectrum = HarmonicSpectrum(100.0, 0.0, (0.0,), (1.0,))
+    with pytest.raises(ValidationError, match="samples must be finite"):
+        verify_decomposition(dec, spectrum)
+    assert projected == [1]
 
 
 @pytest.mark.parametrize("slot", ["memristor", "meminductor", "memcapacitor"])
@@ -355,36 +340,26 @@ def test_verify_rejects_non_finite_current_through_projection(monkeypatch):
     lambda s: dataclasses.replace(s, scale=-s.scale),
     lambda s: dataclasses.replace(s, scale=s.scale * (1.0 + 2.0**-40)),
 ], ids=["negated-scale", "scale-off-by-2^-40"])
-def test_elements_off_the_orbit_take_the_clenshaw_route(monkeypatch, slot, tamper):
+def test_elements_off_the_orbit_are_refused(slot, tamper):
     dec = decompose_load(SUPPLY, THREE_MEMORIES)
     memories = ("memristor", "meminductor", "memcapacitor")
     assert [getattr(dec, name).kind.value for name in memories] == list(memories)
-    assert steady_state_current(dec, 8192) is not None
+    assert steady_state_rows(dec).shape == (2, 5)
     element = getattr(dec, slot)
     # an element holds one scale, so both series take the tampered one
     off_element = dataclasses.replace(
         element, incremental=tamper(element.incremental), constitutive=tamper(element.constitutive)
     )
     off = dataclasses.replace(dec, **{slot: off_element})
-    assert steady_state_current(off, 8192) is None
-    seen = _spy_simulate(monkeypatch)
-    verify_decomposition(off, THREE_MEMORIES)
-    assert len(seen) == 1
-
-
-def test_orders_at_half_the_grid_take_the_clenshaw_route():
-    # the top order must stay below the grid's Nyquist order, spp/2
-    below = HarmonicSpectrum.from_terms(OMEGA, 0.0, ((4095, 0.0, 1.0),))
-    at = HarmonicSpectrum.from_terms(OMEGA, 0.0, ((4096, 0.0, 1.0),))
-    assert steady_state_current(decompose_load(SUPPLY, below), 8192) is not None
-    assert steady_state_current(decompose_load(SUPPLY, at), 8192) is None
-    assert steady_state_current(decompose_load(SUPPLY, at), 16384) is not None
+    for check in (steady_state_rows, lambda d: verify_decomposition(d, THREE_MEMORIES)):
+        with pytest.raises(ValidationError, match=f"{slot} scale .* orbit"):
+            check(off)
 
 
 def test_steady_state_current_matches_simulation_on_every_branch_kind():
     for policy in (AssignmentPolicy(), AssignmentPolicy(route_even_sines="meminductor")):
         for network in (decompose_load(SUPPLY, THREE_MEMORIES, policy),
                         synthesize_conditioner(SUPPLY, THREE_MEMORIES, policy)):
-            current = steady_state_current(network, 2048)
+            current = _grid_samples(steady_state_rows(network), 2048)
             clenshaw = simulate(network, FAST).i_total
             assert np.max(np.abs(current - clenshaw)) <= 1e-12 * np.max(np.abs(clenshaw))
