@@ -44,12 +44,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate, compress
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError, finite_floats
 
 
 class ChebyshevKind(str, Enum):
@@ -73,7 +73,8 @@ def evaluate_many(pairs: Sequence[tuple["ChebyshevSeries", object]]) -> list[np.
     flat = [v.ravel() for v in controls]
     bounds = [0, *accumulate(v.size for v in flat)]
     # (k, c_k) of the backward steps that add a coefficient (k = 0 is unused)
-    terms = [list(compress(enumerate(s.coeffs), s.coeffs)) for s in series]
+    nonzero = [np.flatnonzero(s.array) for s in series]
+    terms = [list(zip(k.tolist(), s.array[k].tolist())) for s, k in zip(series, nonzero)]
     top = max((t[-1][0] + 1 for t in terms if t), default=0)
     out = np.empty(bounds[-1])
     for lo in range(0, len(out), CLENSHAW_BLOCK_POINTS):
@@ -142,11 +143,7 @@ class ChebyshevSeries:
     def __post_init__(self) -> None:
         if type(self.kind) is not ChebyshevKind:  # the Enum call costs ~1 us
             object.__setattr__(self, "kind", ChebyshevKind(self.kind))
-        array = np.array(self.coeffs, dtype=float)
-        if array.ndim != 1:
-            raise ValidationError("series coefficients must be a flat sequence")
-        if not np.isfinite(array).all():
-            raise ValidationError("series coefficients must be finite")
+        array = finite_floats(self.coeffs, "series coefficients")
         array.flags.writeable = False
         object.__setattr__(self, "coeffs", tuple(array.tolist()))
         object.__setattr__(self, "array", array)
@@ -166,10 +163,15 @@ class ChebyshevSeries:
 
         d/dv sum c_k T_k(s v) = sum_{k>=1} k c_k s U_{k-1}(s v), with the
         argument map unchanged; a second-kind series is first re-expressed
-        in the first-kind basis.
+        in the first-kind basis.  Raises :class:`NumericalError` when a
+        derivative coefficient leaves float64, as ``k c_k s`` can for a
+        large scale: the input was valid, the result cannot be held.
         """
-        first = self.array if self.kind is ChebyshevKind.FIRST else _second_to_first(self.array)
-        out = np.arange(len(first)) * first * self.scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            first = self.array if self.kind is ChebyshevKind.FIRST else _second_to_first(self.array)
+            out = np.arange(len(first)) * first * self.scale
+        if not np.isfinite(out).all():
+            raise NumericalError("derivative coefficients are not finite in float64")
         return ChebyshevSeries(ChebyshevKind.SECOND, out[1:], scale=self.scale)
 
 

@@ -14,15 +14,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import NumericalError, ValidationError
 from .harmonics import (
+    PF_CONVENTIONS,
     HarmonicSpectrum,
     SupplyVoltage,
     _real,
@@ -31,6 +29,7 @@ from .harmonics import (
 )
 from .loads import DEFAULT_N_MAX, N_MAX_ENV_VAR, LoadKind, LoadModel
 from .simulation import (
+    LOOP_COLUMNS,
     SimulationConfig,
     hysteresis_loop,
     loop_indices,
@@ -53,8 +52,6 @@ from .textio import columns_to_csv, dump_json, emit, read_json, trace_to_csv
 #: so a nan error fails too
 VERIFY_GATE = 1e-6
 
-CONSTITUTIVE_POINTS = 1001
-
 
 def _read_spectrum(path: str, amplitude: Optional[float]) -> tuple[SupplyVoltage, HarmonicSpectrum]:
     doc = read_json(path)
@@ -71,6 +68,11 @@ def _read_spectrum(path: str, amplitude: Optional[float]) -> tuple[SupplyVoltage
 
 def _policy(args: argparse.Namespace) -> AssignmentPolicy:
     return AssignmentPolicy(mode=args.policy, route_even_sines=args.route_even_sines)
+
+
+def _powers(supply: SupplyVoltage, spectrum: HarmonicSpectrum, conventions) -> dict:
+    """One power block of a report: each convention's figures, in the given order."""
+    return {conv: dict(vars(compute_powers(supply, spectrum, conv))) for conv in conventions}
 
 
 def cmd_load_model(args: argparse.Namespace) -> int:
@@ -122,14 +124,8 @@ def cmd_compensate(args: argparse.Namespace) -> int:
     report = {
         "supply": {"amplitude": supply.amplitude, "omega": supply.omega},
         "dc_component": dc,
-        "before": {
-            conv: dict(vars(compute_powers(supply, spectrum, conv)))
-            for conv in ("rms", "paper")
-        },
-        "after": {
-            conv: dict(vars(compute_powers(supply, compensated, conv)))
-            for conv in ("rms", "paper")
-        },
+        "before": _powers(supply, spectrum, PF_CONVENTIONS),
+        "after": _powers(supply, compensated, PF_CONVENTIONS),
     }
     conditioner_text, report_text = dump_json(conditioner.to_dict()), dump_json(report)
     emit(conditioner_text, args.output)
@@ -146,23 +142,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     supply, spectrum = _read_spectrum(args.spectrum, args.amplitude)
-    conventions = ("rms", "paper") if args.pf_convention == "both" else (args.pf_convention,)
+    conventions = PF_CONVENTIONS if args.pf_convention == "both" else (args.pf_convention,)
     doc = {
         "supply": {"amplitude": supply.amplitude, "omega": supply.omega},
-        "powers": {
-            conv: dict(vars(compute_powers(supply, spectrum, conv)))
-            for conv in conventions
-        },
+        "powers": _powers(supply, spectrum, conventions),
     }
     emit(dump_json(doc), args.output)
     return 0
-
-
-_LOOP_HEADERS = {
-    "memristor": "u,i",
-    "memcapacitor": "u,q",
-    "meminductor": "phi,i",
-}
 
 
 def cmd_hysteresis(args: argparse.Namespace) -> int:
@@ -171,24 +157,11 @@ def cmd_hysteresis(args: argparse.Namespace) -> int:
     if element is None:
         raise ValidationError(f"decomposition has no branch labelled {args.branch!r}")
     config = SimulationConfig(args.periods, args.samples_per_period)
-    if not element.is_memory:
-        raise ValidationError("hysteresis loops are defined for memory elements")
-    # the single-valued constitutive curve over the steady-state control
-    # range rides in the loop's Clenshaw pass
-    series = element.constitutive
-    scale = abs(series.scale)
-    span = 1.0 / scale if scale else math.inf
-    if not math.isfinite(span):
-        raise ValidationError(f"constitutive scale {series.scale!r} gives no finite control range")
-    if math.isfinite(2.0 / scale):
-        grid = np.linspace(-span, span, CONSTITUTIVE_POINTS)
-    else:  # the step 2 * span of linspace would overflow
-        grid = span * np.linspace(-1.0, 1.0, CONSTITUTIVE_POINTS)
     states = supply_states(decomposition.supply, config, loop_indices(config))
-    drive, response, curve = hysteresis_loop(element, states, (series, grid))
+    drive, response, control, value = hysteresis_loop(element, states)
     # both tables are rendered, and so checked, before either is written
-    loop = columns_to_csv(_LOOP_HEADERS[element.kind.value], [drive, response])
-    table = columns_to_csv("control,value", [grid, curve])
+    loop = columns_to_csv(",".join(LOOP_COLUMNS[element.kind]), [drive, response])
+    table = columns_to_csv("control,value", [control, value])
     constitutive_path = args.constitutive_output
     if constitutive_path is None and args.output is not None:
         base = Path(args.output)

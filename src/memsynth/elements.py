@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .chebyshev import ChebyshevKind, ChebyshevSeries
-from .errors import ValidationError
+from .errors import ValidationError, finite_floats
 from .harmonics import MAX_HARMONIC_ORDER, SupplyVoltage, _real
 
 #: synthesized coefficients below this magnitude are treated as zero
@@ -136,11 +136,7 @@ class RegularizedElement:
 
 def _dense_terms(values, what: str) -> np.ndarray:
     """Finite amplitudes, order n at index n-1; those below COEFF_DROP_TOLERANCE become 0.0."""
-    terms = np.array(values, dtype=float)
-    if terms.ndim != 1:
-        raise ValidationError(f"{what} must be a flat array of amplitudes")
-    if not np.isfinite(terms).all():
-        raise ValidationError(f"{what} must be finite")
+    terms = finite_floats(values, what)
     terms[np.abs(terms) < COEFF_DROP_TOLERANCE] = 0.0
     return terms
 

@@ -28,7 +28,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, finite_floats
 
 #: relative frequency mismatch tolerated between a supply and a spectrum
 FREQUENCY_RTOL = 1e-12
@@ -111,12 +111,10 @@ class HarmonicSpectrum:
             raise ValidationError("spectrum omega must be positive and finite")
         if not math.isfinite(self.dc):
             raise ValidationError("dc component must be finite")
-        cos = np.asarray(self.cos, dtype=float)
-        sin = np.asarray(self.sin, dtype=float)
-        if cos.ndim != 1 or cos.shape != sin.shape:
-            raise ValidationError("cos and sin amplitudes must be flat and of one length")
-        if not (np.isfinite(cos).all() and np.isfinite(sin).all()):
-            raise ValidationError("harmonic amplitudes must be finite")
+        cos = finite_floats(self.cos, "cos amplitudes")
+        sin = finite_floats(self.sin, "sin amplitudes")
+        if cos.shape != sin.shape:
+            raise ValidationError("cos and sin amplitudes must be of one length")
         object.__setattr__(self, "cos", tuple(cos.tolist()))
         object.__setattr__(self, "sin", tuple(sin.tolist()))
 
@@ -253,11 +251,7 @@ def project_waveform(samples, omega: float, n_max: int) -> HarmonicSpectrum:
     negated scaled imaginary part of the discrete Fourier transform, so one
     real FFT computes all orders at O(N log N) cost.
     """
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 1:
-        raise ValidationError("samples must be a 1-D array covering one period")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("samples must be finite")
+    arr = finite_floats(samples, "samples")
     n_max = int(n_max)
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")

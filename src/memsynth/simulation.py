@@ -26,6 +26,7 @@ trace's ``C_of_t`` column alike.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
@@ -46,6 +47,17 @@ MAX_GRID_SAMPLES = 2**22
 
 #: fewest samples per period a simulation grid may hold
 MIN_SAMPLES_PER_PERIOD = 64
+
+#: points of the constitutive curve that :func:`hysteresis_loop` draws
+CONSTITUTIVE_POINTS = 1001
+
+#: (drive, response) column names of each memory element's loop; the drive
+#: is the :class:`SupplyStates` field of that name
+LOOP_COLUMNS = {
+    ElementKind.MEMRISTOR: ("u", "i"),
+    ElementKind.MEMCAPACITOR: ("u", "q"),
+    ElementKind.MEMINDUCTOR: ("phi", "i"),
+}
 
 
 @dataclass(frozen=True)
@@ -225,25 +237,34 @@ def simulate(
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def hysteresis_loop(element: MemoryElement, states: SupplyStates, *extra) -> tuple:
-    """The element's characteristic loop, drawn over exactly ``states``.
+def hysteresis_loop(element: MemoryElement, states: SupplyStates) -> tuple:
+    """The element's characteristic, drawn in one Clenshaw pass.
 
-    Returns (drive, response) pairs: (u, i) for a memristor, (u, q) for a
-    memcapacitor, (phi, i) for a meminductor.  For one closed period pass
-    the states of :func:`loop_indices`, one period plus the closing sample,
-    so start and end coincide up to roundoff.  Each ``extra`` (series,
-    control) pair is evaluated in the same Clenshaw pass as the loop, and
-    its values follow drive and response in the result.
+    Returns ``(drive, response, control, value)``.  The first two are the
+    loop over exactly ``states``, named by :data:`LOOP_COLUMNS`: (u, i) for
+    a memristor, (u, q) for a memcapacitor, (phi, i) for a meminductor.  For
+    one closed period pass the states of :func:`loop_indices`, one period
+    plus the closing sample, so start and end coincide up to roundoff.  The
+    last two are the single-valued constitutive curve on
+    :data:`CONSTITUTIVE_POINTS` controls over the steady-state range
+    ``+-1/|scale|``; a scale that gives no finite range is refused with
+    :class:`ValidationError`.
     """
     if not element.is_memory:
         raise ValidationError("hysteresis loops are defined for memory elements")
+    series = element.constitutive
+    scale = abs(series.scale)
+    span = 1.0 / scale if scale else math.inf
+    if not math.isfinite(span):
+        raise ValidationError(f"constitutive scale {series.scale!r} gives no finite control range")
+    if math.isfinite(2.0 / scale):
+        control = np.linspace(-span, span, CONSTITUTIVE_POINTS)
+    else:  # the step 2 * span of linspace would overflow
+        control = span * np.linspace(-1.0, 1.0, CONSTITUTIVE_POINTS)
+    drive = getattr(states, LOOP_COLUMNS[element.kind][0])
     if element.kind is ElementKind.MEMCAPACITOR:
         # q = C_M(phi) u needs no dC_M/dphi
-        cap, *rest = evaluate_many([(element.incremental, states.phi), *extra])
-        return (states.u, cap * states.u, *rest)
-    pairs = branch_series(element, states)
-    samples = evaluate_many([*pairs, *extra])
-    current = branch_current(element, states, samples[: len(pairs)]).current
-    drive = states.phi if element.kind is ElementKind.MEMINDUCTOR else states.u
-    return (drive, current, *samples[len(pairs) :])
-
+        cap, value = evaluate_many([(element.incremental, states.phi), (series, control)])
+        return drive, cap * states.u, control, value
+    *samples, value = evaluate_many([*branch_series(element, states), (series, control)])
+    return drive, branch_current(element, states, samples).current, control, value

@@ -212,7 +212,7 @@ def test_acceptance_memcapacitor_charge_gating():
         q = branch(trace, "memcapacitor").charge
         mask = np.abs(trace.u) <= 1e-12 * AMP
         gate = float(np.max(np.abs(q[mask]))) / float(np.max(np.abs(q)))
-        drive, response = hysteresis_loop(cond.memcapacitor, states)
+        drive, response, _, _ = hysteresis_loop(cond.memcapacitor, states)
         closure = max(
             abs(drive[0] - drive[-1]) / AMP,
             abs(response[0] - response[-1]) / float(np.max(np.abs(response))),

@@ -835,18 +835,42 @@ NON_FINITE_DECOMPOSITIONS = {
 }
 
 
+@functools.cache
+def _tiny_supply_network(command: str) -> dict:
+    """The network ``command`` (characterize or compensate) writes for a third
+    harmonic on a 1e-300 V supply: its memcapacitor's C_M holds, but its
+    dC_M/dphi, k * c_k * scale with scale -3.1e302, leaves float64."""
+    spectrum = {"omega": OMEGA, "supply_amplitude": 1e-300,
+                "harmonics": [{"n": 3, "a": 1.0, "b": 0.0}]}
+    with tempfile.TemporaryDirectory() as tmp:
+        spec, out = Path(tmp, "spec.json"), Path(tmp, "out.json")
+        spec.write_text(json.dumps(spectrum))
+        report = ["--report", str(Path(tmp, "report.json"))] if command == "compensate" else []
+        assert cli.main([command, str(spec), "-o", str(out), *report]) == 0
+        return json.loads(out.read_text())
+
+
 @pytest.mark.parametrize("command, case", [
     ("simulate", "argument"), ("hysteresis", "argument"), ("hysteresis", "constitutive"),
+    ("simulate", "characterize"), ("simulate", "compensate"),
 ])
 def test_non_finite_samples_exit_3_before_writing(tmp_path, capsys, command, case):
     dec = tmp_path / "dec.json"
-    dec.write_text(json.dumps(NON_FINITE_DECOMPOSITIONS[case]))
+    dec.write_text(json.dumps(NON_FINITE_DECOMPOSITIONS.get(case) or _tiny_supply_network(case)))
     out = tmp_path / "out.csv"
     branch = ["--branch", "memristor"] if command == "hysteresis" else []
     assert cli.main([command, str(dec), *branch, "--samples-per-period", "64",
                      "-o", str(out)]) == 3
     assert "not finite" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [dec]
+
+
+@pytest.mark.parametrize("command", ["characterize", "compensate"])
+def test_memcapacitor_loop_needs_no_derivative(tmp_path, command):
+    dec = tmp_path / "dec.json"
+    dec.write_text(json.dumps(_tiny_supply_network(command)))
+    assert cli.main(["hysteresis", str(dec), "--branch", "memcapacitor",
+                     "--samples-per-period", "64", "-o", str(tmp_path / "loop.csv")]) == 0
 
 
 def test_series_longer_than_memsynth_writes_exit_2_before_writing(tmp_path, capsys):

@@ -88,6 +88,8 @@ def test_spectrum_validation():
         HarmonicSpectrum(omega=1.0, cos=(1.0, 2.0), sin=(0.0,))
     with pytest.raises(ValidationError):
         HarmonicSpectrum(omega=1.0, cos=((1.0,),), sin=((0.0,),))
+    with pytest.raises(ValidationError, match="sin amplitudes must be a flat"):
+        HarmonicSpectrum(omega=1.0, cos=(1.0,), sin=((0.0,),))
     with pytest.raises(ValidationError):
         HarmonicSpectrum(omega=1.0, cos=(0.0,), sin=(float("inf"),))
 

@@ -41,3 +41,9 @@ def test_only_textio_imports_orjson_and_cli_takes_only_its_public_names():
     assert importers == ["textio.py"]
     from_textio = [name for module, name in _imports(SOURCES / "cli.py") if module == ".textio"]
     assert from_textio and not [name for name in from_textio if name.startswith("_")]
+
+
+def test_cli_does_no_arithmetic_of_its_own():
+    # numbers are worked out in the library; cli parses, calls and writes
+    modules = {module.split(".")[0] for module, _ in _imports(SOURCES / "cli.py")}
+    assert not modules & {"numpy", "math"}

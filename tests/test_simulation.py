@@ -152,13 +152,13 @@ def test_hysteresis_loop_closure_and_planes():
     dec = decompose_load(SUPPLY, motivating_spectrum())
     whole = supply_states(SUPPLY)
     states = _loop_states(SimulationConfig())
-    x, y = hysteresis_loop(dec.memcapacitor, states)
+    x, y, _, _ = hysteresis_loop(dec.memcapacitor, states)
     assert len(x) == 8193
     assert abs(x[0] - x[-1]) <= 1e-9 * float(np.max(np.abs(x)))
     assert abs(y[0] - y[-1]) <= 1e-9 * float(np.max(np.abs(y)))
     np.testing.assert_array_equal(x, whole.u[: len(x)])
 
-    phi_axis, i_ind = hysteresis_loop(dec.meminductor, states)
+    phi_axis, i_ind, _, _ = hysteresis_loop(dec.meminductor, states)
     np.testing.assert_array_equal(phi_axis, whole.phi[: len(phi_axis)])
     assert abs(i_ind[0] - i_ind[-1]) <= 1e-9 * float(np.max(np.abs(i_ind)))
 
@@ -166,7 +166,7 @@ def test_hysteresis_loop_closure_and_planes():
 def test_hysteresis_single_period_wraps():
     element = memductance_from_sines(SUPPLY, [2.0, 0.0, 0.5])
     states = _loop_states(SimulationConfig(periods=1, samples_per_period=1024))
-    x, y = hysteresis_loop(element, states)
+    x, y, _, _ = hysteresis_loop(element, states)
     assert len(x) == 1025
     assert x[0] == x[-1]
     assert y[0] == y[-1]
@@ -175,7 +175,7 @@ def test_hysteresis_single_period_wraps():
 def test_hysteresis_conditioner_charge_closed_form():
     cond = synthesize_conditioner(SUPPLY, motivating_spectrum())
     states = _loop_states(SimulationConfig(periods=1, samples_per_period=4096))
-    _, q = hysteresis_loop(cond.memcapacitor, states)
+    _, q, _, _ = hysteresis_loop(cond.memcapacitor, states)
     t = np.append(states.t[:-1], SUPPLY.period)
     expected = (100.0 * math.sqrt(2.0) / OMEGA) * np.sin(OMEGA * t) - (
         25.0 * math.sqrt(2.0) / OMEGA
@@ -186,7 +186,7 @@ def test_hysteresis_conditioner_charge_closed_form():
 def test_hysteresis_constant_capacitance_is_a_line():
     element = memcapacitance_from_cosines(SUPPLY, [4.0])
     states = _loop_states(SimulationConfig(periods=1, samples_per_period=1024))
-    u, q = hysteresis_loop(element, states)
+    u, q, _, _ = hysteresis_loop(element, states)
     c0 = element.incremental.evaluate(0.0)
     assert float(np.max(np.abs(q - c0 * u))) <= 1e-12 * float(np.max(np.abs(q)))
 
@@ -311,7 +311,7 @@ def test_loop_states_have_the_bits_of_the_whole_grid(periods):
     lambda: decompose_load(SUPPLY, motivating_spectrum()).meminductor,
     lambda: decompose_load(SUPPLY, motivating_spectrum()).memcapacitor,
 ])
-def test_hysteresis_extra_pairs_ride_in_the_loop_pass(make, evaluated):
+def test_hysteresis_draws_the_constitutive_curve_in_the_loop_pass(make, evaluated):
     element = make()
     config = SimulationConfig(periods=2, samples_per_period=512)
     whole = supply_states(SUPPLY, config)
@@ -322,21 +322,27 @@ def test_hysteresis_extra_pairs_ride_in_the_loop_pass(make, evaluated):
         ElementKind.MEMCAPACITOR: (whole.u, waves.charge),
     }[element.kind]
     idx = loop_indices(config)
-    grid = np.linspace(-2.0, 2.0, 101) / abs(element.constitutive.scale)
+    span = 1.0 / abs(element.constitutive.scale)
+    grid = np.linspace(-span, span, simulation.CONSTITUTIVE_POINTS)
     passes = evaluated.passes
-    got = hysteresis_loop(element, _loop_states(config), (element.constitutive, grid))
+    got = hysteresis_loop(element, _loop_states(config))
     assert evaluated.passes == passes + 1
-    assert len(got) == 3
+    assert len(got) == 4
     assert got[0].tobytes() == drive[idx].tobytes()
     assert got[1].tobytes() == response[idx].tobytes()
-    assert got[2].tobytes() == element.constitutive.evaluate(grid).tobytes()
+    assert got[2].tobytes() == grid.tobytes()
+    assert got[3].tobytes() == element.constitutive.evaluate(grid).tobytes()
 
 
 def test_memcapacitor_hysteresis_evaluates_only_memcapacitance(evaluated):
     dec = decompose_load(SUPPLY, motivating_spectrum())
     config = SimulationConfig(periods=1, samples_per_period=256)
-    u, q = hysteresis_loop(dec.memcapacitor, _loop_states(config))
-    assert len(evaluated) == 1 and evaluated[0] is dec.memcapacitor.incremental
+    u, q, _, _ = hysteresis_loop(dec.memcapacitor, _loop_states(config))
+    # one pass holds C_M and the constitutive curve, and no dC_M/dphi
+    assert evaluated.passes == 1
+    assert [id(series) for series in evaluated] == [
+        id(dec.memcapacitor.incremental), id(dec.memcapacitor.constitutive)
+    ]
     idx = np.arange(257) % 256
     whole = supply_states(SUPPLY, config)
     np.testing.assert_array_equal(q, branch_current(dec.memcapacitor, whole).charge[idx])
