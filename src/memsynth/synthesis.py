@@ -175,8 +175,8 @@ def decompose_load(
     mode = policy.resolve(spectrum)
 
     # negligible amplitudes count as zero; families are split by order parity
-    cos = _dense_terms(spectrum.cos, "cosine amplitudes")
-    sin = _dense_terms(spectrum.sin, "sine amplitudes")
+    cos = _dense_terms(spectrum.cos_array, "cosine amplitudes")
+    sin = _dense_terms(spectrum.sin_array, "sine amplitudes")
     odd = np.arange(1, spectrum.n_max + 1) % 2 == 1
     zeros = np.zeros(spectrum.n_max)
 
@@ -366,7 +366,7 @@ def verify_decomposition(
 
     # rows (a, b) over orders 0..n_max; column 0 holds (dc, 0)
     wanted = np.zeros((2, n_max + 1))
-    wanted[:, 1 : target.n_max + 1] = target.cos, target.sin
+    wanted[:, 1 : target.n_max + 1] = target.cos_array, target.sin_array
     wanted[0, 0] = target.dc
     # everything in units of the largest target coefficient, so that neither
     # a sample, the FFT nor any square overflows
@@ -374,7 +374,9 @@ def verify_decomposition(
     wanted /= scale
     current = _grid_samples(rows / scale, spp)
     projected = project_waveform(current, target.omega, n_max)
-    got = np.array([(projected.dc, *projected.cos), (0.0, *projected.sin)])
+    got = np.zeros((2, n_max + 1))
+    got[:, 1:] = projected.cos_array, projected.sin_array
+    got[0, 0] = projected.dc
     target_wave = _grid_samples(wanted, spp)
     target_rms = float(np.sqrt(np.mean(target_wave**2)))
     err_rms = float(np.sqrt(np.mean((current - target_wave) ** 2)))

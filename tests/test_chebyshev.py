@@ -175,3 +175,13 @@ def test_series_array_holds_coeffs_and_takes_no_part_in_eq_or_repr(coeffs):
 def test_series_rejects_nested_coefficients():
     with pytest.raises(ValidationError, match="flat"):
         ChebyshevSeries(ChebyshevKind.FIRST, [[1.0, 2.0]])
+
+
+@pytest.mark.parametrize("coeff, message", [
+    (10**400, r"series coefficients must lie within the float64 range"),
+    ("one", r"series coefficients must be a flat \(1-D\) sequence of real numbers"),
+    (1j, r"series coefficients must be a flat \(1-D\) sequence of real numbers"),
+], ids=["huge-int", "string", "complex"])
+def test_series_refuses_coefficients_with_no_float64_form(coeff, message):
+    with pytest.raises(ValidationError, match=message):
+        ChebyshevSeries(ChebyshevKind.FIRST, [1.0, coeff])

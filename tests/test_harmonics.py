@@ -2,6 +2,7 @@
 
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
@@ -112,6 +113,54 @@ def test_spectrum_from_dict_bounds_the_order_before_allocating():
     doc["harmonics"][0]["n"] = 10**18
     with pytest.raises(ValidationError, match="exceeds"):
         HarmonicSpectrum.from_dict(doc)
+
+
+def test_from_terms_of_no_terms_is_the_zero_spectrum():
+    spec = HarmonicSpectrum.from_terms(2.0, 0.5, [])
+    assert (spec.n_max, spec.cos, spec.sin, spec.dc) == (0, (), (), 0.5)
+    assert spec.cos_array.shape == spec.sin_array.shape == (0,)
+
+
+def test_from_terms_takes_the_order_limit_itself():
+    spec = HarmonicSpectrum.from_terms(1.0, 0.0, [(3, 0.5, 0.0), (MAX_HARMONIC_ORDER, 1.0, -2.0)])
+    assert spec.n_max == MAX_HARMONIC_ORDER
+    assert (spec.a(3), spec.a(MAX_HARMONIC_ORDER), spec.b(MAX_HARMONIC_ORDER)) == (0.5, 1.0, -2.0)
+    assert np.count_nonzero(spec.cos_array) == 2 and np.count_nonzero(spec.sin_array) == 1
+
+
+def test_from_terms_converts_integer_amplitudes_to_floats():
+    spec = HarmonicSpectrum.from_terms(1.0, 0, [(1, 3, -4), (3, 0, 2)])
+    assert spec.cos == (3.0, 0.0, 0.0) and spec.sin == (-4.0, 0.0, 2.0)
+    assert all(type(x) is float for x in (spec.dc, *spec.cos, *spec.sin))
+    # numpy integers are orders too
+    assert HarmonicSpectrum.from_terms(1.0, 0.0, [(np.int64(2), 1.0, 0.0)]).n_max == 2
+
+
+def test_from_terms_refuses_a_falling_order_before_one_past_the_limit():
+    terms = [(MAX_HARMONIC_ORDER + 5, 1.0, 0.0), (3, 1.0, 0.0)]
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        HarmonicSpectrum.from_terms(1.0, 0.0, terms)
+    with pytest.raises(ValidationError, match=f"order {MAX_HARMONIC_ORDER + 5} exceeds"):
+        HarmonicSpectrum.from_terms(1.0, 0.0, terms[:1])
+
+
+@pytest.mark.parametrize("order", [True, False, 2.0, 1.5, "1", None, np.True_])
+def test_from_terms_refuses_an_order_that_is_not_an_integer(order):
+    with pytest.raises(
+        ValidationError, match=re.escape(f"harmonic order n must be an integer, got {order!r}")
+    ):
+        HarmonicSpectrum.from_terms(1.0, 0.0, [(order, 1.0, 0.0)])
+
+
+@pytest.mark.parametrize("term, message", [
+    ((1, 10**400, 0.0), "cos amplitudes must lie within the float64 range"),
+    ((1, 0.0, -(10**400)), "sin amplitudes must lie within the float64 range"),
+    ((1, "one", 0.0), "cos amplitudes must be a flat (1-D) sequence of real numbers"),
+    ((1, 0.0, 1j), "sin amplitudes must be a flat (1-D) sequence of real numbers"),
+], ids=["huge-cos", "huge-sin", "string", "complex"])
+def test_from_terms_refuses_amplitudes_with_no_float64_form(term, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        HarmonicSpectrum.from_terms(1.0, 0.0, [term])
 
 
 def test_spectrum_from_dict_validation():

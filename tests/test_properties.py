@@ -6,11 +6,16 @@ random amplitude and frequency.  Each property is one of the invariants the
 decomposition promises: exact JSON round trips, a terminal current that does
 not depend on the assignment policy, a round-trip verification that holds for
 every policy, a lossless conditioner, the power factor after compensation, and
-transparent regularization.
+transparent regularization.  Two more draw wide spectra, amplitudes up to
+1e308 and zeros of either sign: one holds the array-based power and Fryze code
+to the tuple-based forms it replaced, bit for bit; the other keeps a
+spectrum's arrays read-only and outside ``==``, ``hash`` and ``repr``.
 """
 
+import dataclasses
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -25,7 +30,9 @@ from memsynth.elements import (
     needs_regularization,
     regularize,
 )
+from memsynth.errors import ValidationError
 from memsynth.harmonics import (
+    PF_CONVENTIONS,
     HarmonicSpectrum,
     SupplyVoltage,
     compute_powers,
@@ -201,3 +208,122 @@ def test_regularization_is_transparent(drawn, gamma):
     pair = sum(branch_current(e, states).current for e in (reg.element, reg.companion))
     # the pair adds gamma cos(w t) in the element and takes it off in the companion
     assert np.max(np.abs(pair - raw)) <= 1e-9 * (float(np.max(np.abs(raw))) + reg.gamma)
+
+
+# wide amplitudes: zeros of either sign and ordinary values, and in half the
+# spectra also magnitudes of 1e154-1e308 whose squares leave float64
+ordinary = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-1e3, 1e3))
+wide = st.one_of(ordinary, st.floats(1e154, 1e308).flatmap(lambda x: st.sampled_from((x, -x))))
+
+
+@st.composite
+def wide_loads(draw):
+    """Dense spectra: every order up to n_max drawn, so that a sum taken in
+    another order would round differently."""
+    omega = draw(st.floats(1.0, 1000.0))
+    amplitude = wide if draw(st.booleans()) else ordinary
+    n_max = draw(st.integers(0, MAX_ORDER))
+    column = st.lists(amplitude, min_size=n_max, max_size=n_max)
+    spectrum = HarmonicSpectrum(omega, draw(amplitude), draw(column), draw(column))
+    return SupplyVoltage(draw(st.floats(1e-3, 1e3)), omega), spectrum
+
+
+def _bits(*values):
+    return b"".join(struct.pack("<d", v) for v in values)
+
+
+def _spectrum_bits(spectrum):
+    return _bits(spectrum.omega, spectrum.dc, *spectrum.cos, *spectrum.sin)
+
+
+def _outcome(fn, *args):
+    """What ``fn`` returns, or the ValidationError message it raises."""
+    try:
+        return fn(*args)
+    except ValidationError as exc:
+        return str(exc)
+
+
+# the tuple-based forms that the array-based ones replaced, kept as references
+def _powers_from_tuples(supply, spectrum, convention):
+    dc_weight = PF_CONVENTIONS[convention]
+    active = supply.amplitude * spectrum.b(1) / 2.0
+    ac_sum = sum(a * a + b * b for a, b in zip(spectrum.cos, spectrum.sin))
+    try:
+        rms_i = math.sqrt(dc_weight * spectrum.dc**2 + 0.5 * ac_sum)
+    except OverflowError:
+        rms_i = math.inf
+    apparent = supply.rms * rms_i
+    if not (math.isfinite(active) and math.isfinite(apparent)):
+        raise ValidationError(
+            f"the powers of this spectrum on supply amplitude {supply.amplitude!r}"
+            " leave the float64 range"
+        )
+    pf = active / apparent if apparent > 0.0 else 0.0
+    return _bits(active, apparent, pf, supply.rms, rms_i)
+
+
+def _fryze_from_tuples(spectrum):
+    zeros = (0.0,) * spectrum.n_max
+    active = HarmonicSpectrum(spectrum.omega, 0.0, zeros, spectrum.sin[:1] + zeros[1:])
+    nonactive = HarmonicSpectrum(spectrum.omega, 0.0, spectrum.cos, zeros[:1] + spectrum.sin[1:])
+    return _spectrum_bits(active), _spectrum_bits(nonactive), _bits(spectrum.dc)
+
+
+def _negate_from_tuples(spectrum):
+    return _spectrum_bits(
+        HarmonicSpectrum(
+            spectrum.omega, -spectrum.dc, np.negative(spectrum.cos), np.negative(spectrum.sin)
+        )
+    )
+
+
+def _assert_arrays_mirror_tuples(spectrum):
+    for values, array in ((spectrum.cos, spectrum.cos_array), (spectrum.sin, spectrum.sin_array)):
+        assert array.dtype == np.float64 and not array.flags.writeable
+        assert array.tobytes() == np.array(values, dtype=float).tobytes()
+        with pytest.raises(ValueError):
+            array[...] = 1.0
+
+
+@SETTINGS
+@given(wide_loads())
+def test_array_forms_match_the_tuple_forms_bit_for_bit(load):
+    supply, spectrum = load
+    for convention in PF_CONVENTIONS:
+        got = _outcome(compute_powers, supply, spectrum, convention)
+        if not isinstance(got, str):
+            summary = got
+            got = _bits(
+                summary.active_power, summary.apparent_power, summary.power_factor,
+                summary.rms_voltage, summary.rms_current,
+            )
+        assert got == _outcome(_powers_from_tuples, supply, spectrum, convention)
+
+    active, nonactive, dc = fryze_split(supply, spectrum)
+    assert (_spectrum_bits(active), _spectrum_bits(nonactive), _bits(dc)) == _fryze_from_tuples(
+        spectrum
+    )
+    negated = spectrum_negate(spectrum)
+    assert _spectrum_bits(negated) == _negate_from_tuples(spectrum)
+    for built in (spectrum, active, nonactive, negated):
+        _assert_arrays_mirror_tuples(built)
+
+
+@SETTINGS
+@given(wide_loads(), st.lists(wide, max_size=6))
+def test_spectrum_arrays_stay_outside_eq_hash_and_repr(load, values):
+    _, spectrum = load
+    twin = HarmonicSpectrum(spectrum.omega, spectrum.dc, spectrum.cos, spectrum.sin)
+    object.__setattr__(twin, "cos_array", np.ones(3))
+    object.__setattr__(twin, "sin_array", np.ones(3))
+    assert twin == spectrum and hash(twin) == hash(spectrum)
+    assert repr(spectrum) == (
+        f"HarmonicSpectrum(omega={spectrum.omega!r}, dc={spectrum.dc!r},"
+        f" cos={spectrum.cos!r}, sin={spectrum.sin!r})"
+    )
+    # replace builds a new spectrum, so the arrays follow the new tuples
+    replaced = dataclasses.replace(spectrum, cos=values, sin=values[::-1])
+    _assert_arrays_mirror_tuples(replaced)
+    assert _bits(*replaced.cos) == _bits(*values)
+    _assert_arrays_mirror_tuples(dataclasses.replace(spectrum, dc=1.0))
