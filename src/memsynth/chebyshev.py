@@ -42,14 +42,14 @@ first-kind basis (``U_n = 2(T_n + T_{n-2} + ...)``, lowest term once).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, finite_floats
+from .errors import ArrayValue, NumericalError, ValidationError, finite_floats
 
 
 class ChebyshevKind(str, Enum):
@@ -73,8 +73,8 @@ def evaluate_many(pairs: Sequence[tuple["ChebyshevSeries", object]]) -> list[np.
     flat = [v.ravel() for v in controls]
     bounds = [0, *accumulate(v.size for v in flat)]
     # (k, c_k) of the backward steps that add a coefficient (k = 0 is unused)
-    nonzero = [np.flatnonzero(s.array) for s in series]
-    terms = [list(zip(k.tolist(), s.array[k].tolist())) for s, k in zip(series, nonzero)]
+    nonzero = [np.flatnonzero(s.coeffs) for s in series]
+    terms = [list(zip(k.tolist(), s.coeffs[k].tolist())) for s, k in zip(series, nonzero)]
     top = max((t[-1][0] + 1 for t in terms if t), default=0)
     out = np.empty(bounds[-1])
     for lo in range(0, len(out), CLENSHAW_BLOCK_POINTS):
@@ -120,33 +120,31 @@ def _clenshaw_block(out, pieces, series, flat, terms, top) -> None:
         o = out[p:q]
         arg = x2 if s.kind is ChebyshevKind.SECOND else x
         np.multiply(arg[p:q], views[b1][i], out=o)
-        o += s.coeffs[0] if s.coeffs else 0.0
+        o += s.coeffs[0] if len(s.coeffs) else 0.0
         o -= views[b2][i]
         o += 0.0  # a -0.0 result reads +0.0
 
 
-@dataclass(frozen=True)
-class ChebyshevSeries:
+@dataclass(frozen=True, eq=False, repr=False)
+class ChebyshevSeries(ArrayValue):
     """Finite Chebyshev expansion with argument scaling.
 
-    coeffs[k] multiplies T_k (first kind) or U_k (second kind).  An empty
-    coefficient tuple is the zero series.  ``coeffs`` may be given as a
-    sequence or a 1-D array; it is stored as a tuple of floats, and
-    :attr:`array` holds the same values as a read-only array.
+    coeffs[k] multiplies T_k (first kind) or U_k (second kind).  Empty
+    coefficients are the zero series.  ``coeffs`` may be given as a
+    sequence or a 1-D array; it is stored as a new read-only float64 array,
+    which ``==``, ``hash`` and ``repr`` read as a tuple of floats.
     """
 
     kind: ChebyshevKind
-    coeffs: tuple[float, ...]
+    coeffs: np.ndarray
     scale: float = 1.0
-    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if type(self.kind) is not ChebyshevKind:  # the Enum call costs ~1 us
             object.__setattr__(self, "kind", ChebyshevKind(self.kind))
-        array = finite_floats(self.coeffs, "series coefficients")
-        array.flags.writeable = False
-        object.__setattr__(self, "coeffs", tuple(array.tolist()))
-        object.__setattr__(self, "array", array)
+        coeffs = finite_floats(self.coeffs, "series coefficients")
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "scale", float(self.scale))
         if not math.isfinite(self.scale):
             raise ValidationError("scale must be finite")
@@ -168,7 +166,7 @@ class ChebyshevSeries:
         large scale: the input was valid, the result cannot be held.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            first = self.array if self.kind is ChebyshevKind.FIRST else _second_to_first(self.array)
+            first = self.coeffs if self.kind is ChebyshevKind.FIRST else _second_to_first(self.coeffs)
             out = np.arange(len(first)) * first * self.scale
         if not np.isfinite(out).all():
             raise NumericalError("derivative coefficients are not finite in float64")

@@ -264,11 +264,10 @@ def needs_regularization(element: MemoryElement) -> bool:
     if not element.is_memory:
         return False
     coeffs = element.incremental.coeffs
-    # any() stops at the first higher-order term at or above the tolerance
-    return (
-        bool(coeffs)
+    return bool(
+        len(coeffs)
         and abs(coeffs[0]) < COEFF_DROP_TOLERANCE
-        and any(map(COEFF_DROP_TOLERANCE.__le__, map(abs, coeffs[1:])))
+        and (np.abs(coeffs[1:]) >= COEFF_DROP_TOLERANCE).any()
     )
 
 
@@ -282,7 +281,8 @@ def default_gamma(element: MemoryElement, supply: SupplyVoltage) -> float:
     """
     if element.kind not in (ElementKind.MEMCAPACITOR, ElementKind.MEMINDUCTOR):
         raise ValidationError("default gamma applies to memcapacitors and meminductors")
-    tail = sum(map(abs, element.incremental.coeffs[1:]))
+    # the builtin sum adds left to right, as the regularized elements' bits assume
+    tail = sum(np.abs(element.incremental.coeffs[1:]).tolist())
     if element.kind is ElementKind.MEMCAPACITOR:
         return supply.omega * supply.amplitude * tail
     return (supply.amplitude / supply.omega) * tail
@@ -310,9 +310,9 @@ def regularize(
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise ValidationError("gamma must be positive and finite")
     amp, w = supply.amplitude, supply.omega
-    inc = element.incremental.array.copy()
+    inc = element.incremental.coeffs.copy()
     con = np.zeros(max(2, len(element.constitutive.coeffs)))
-    con[: len(element.constitutive.coeffs)] = element.constitutive.array
+    con[: len(element.constitutive.coeffs)] = element.constitutive.coeffs
     if element.kind is ElementKind.MEMCAPACITOR:
         linear, constitutive_linear = gamma / (w * amp), -gamma / (w * w)
         companion = MemoryElement(
@@ -342,9 +342,9 @@ def verify_series_consistency(element: MemoryElement) -> float:
     if not element.is_memory:
         raise ValidationError("series consistency applies to memory elements")
     # the coefficients of constitutive.derivative(), k * c_k * scale in that order
-    con = element.constitutive.array
+    con = element.constitutive.coeffs
     derived = np.arange(1, len(con)) * con[1:] * element.constitutive.scale
-    inc = element.incremental.array
+    inc = element.incremental.coeffs
     width = max(len(derived), len(inc))
     gap = np.zeros(width)
     gap[: len(derived)] = derived
@@ -360,7 +360,7 @@ def check_series_consistency(element: MemoryElement, what: str) -> None:
     ``what`` opens the message.
     """
     deviation = verify_series_consistency(element)
-    bound = SERIES_CONSISTENCY_RTOL * float(np.abs(element.incremental.array).max(initial=0.0))
+    bound = SERIES_CONSISTENCY_RTOL * float(np.abs(element.incremental.coeffs).max(initial=0.0))
     if not deviation <= bound:  # nan included
         raise ValidationError(
             f"{what}: coeffs are not the derivative of constitutive_coeffs"
@@ -373,9 +373,9 @@ def element_to_dict(element: MemoryElement) -> dict:
         "kind": element.kind.value,
         "control": element.control.value if element.control else None,
         "scale": element.incremental.scale if element.incremental else None,
-        "coeffs": list(element.incremental.coeffs) if element.incremental else None,
+        "coeffs": element.incremental.coeffs.tolist() if element.incremental else None,
         "constitutive_coeffs": (
-            list(element.constitutive.coeffs) if element.constitutive else None
+            element.constitutive.coeffs.tolist() if element.constitutive else None
         ),
         "scalar_value": element.scalar_value,
         "companion": None,

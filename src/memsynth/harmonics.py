@@ -11,10 +11,9 @@ Conventions used throughout the package:
   stored densely: ``cos[n-1]`` holds ``a_n`` and ``sin[n-1]`` holds ``b_n``
   for every order ``n = 1..n_max``; sparse ``(n, a, b)`` triples exist only
   in the JSON form (:meth:`HarmonicSpectrum.from_terms`, ``to_dict``);
-* a spectrum holds its amplitudes twice: as float tuples, the form that is
-  compared, hashed and serialized, and as read-only float64 arrays
-  (``cos_array``, ``sin_array``) for the numerical code, converted once
-  when the spectrum is built and left out of ``==``;
+* a spectrum holds its amplitudes once, as read-only float64 arrays,
+  converted when it is built; ``==``, ``hash`` and ``repr`` read them as
+  tuples of floats (:class:`~memsynth.errors.ArrayValue`);
 * the supply flux linkage is the integral of ``u`` with the periodic
   (zero-mean) constant of integration, ``phi(t) = -(A/w) cos(w t)``, and its
   time integral is ``sigma(t) = -(A/w^2) sin(w t)`` with ``sigma(0) = 0``.
@@ -27,12 +26,12 @@ the dc term of the current rms (see ``compute_powers``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .errors import ValidationError, finite_floats
+from .errors import ArrayValue, ValidationError, finite_floats
 
 #: relative frequency mismatch tolerated between a supply and a spectrum
 FREQUENCY_RTOL = 1e-12
@@ -94,24 +93,21 @@ class SupplyVoltage:
         return -(self.amplitude / w**2) * np.sin(w * np.asarray(t, dtype=float))
 
 
-@dataclass(frozen=True)
-class HarmonicSpectrum:
+@dataclass(frozen=True, eq=False, repr=False)
+class HarmonicSpectrum(ArrayValue):
     """Dense trigonometric polynomial describing one periodic current.
 
     ``cos[n-1]`` and ``sin[n-1]`` are the peak amplitudes ``a_n`` and ``b_n``
-    of order ``n``; the two tuples have one length, ``n_max``.  Any entry may
+    of order ``n``; the two arrays have one length, ``n_max``.  Any entry may
     be zero, the top order included.  ``cos`` and ``sin`` may be given as
-    sequences or 1-D arrays; they are stored as tuples of floats, and
-    :attr:`cos_array` and :attr:`sin_array` hold the same values as
-    read-only arrays, outside ``==``, ``hash`` and ``repr``.
+    sequences or 1-D arrays; each is stored as a new read-only float64
+    array, which ``==``, ``hash`` and ``repr`` read as a tuple of floats.
     """
 
     omega: float
     dc: float = 0.0
-    cos: tuple[float, ...] = ()
-    sin: tuple[float, ...] = ()
-    cos_array: np.ndarray = field(init=False, repr=False, compare=False)
-    sin_array: np.ndarray = field(init=False, repr=False, compare=False)
+    cos: np.ndarray = ()
+    sin: np.ndarray = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "omega", float(self.omega))
@@ -125,10 +121,8 @@ class HarmonicSpectrum:
         if cos.shape != sin.shape:
             raise ValidationError("cos and sin amplitudes must be of one length")
         cos.flags.writeable = sin.flags.writeable = False
-        object.__setattr__(self, "cos", tuple(cos.tolist()))
-        object.__setattr__(self, "sin", tuple(sin.tolist()))
-        object.__setattr__(self, "cos_array", cos)
-        object.__setattr__(self, "sin_array", sin)
+        object.__setattr__(self, "cos", cos)
+        object.__setattr__(self, "sin", sin)
 
     @classmethod
     def from_terms(
@@ -167,11 +161,11 @@ class HarmonicSpectrum:
 
     def a(self, n: int) -> float:
         """Cosine amplitude of order n; 0.0 outside 1..n_max."""
-        return self.cos[n - 1] if 1 <= n <= len(self.cos) else 0.0
+        return float(self.cos[n - 1]) if 1 <= n <= len(self.cos) else 0.0
 
     def b(self, n: int) -> float:
         """Sine amplitude of order n; 0.0 outside 1..n_max."""
-        return self.sin[n - 1] if 1 <= n <= len(self.sin) else 0.0
+        return float(self.sin[n - 1]) if 1 <= n <= len(self.sin) else 0.0
 
     def to_dict(self) -> dict:
         """Sparse JSON form: every order with a nonzero a or b, and order n_max."""
@@ -181,7 +175,7 @@ class HarmonicSpectrum:
             "dc": self.dc,
             "harmonics": [
                 {"n": n, "a": a, "b": b}
-                for n, a, b in zip(range(1, top + 1), self.cos, self.sin)
+                for n, a, b in zip(range(1, top + 1), self.cos.tolist(), self.sin.tolist())
                 if a or b or n == top
             ],
         }
@@ -245,7 +239,7 @@ def evaluate_waveform(spectrum: HarmonicSpectrum, t):
     arr = np.asarray(t, dtype=float)
     theta = spectrum.omega * arr
     out = np.full_like(arr, spectrum.dc, dtype=float)
-    for n, (a, b) in enumerate(zip(spectrum.cos, spectrum.sin), 1):
+    for n, (a, b) in enumerate(zip(spectrum.cos.tolist(), spectrum.sin.tolist()), 1):
         if a:
             out = out + a * np.cos(n * theta)
         if b:
@@ -310,7 +304,7 @@ def compute_powers(
     # squares by numpy, then the builtin sum over the list: the same
     # left-to-right order and bits as a scalar loop, so zero entries leave
     # it unchanged; a square past float64 reads inf and fails below
-    a, b = spectrum.cos_array, spectrum.sin_array
+    a, b = spectrum.cos, spectrum.sin
     with np.errstate(over="ignore"):
         ac_sum = sum((a * a + b * b).tolist())
     try:
@@ -346,14 +340,12 @@ def fryze_split(
     returned separately (a dc component is sourced, never compensated).
     """
     _check_frequency(supply.omega, spectrum.omega)
-    first, sin = np.arange(spectrum.n_max) == 0, spectrum.sin_array
+    first, sin = np.arange(spectrum.n_max) == 0, spectrum.sin
     active = HarmonicSpectrum(spectrum.omega, 0.0, np.zeros(len(sin)), np.where(first, sin, 0.0))
-    nonactive = HarmonicSpectrum(spectrum.omega, 0.0, spectrum.cos_array, np.where(first, 0.0, sin))
+    nonactive = HarmonicSpectrum(spectrum.omega, 0.0, spectrum.cos, np.where(first, 0.0, sin))
     return active, nonactive, spectrum.dc
 
 
 def spectrum_negate(spectrum: HarmonicSpectrum) -> HarmonicSpectrum:
-    return HarmonicSpectrum(
-        spectrum.omega, -spectrum.dc, -spectrum.cos_array, -spectrum.sin_array
-    )
+    return HarmonicSpectrum(spectrum.omega, -spectrum.dc, -spectrum.cos, -spectrum.sin)
 

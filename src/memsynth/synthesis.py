@@ -175,8 +175,8 @@ def decompose_load(
     mode = policy.resolve(spectrum)
 
     # negligible amplitudes count as zero; families are split by order parity
-    cos = _dense_terms(spectrum.cos_array, "cosine amplitudes")
-    sin = _dense_terms(spectrum.sin_array, "sine amplitudes")
+    cos = _dense_terms(spectrum.cos, "cosine amplitudes")
+    sin = _dense_terms(spectrum.sin, "sine amplitudes")
     odd = np.arange(1, spectrum.n_max + 1) % 2 == 1
     zeros = np.zeros(spectrum.n_max)
 
@@ -330,7 +330,7 @@ def steady_state_rows(decomposition: LoadDecomposition) -> np.ndarray:
         elif kind is ElementKind.CAPACITOR:
             ab[0, 1] += value * amp * w
         else:
-            c = element.incremental.array
+            c = element.incremental.coeffs
             m = np.arange(1, len(c) + 1)
             if kind is ElementKind.MEMRISTOR:
                 ab[1, m] += amp * c
@@ -366,7 +366,7 @@ def verify_decomposition(
 
     # rows (a, b) over orders 0..n_max; column 0 holds (dc, 0)
     wanted = np.zeros((2, n_max + 1))
-    wanted[:, 1 : target.n_max + 1] = target.cos_array, target.sin_array
+    wanted[:, 1 : target.n_max + 1] = target.cos, target.sin
     wanted[0, 0] = target.dc
     # everything in units of the largest target coefficient, so that neither
     # a sample, the FFT nor any square overflows
@@ -375,7 +375,7 @@ def verify_decomposition(
     current = _grid_samples(rows / scale, spp)
     projected = project_waveform(current, target.omega, n_max)
     got = np.zeros((2, n_max + 1))
-    got[:, 1:] = projected.cos_array, projected.sin_array
+    got[:, 1:] = projected.cos, projected.sin
     got[0, 0] = projected.dc
     target_wave = _grid_samples(wanted, spp)
     target_rms = float(np.sqrt(np.mean(target_wave**2)))

@@ -1,5 +1,6 @@
 """Chebyshev series pinned against trig identities, numpy, and closed forms."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -92,18 +93,18 @@ def test_first_kind_derivative_coefficients_exact():
     assert d.kind is ChebyshevKind.SECOND
     assert d.scale == s
     # d/dv T_k(s v) = k s U_{k-1}(s v); the constant term drops
-    assert d.coeffs == (1.0 * -2.0 * s, 2.0 * 0.25 * s, 3.0 * 3.0 * s)
+    assert d.coeffs.tolist() == [1.0 * -2.0 * s, 2.0 * 0.25 * s, 3.0 * 3.0 * s]
 
 
 def test_derivative_of_line_is_constant():
     series = ChebyshevSeries(ChebyshevKind.FIRST, (0.0, 4.0), scale=2.0)
     d = series.derivative()
-    assert d.coeffs == (8.0,)
+    assert d.coeffs.tolist() == [8.0]
 
 
 def test_derivative_of_constant_is_zero_series():
     series = ChebyshevSeries(ChebyshevKind.FIRST, (5.0,), scale=3.0)
-    assert series.derivative().coeffs == ()
+    assert series.derivative().coeffs.tolist() == []
 
 
 @pytest.mark.parametrize("kind", [ChebyshevKind.FIRST, ChebyshevKind.SECOND])
@@ -155,21 +156,27 @@ def test_series_rejects_nonfinite():
     [(), (1.0, -0.0, 2.5e-300, 7), np.array([3.0, -0.0, 1e300])],
     ids=["empty", "tuple", "array"],
 )
-def test_series_array_holds_coeffs_and_takes_no_part_in_eq_or_repr(coeffs):
+def test_series_coeffs_are_one_read_only_array_that_eq_and_repr_read_as_a_tuple(coeffs):
     series = ChebyshevSeries(ChebyshevKind.SECOND, coeffs, scale=-0.5)
-    assert all(type(c) is float for c in series.coeffs)
-    assert series.array.dtype == np.float64
-    assert series.array.tobytes() == np.array(series.coeffs).tobytes()
-    assert not series.array.flags.writeable
+    assert [f.name for f in dataclasses.fields(series)] == ["kind", "coeffs", "scale"]
+    assert series.coeffs.dtype == np.float64 and series.coeffs.ndim == 1
+    assert series.coeffs.tobytes() == np.array(coeffs, dtype=float).tobytes()
+    assert not series.coeffs.flags.writeable
     with pytest.raises(ValueError):
-        series.array[...] = 0.0
+        series.coeffs[...] = 0.0
     if isinstance(coeffs, np.ndarray):  # the series holds a copy
         coeffs[0] = 99.0
-        assert series.coeffs[0] == series.array[0] == 3.0
-    assert "array" not in repr(series)
-    twin = ChebyshevSeries(ChebyshevKind.SECOND, series.coeffs, scale=-0.5)
-    object.__setattr__(twin, "array", np.zeros(3))
+        assert series.coeffs[0] == 3.0
+    assert repr(series) == (
+        f"ChebyshevSeries(kind={ChebyshevKind.SECOND!r}, coeffs={tuple(series.coeffs.tolist())!r},"
+        " scale=-0.5)"
+    )
+    # by value: + 0.0 turns each -0.0 into +0.0, and the hash stays
+    twin = ChebyshevSeries(ChebyshevKind.SECOND, series.coeffs + 0.0, scale=-0.5)
     assert twin == series and hash(twin) == hash(series)
+    assert series != dataclasses.replace(series, scale=0.5)
+    replaced = dataclasses.replace(series, coeffs=[2.0])
+    assert replaced.coeffs.tolist() == [2.0] and not replaced.coeffs.flags.writeable
 
 
 def test_series_rejects_nested_coefficients():
@@ -177,11 +184,27 @@ def test_series_rejects_nested_coefficients():
         ChebyshevSeries(ChebyshevKind.FIRST, [[1.0, 2.0]])
 
 
-@pytest.mark.parametrize("coeff, message", [
-    (10**400, r"series coefficients must lie within the float64 range"),
-    ("one", r"series coefficients must be a flat \(1-D\) sequence of real numbers"),
-    (1j, r"series coefficients must be a flat \(1-D\) sequence of real numbers"),
-], ids=["huge-int", "string", "complex"])
-def test_series_refuses_coefficients_with_no_float64_form(coeff, message):
+_NOT_REAL = r"series coefficients must be a flat \(1-D\) sequence of real numbers"
+
+
+@pytest.mark.parametrize("coeffs, message", [
+    ([1.0, 10**400], r"series coefficients must lie within the float64 range"),
+    ([1.0, "one"], _NOT_REAL),
+    ([1.0, 1j], _NOT_REAL),
+    (["2"], _NOT_REAL),
+    ([1.0, np.str_("2")], _NOT_REAL),
+    ([b"1"], _NOT_REAL),
+    ([True], _NOT_REAL),
+    ([1.0, True], _NOT_REAL),
+    ([np.True_, 2.0], _NOT_REAL),
+    (np.array([True, False]), _NOT_REAL),
+    (np.array(["2"]), _NOT_REAL),
+    (np.array([b"1"]), _NOT_REAL),
+    (np.array([1.0 + 0.0j]), _NOT_REAL),
+    (np.array([1.0], dtype=object), _NOT_REAL),
+], ids=["huge-int", "string", "complex", "numeric-string", "numpy-string", "bytes", "bool",
+        "bool-among-floats", "numpy-bool", "bool-array", "string-array", "bytes-array",
+        "complex-array", "object-array"])
+def test_series_refuses_coefficients_with_no_float64_form(coeffs, message):
     with pytest.raises(ValidationError, match=message):
-        ChebyshevSeries(ChebyshevKind.FIRST, [1.0, coeff])
+        ChebyshevSeries(ChebyshevKind.FIRST, coeffs)

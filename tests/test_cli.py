@@ -147,7 +147,7 @@ def test_characterize_gate_catches_a_tampered_memristor(tmp_path, monkeypatch, c
     def tampered(supply, spectrum, policy):
         dec = decompose(supply, spectrum, policy)
         series, curve = dec.memristor.incremental, dec.memristor.constitutive
-        coeffs = (series.coeffs[0] * (1.0 + 1e-3),) + series.coeffs[1:]
+        coeffs = [series.coeffs[0] * (1.0 + 1e-3), *series.coeffs[1:]]
         scale = series.scale * scale_factor  # an element holds one scale
         series = dataclasses.replace(series, coeffs=coeffs, scale=scale)
         curve = dataclasses.replace(curve, scale=scale)

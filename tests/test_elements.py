@@ -240,7 +240,7 @@ def test_regularize_memcapacitor_exact_bookkeeping():
     assert reg.companion.scalar_value == AMP / (OMEGA * gamma)
     # U0 grows by gamma/(w A); T1 by -gamma/w^2; everything else untouched
     assert reg.element.incremental.coeffs[0] == pytest.approx(gamma / (OMEGA * AMP), rel=1e-15)
-    assert reg.element.incremental.coeffs[1:] == element.incremental.coeffs[1:]
+    assert reg.element.incremental.coeffs[1:].tolist() == element.incremental.coeffs[1:].tolist()
     assert reg.element.constitutive.coeffs[1] == pytest.approx(-gamma / OMEGA**2, rel=1e-15)
     assert verify_series_consistency(reg.element) <= 1e-15
 
@@ -389,4 +389,4 @@ def test_element_from_dict_checks_an_empty_incremental_series():
     with pytest.raises(ValidationError, match="not the derivative"):
         element_from_dict(doc)
     doc["constitutive_coeffs"] = [3.0]  # only the integration constant: derivative zero
-    assert element_from_dict(doc).incremental.coeffs == ()
+    assert element_from_dict(doc).incremental.coeffs.tolist() == []

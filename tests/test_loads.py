@@ -1,6 +1,7 @@
 """Benchmark load spectra: closed-form coefficients and truncation quality."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,6 +111,19 @@ def test_bridge_power_factor_near_ideal():
     pf = compute_powers(supply, spec).power_factor
     ideal = (2.0 * math.sqrt(2.0) / math.pi) * math.cos(delta)
     assert abs(pf - ideal) <= 0.005 * ideal
+
+
+def test_a_large_spectrum_holds_each_amplitude_once():
+    # 2^18 orders: two float64 arrays are 4 MiB; a second copy of either
+    # form (float tuples take 8 bytes a pointer plus 24 a float) breaks 8 MiB
+    tracemalloc.start()
+    try:
+        spectrum = bridge_spectrum(1.0, 0.0, OMEGA, 2**18)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert spectrum.n_max == 2**18 - 1
+    assert held < 8 * 2**20
 
 
 def test_default_n_max_env_override(monkeypatch):

@@ -6,15 +6,18 @@ random amplitude and frequency.  Each property is one of the invariants the
 decomposition promises: exact JSON round trips, a terminal current that does
 not depend on the assignment policy, a round-trip verification that holds for
 every policy, a lossless conditioner, the power factor after compensation, and
-transparent regularization.  Two more draw wide spectra, amplitudes up to
+transparent regularization.  Three more draw wide spectra, amplitudes up to
 1e308 and zeros of either sign: one holds the array-based power and Fryze code
-to the tuple-based forms it replaced, bit for bit; the other keeps a
-spectrum's arrays read-only and outside ``==``, ``hash`` and ``repr``.
+to the tuple-based forms it replaced, bit for bit; one keeps a spectrum's
+arrays read-only and its ``==``, ``hash`` and ``repr`` those of tuples of
+floats; one keeps copies and pickles of spectra and series read-only and equal.
 """
 
+import copy
 import dataclasses
 import json
 import math
+import pickle
 import struct
 
 import numpy as np
@@ -22,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memsynth.chebyshev import ChebyshevKind, ChebyshevSeries
 from memsynth.elements import (
     element_from_dict,
     element_to_dict,
@@ -81,7 +85,7 @@ def loads(draw):
 
 
 def _scale(spectrum):
-    return 1.0 + abs(spectrum.dc) + sum(map(abs, spectrum.cos + spectrum.sin))
+    return 1.0 + abs(spectrum.dc) + sum(map(abs, spectrum.cos.tolist() + spectrum.sin.tolist()))
 
 
 @SETTINGS
@@ -233,7 +237,7 @@ def _bits(*values):
 
 
 def _spectrum_bits(spectrum):
-    return _bits(spectrum.omega, spectrum.dc, *spectrum.cos, *spectrum.sin)
+    return _bits(spectrum.omega, spectrum.dc, *spectrum.cos.tolist(), *spectrum.sin.tolist())
 
 
 def _outcome(fn, *args):
@@ -246,9 +250,10 @@ def _outcome(fn, *args):
 
 # the tuple-based forms that the array-based ones replaced, kept as references
 def _powers_from_tuples(supply, spectrum, convention):
+    cos, sin = tuple(spectrum.cos.tolist()), tuple(spectrum.sin.tolist())
     dc_weight = PF_CONVENTIONS[convention]
     active = supply.amplitude * spectrum.b(1) / 2.0
-    ac_sum = sum(a * a + b * b for a, b in zip(spectrum.cos, spectrum.sin))
+    ac_sum = sum(a * a + b * b for a, b in zip(cos, sin))
     try:
         rms_i = math.sqrt(dc_weight * spectrum.dc**2 + 0.5 * ac_sum)
     except OverflowError:
@@ -264,24 +269,23 @@ def _powers_from_tuples(supply, spectrum, convention):
 
 
 def _fryze_from_tuples(spectrum):
+    cos, sin = tuple(spectrum.cos.tolist()), tuple(spectrum.sin.tolist())
     zeros = (0.0,) * spectrum.n_max
-    active = HarmonicSpectrum(spectrum.omega, 0.0, zeros, spectrum.sin[:1] + zeros[1:])
-    nonactive = HarmonicSpectrum(spectrum.omega, 0.0, spectrum.cos, zeros[:1] + spectrum.sin[1:])
+    active = HarmonicSpectrum(spectrum.omega, 0.0, zeros, sin[:1] + zeros[1:])
+    nonactive = HarmonicSpectrum(spectrum.omega, 0.0, cos, zeros[:1] + sin[1:])
     return _spectrum_bits(active), _spectrum_bits(nonactive), _bits(spectrum.dc)
 
 
 def _negate_from_tuples(spectrum):
+    cos, sin = tuple(spectrum.cos.tolist()), tuple(spectrum.sin.tolist())
     return _spectrum_bits(
-        HarmonicSpectrum(
-            spectrum.omega, -spectrum.dc, np.negative(spectrum.cos), np.negative(spectrum.sin)
-        )
+        HarmonicSpectrum(spectrum.omega, -spectrum.dc, np.negative(cos), np.negative(sin))
     )
 
 
-def _assert_arrays_mirror_tuples(spectrum):
-    for values, array in ((spectrum.cos, spectrum.cos_array), (spectrum.sin, spectrum.sin_array)):
-        assert array.dtype == np.float64 and not array.flags.writeable
-        assert array.tobytes() == np.array(values, dtype=float).tobytes()
+def _assert_read_only_floats(*arrays):
+    for array in arrays:
+        assert array.dtype == np.float64 and array.ndim == 1 and not array.flags.writeable
         with pytest.raises(ValueError):
             array[...] = 1.0
 
@@ -307,23 +311,50 @@ def test_array_forms_match_the_tuple_forms_bit_for_bit(load):
     negated = spectrum_negate(spectrum)
     assert _spectrum_bits(negated) == _negate_from_tuples(spectrum)
     for built in (spectrum, active, nonactive, negated):
-        _assert_arrays_mirror_tuples(built)
+        _assert_read_only_floats(built.cos, built.sin)
+
+
+def _flip_zeros(values):
+    """``values`` with the sign of every zero flipped."""
+    return np.where(values == 0.0, -values, values)
 
 
 @SETTINGS
 @given(wide_loads(), st.lists(wide, max_size=6))
-def test_spectrum_arrays_stay_outside_eq_hash_and_repr(load, values):
+def test_spectrum_eq_hash_and_repr_read_the_arrays_as_tuples(load, values):
     _, spectrum = load
-    twin = HarmonicSpectrum(spectrum.omega, spectrum.dc, spectrum.cos, spectrum.sin)
-    object.__setattr__(twin, "cos_array", np.ones(3))
-    object.__setattr__(twin, "sin_array", np.ones(3))
+    assert [f.name for f in dataclasses.fields(spectrum)] == ["omega", "dc", "cos", "sin"]
+    _assert_read_only_floats(spectrum.cos, spectrum.sin)
+    twin = HarmonicSpectrum(
+        spectrum.omega, -spectrum.dc if spectrum.dc == 0.0 else spectrum.dc,
+        _flip_zeros(spectrum.cos), _flip_zeros(spectrum.sin),
+    )
     assert twin == spectrum and hash(twin) == hash(spectrum)
+    if spectrum.n_max:  # every sine amplitude changed
+        assert dataclasses.replace(spectrum, sin=np.where(spectrum.sin == 1.0, 2.0, 1.0)) != spectrum
     assert repr(spectrum) == (
         f"HarmonicSpectrum(omega={spectrum.omega!r}, dc={spectrum.dc!r},"
-        f" cos={spectrum.cos!r}, sin={spectrum.sin!r})"
+        f" cos={tuple(spectrum.cos.tolist())!r}, sin={tuple(spectrum.sin.tolist())!r})"
     )
-    # replace builds a new spectrum, so the arrays follow the new tuples
+    # replace builds a new spectrum through __init__, so its arrays are read-only too
     replaced = dataclasses.replace(spectrum, cos=values, sin=values[::-1])
-    _assert_arrays_mirror_tuples(replaced)
-    assert _bits(*replaced.cos) == _bits(*values)
-    _assert_arrays_mirror_tuples(dataclasses.replace(spectrum, dc=1.0))
+    _assert_read_only_floats(replaced.cos, replaced.sin)
+    assert _bits(*replaced.cos.tolist()) == _bits(*values)
+    kept = dataclasses.replace(spectrum, dc=1.0)
+    _assert_read_only_floats(kept.cos, kept.sin)
+
+
+def test_spectrum_repr_spells_the_arrays_as_tuples():
+    spectrum = HarmonicSpectrum(1.0, 0.5, np.array([1.0, -0.0]), [0.0, 2.0])
+    assert repr(spectrum) == "HarmonicSpectrum(omega=1.0, dc=0.5, cos=(1.0, -0.0), sin=(0.0, 2.0))"
+
+
+@SETTINGS
+@given(wide_loads(), st.floats(-1e3, 1e3))
+def test_copies_and_pickles_keep_the_arrays_read_only(load, scale):
+    _, spectrum = load
+    series = ChebyshevSeries(ChebyshevKind.SECOND, spectrum.cos, scale)
+    for value, arrays in ((spectrum, ("cos", "sin")), (series, ("coeffs",))):
+        for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            _assert_read_only_floats(*(getattr(copied, name) for name in arrays))
+            assert copied == value and hash(copied) == hash(value)

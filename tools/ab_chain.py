@@ -1,7 +1,10 @@
 """Interleaved A/B timing of one memsynth subcommand on two source trees, in one process.
 
     python tools/ab_chain.py TREE_A TREE_B compensate spectrum1.json spectrum2.json ...
+    python tools/ab_chain.py TREE_A TREE_B hysteresis dec.json -- --branch memcapacitor --periods 1
 
+The input files are spectra, or decompositions for ``simulate`` and
+``hysteresis``; arguments after ``--`` are passed on to the subcommand.
 Each tree's ``src/memsynth`` is imported into this process as its own copy of
 the package.  Each of :data:`ROUNDS` rounds runs the subcommand once per file
 and tree, A first in even rounds and B first in odd ones, and times
@@ -23,8 +26,14 @@ for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
 
 ROUNDS = 15
-#: output flags of the subcommands that read a spectrum
-OUTPUTS = {"characterize": ("-o",), "compensate": ("-o", "--report"), "report": ("-o",)}
+#: output flags of the subcommands that read one input file
+OUTPUTS = {
+    "characterize": ("-o",),
+    "compensate": ("-o", "--report"),
+    "report": ("-o",),
+    "simulate": ("-o",),
+    "hysteresis": ("-o", "--constitutive-output"),
+}
 
 
 def load(tree: str) -> dict:
@@ -39,27 +48,27 @@ def load(tree: str) -> dict:
     return {m: mod for m, mod in sys.modules.items() if m.partition(".")[0] == "memsynth"}
 
 
-def main(tree_a: str, tree_b: str, command: str, *files: str) -> int:
+def main(tree_a: str, tree_b: str, command: str, *files: str, extra: tuple = ()) -> int:
     trees = {"A": load(tree_a), "B": load(tree_b)}
     times = {(f, t): [] for f in files for t in trees}
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
         for r in range(ROUNDS):
-            for f_index, spectrum in enumerate(files):
+            for f_index, source in enumerate(files):
                 outputs = {}
                 for tag in ("AB" if r % 2 == 0 else "BA"):
                     sys.modules.update(trees[tag])
                     paths = [Path(tmp, f"{tag}{f_index}{flag}") for flag in OUTPUTS[command]]
-                    argv = [command, spectrum]
+                    argv = [command, source, *extra]
                     for flag, path in zip(OUTPUTS[command], paths):
                         argv += [flag, str(path)]
                     start = time.perf_counter()
                     code = trees[tag]["memsynth.cli"].main(argv)
-                    times[spectrum, tag].append((time.perf_counter() - start) * 1e3)
+                    times[source, tag].append((time.perf_counter() - start) * 1e3)
                     outputs[tag] = [p.read_bytes() if p.exists() else None for p in paths]
                     failed |= code != 0
                 if outputs["A"] != outputs["B"]:
-                    print(f"round {r}: {spectrum}: outputs differ", file=sys.stderr)
+                    print(f"round {r}: {source}: outputs differ", file=sys.stderr)
                     failed = True
     rows = [(f, [times[f, "A"], times[f, "B"]]) for f in files]
     rows.append(("all", [sum((times[f, t] for f in files), []) for t in "AB"]))
@@ -70,6 +79,9 @@ def main(tree_a: str, tree_b: str, command: str, *files: str) -> int:
 
 
 if __name__ == "__main__":
-    if len(sys.argv) < 5 or sys.argv[3] not in OUTPUTS:
+    args, extra = sys.argv[1:], []
+    if "--" in args:
+        args, extra = args[: args.index("--")], args[args.index("--") + 1 :]
+    if len(args) < 4 or args[2] not in OUTPUTS:
         sys.exit(__doc__)
-    sys.exit(main(*sys.argv[1:]))
+    sys.exit(main(*args, extra=tuple(extra)))
