@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -27,7 +28,7 @@ from .harmonics import (
     compute_powers,
     fryze_split,
 )
-from .loads import DEFAULT_N_MAX, N_MAX_ENV_VAR, LoadKind, LoadModel
+from .loads import LoadKind, LoadModel
 from .simulation import (
     LOOP_COLUMNS,
     SimulationConfig,
@@ -75,6 +76,12 @@ def _powers(supply: SupplyVoltage, spectrum: HarmonicSpectrum, conventions) -> d
     return {conv: dict(vars(compute_powers(supply, spectrum, conv))) for conv in conventions}
 
 
+def _distinct_outputs(first: Optional[str], second: Optional[str]) -> None:
+    """Refuse two output paths of one command that name one file (None is stdout)."""
+    if None not in (first, second) and os.path.abspath(first) == os.path.abspath(second):
+        raise ValidationError(f"{first} and {second} name one file; give each output its own")
+
+
 def cmd_load_model(args: argparse.Namespace) -> int:
     model = LoadModel(
         kind=args.model,
@@ -116,6 +123,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
 
 
 def cmd_compensate(args: argparse.Namespace) -> int:
+    _distinct_outputs(args.output, args.report)
     supply, spectrum = _read_spectrum(args.spectrum, args.amplitude)
     conditioner = synthesize_conditioner(supply, spectrum, _policy(args))
     active, _, dc = fryze_split(supply, spectrum)
@@ -152,6 +160,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_hysteresis(args: argparse.Namespace) -> int:
+    _distinct_outputs(args.output, args.constitutive_output)
     decomposition = LoadDecomposition.from_dict(read_json(args.decomposition))
     element = dict(decomposition.branches()).get(args.branch)
     if element is None:
@@ -202,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", choices=[k.value for k in LoadKind])
     p.add_argument("--A", dest="amplitude", type=float, default=LoadModel.amplitude)
     p.add_argument("--omega", type=float, default=LoadModel.omega)
-    p.add_argument("--nmax", type=int, default=None,
-                   help=f"truncation order (default {DEFAULT_N_MAX}, env {N_MAX_ENV_VAR})")
+    p.add_argument("--nmax", type=int, default=LoadModel.n_max,
+                   help=f"truncation order (default {LoadModel.n_max})")
     p.add_argument("--idc", type=float, default=LoadModel.i_dc)
     p.add_argument("--delta", type=float, default=LoadModel.delta)
     p.add_argument("-o", "--output", default=None)

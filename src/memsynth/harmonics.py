@@ -42,7 +42,7 @@ FREQUENCY_RTOL = 1e-12
 #: figure PF = b1 / sqrt(a0^2 + b1^2 + sum a_n^2).
 PF_CONVENTIONS = {"rms": 1.0, "paper": 0.5}
 
-#: highest harmonic order :meth:`HarmonicSpectrum.from_terms` accepts: the
+#: highest harmonic order a spectrum may hold (:func:`check_order_limit`): the
 #: verification grid holds at most 2^22 samples and needs four per order
 MAX_HARMONIC_ORDER = 2**20
 
@@ -142,10 +142,7 @@ class HarmonicSpectrum(ArrayValue):
             if n <= last:
                 raise ValidationError("harmonic orders must be strictly increasing and >= 1")
             last = n
-        if last > MAX_HARMONIC_ORDER:
-            raise ValidationError(
-                f"harmonic order {last} exceeds the limit of {MAX_HARMONIC_ORDER}"
-            )
+        check_order_limit(last)
         # a Python-list scatter: on term lists of 5 to 955 triples it beats
         # a numpy scatter, whose column conversions cost more than this loop
         cos = [0.0] * last
@@ -225,6 +222,12 @@ def _order(value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"harmonic order n must be an integer, got {value!r}")
     return value
+
+
+def check_order_limit(order: int) -> None:
+    """Refuse a harmonic order above :data:`MAX_HARMONIC_ORDER`."""
+    if order > MAX_HARMONIC_ORDER:
+        raise ValidationError(f"harmonic order {order} exceeds the limit of {MAX_HARMONIC_ORDER}")
 
 
 def _check_frequency(omega_left: float, omega_right: float) -> None:

@@ -11,43 +11,30 @@ Three classic distorting loads exercise every branch type:
   converter, odd harmonics ``-(4 I_dc / n pi) sin(n delta)`` (cosine part)
   and ``(4 I_dc / n pi) cos(n delta)`` (sine part), whose ideal power factor
   is ``(2 sqrt(2) / pi) cos(delta)``.
+
+The rectifier and bridge are truncated at ``n_max``, :data:`DEFAULT_N_MAX`
+unless given.  The highest order each would build (the largest even order
+up to ``n_max`` for the rectifier, the largest odd one for the bridge) is
+checked against :data:`~memsynth.harmonics.MAX_HARMONIC_ORDER` before
+anything is allocated.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
 from .errors import ValidationError
-from .harmonics import HarmonicSpectrum, SupplyVoltage
+from .harmonics import HarmonicSpectrum, SupplyVoltage, check_order_limit
 
 #: truncation order used when none is requested
 DEFAULT_N_MAX = 199
 
-#: environment override for the default truncation order
-N_MAX_ENV_VAR = "MEMSYNTH_NMAX_DEFAULT"
-
 MOTIVATING_AMPLITUDE = 230.0 * math.sqrt(2.0)
 MOTIVATING_OMEGA = 100.0 * math.pi
-
-
-def default_n_max() -> int:
-    """Default truncation order, honoring the environment override."""
-    raw = os.environ.get(N_MAX_ENV_VAR)
-    if raw is None:
-        return DEFAULT_N_MAX
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"{N_MAX_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValidationError(f"{N_MAX_ENV_VAR} must be >= 1, got {value}")
-    return value
 
 
 def motivating_supply() -> SupplyVoltage:
@@ -66,17 +53,18 @@ def motivating_spectrum() -> HarmonicSpectrum:
 
 
 def rectifier_spectrum(
-    amplitude: float, omega: float, n_max: Optional[int] = None
+    amplitude: float, omega: float, n_max: int = DEFAULT_N_MAX
 ) -> HarmonicSpectrum:
     """Half-wave rectified sine through a unit resistance, truncated at n_max."""
     amplitude = float(amplitude)
     omega = float(omega)
     if not (math.isfinite(amplitude) and amplitude > 0):
         raise ValidationError("rectifier amplitude must be positive")
-    n_max = default_n_max() if n_max is None else int(n_max)
+    n_max = int(n_max)
     if n_max < 2:
         raise ValidationError("rectifier spectrum needs n_max >= 2")
     top = n_max - n_max % 2  # the highest even order
+    check_order_limit(top)
     cos = np.zeros(top)
     sin = np.zeros(top)
     sin[0] = amplitude / 2.0
@@ -86,7 +74,7 @@ def rectifier_spectrum(
 
 
 def bridge_spectrum(
-    i_dc: float, delta: float, omega: float, n_max: Optional[int] = None
+    i_dc: float, delta: float, omega: float, n_max: int = DEFAULT_N_MAX
 ) -> HarmonicSpectrum:
     """Square-wave line current of amplitude i_dc delayed by angle delta."""
     i_dc = float(i_dc)
@@ -95,9 +83,10 @@ def bridge_spectrum(
         raise ValidationError("bridge dc-side current must be positive")
     if not (0.0 <= delta <= math.pi):
         raise ValidationError("bridge delay angle must lie in [0, pi]")
-    n_max = default_n_max() if n_max is None else int(n_max)
+    n_max = int(n_max)
     if n_max < 1:
         raise ValidationError("bridge spectrum needs n_max >= 1")
+    check_order_limit(n_max - 1 + n_max % 2)  # the highest odd order
     terms = []
     for n in range(1, n_max + 1, 2):
         base = 4.0 * i_dc / (n * math.pi)
@@ -122,7 +111,7 @@ class LoadModel:
     kind: LoadKind
     amplitude: float = MOTIVATING_AMPLITUDE
     omega: float = MOTIVATING_OMEGA
-    n_max: Optional[int] = None
+    n_max: int = DEFAULT_N_MAX
     i_dc: float = 1.0
     delta: float = 0.0
 

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from memsynth import cli, textio
 from memsynth.harmonics import MAX_HARMONIC_ORDER
+from memsynth.loads import DEFAULT_N_MAX, rectifier_spectrum
 
 AMP = 230.0 * math.sqrt(2.0)
 OMEGA = 100.0 * math.pi
@@ -485,25 +486,46 @@ def test_branch_label_must_match_its_element_kind(tmp_path, capsys, command, rel
     assert sorted(tmp_path.iterdir()) == before
 
 
-def test_malformed_nmax_env_leaves_other_subcommands_working(tmp_path, monkeypatch, capsys):
-    spec = _spec_file(tmp_path)
-    monkeypatch.setenv("MEMSYNTH_NMAX_DEFAULT", "abc")
-    cli.build_parser.cache_clear()  # build the parser under the bad variable
-    assert cli.main(["report", str(spec)]) == 0
-    assert json.loads(capsys.readouterr().out)["powers"]["rms"]["power_factor"] > 0.0
-    assert cli.main(["load-model", "motivating"]) == 0
-
-
-def test_env_var_controls_default_truncation(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("MEMSYNTH_NMAX_DEFAULT", "7")
-    assert cli.main(["load-model", "rectifier", "--A", "1.0"]) == 0
+def test_default_truncation_order(capsys):
+    assert DEFAULT_N_MAX == 199
+    assert rectifier_spectrum(1.0, OMEGA).n_max == 198
+    assert cli.main(["load-model", "rectifier"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    # realized order: the highest surviving even harmonic under the cap
-    assert doc["n_max"] == 6
-    assert max(h["n"] for h in doc["harmonics"]) == 6
+    # realized order: the highest even harmonic under the default
+    assert doc["n_max"] == 198
+    assert max(h["n"] for h in doc["harmonics"]) == 198
 
-    monkeypatch.setenv("MEMSYNTH_NMAX_DEFAULT", "abc")
-    assert cli.main(["load-model", "rectifier", "--A", "1.0"]) == 2
+
+@pytest.mark.parametrize("model, nmax, order", [
+    ("rectifier", MAX_HARMONIC_ORDER + 2, MAX_HARMONIC_ORDER + 2),
+    ("bridge", MAX_HARMONIC_ORDER + 2, MAX_HARMONIC_ORDER + 1),
+    ("bridge", 10**18, 10**18 - 1),
+])
+def test_load_model_order_beyond_the_limit_exits_2_before_writing(
+    tmp_path, capsys, model, nmax, order
+):
+    out = tmp_path / "spec.json"
+    assert cli.main(["load-model", model, "--nmax", str(nmax), "-o", str(out)]) == 2
+    assert f"harmonic order {order} exceeds the limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spelling", ["x.out", "./x.out"])
+@pytest.mark.parametrize("command, flag", [
+    ("compensate", "--report"), ("hysteresis", "--constitutive-output"),
+])
+def test_two_outputs_naming_one_file_exit_2_before_writing(
+    tmp_path, monkeypatch, capsys, command, flag, spelling
+):
+    source = _spec_file(tmp_path)
+    branch = []
+    if command == "hysteresis":
+        source, branch = _dec_file(tmp_path, source), ["--branch", "meminductor"]
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    assert cli.main([command, str(source), *branch, "-o", "x.out", flag, spelling]) == 2
+    assert "name one file" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 #: a JSON integer no float64 can hold; orjson refuses to parse it

@@ -7,16 +7,13 @@ import numpy as np
 import pytest
 
 from memsynth.errors import ValidationError
-from memsynth.harmonics import compute_powers, evaluate_waveform
+from memsynth.harmonics import MAX_HARMONIC_ORDER, compute_powers, evaluate_waveform
 from memsynth.loads import (
-    DEFAULT_N_MAX,
     MOTIVATING_AMPLITUDE,
     MOTIVATING_OMEGA,
-    N_MAX_ENV_VAR,
     LoadKind,
     LoadModel,
     bridge_spectrum,
-    default_n_max,
     motivating_spectrum,
     motivating_supply,
     rectifier_spectrum,
@@ -62,6 +59,12 @@ def test_rectifier_validation():
         rectifier_spectrum(-5.0, OMEGA, n_max=10)
     with pytest.raises(ValidationError):
         rectifier_spectrum(1.0, OMEGA, n_max=1)
+    # the highest even order at or below n_max is checked before anything is allocated
+    assert rectifier_spectrum(1.0, OMEGA, MAX_HARMONIC_ORDER + 1).n_max == MAX_HARMONIC_ORDER
+    with pytest.raises(ValidationError, match=f"order {MAX_HARMONIC_ORDER + 2} exceeds the limit"):
+        rectifier_spectrum(1.0, OMEGA, n_max=MAX_HARMONIC_ORDER + 3)
+    with pytest.raises(ValidationError, match="exceeds the limit"):
+        rectifier_spectrum(1.0, OMEGA, n_max=10**18)
 
 
 def test_rectifier_converges_to_half_wave():
@@ -102,6 +105,11 @@ def test_bridge_validation():
         bridge_spectrum(1.0, math.pi + 0.1, OMEGA)
     with pytest.raises(ValidationError):
         bridge_spectrum(1.0, 0.0, OMEGA, n_max=0)
+    # the highest odd order at or below n_max is checked before the loop
+    with pytest.raises(ValidationError, match=f"order {MAX_HARMONIC_ORDER + 1} exceeds the limit"):
+        bridge_spectrum(1.0, 0.0, OMEGA, n_max=MAX_HARMONIC_ORDER + 2)
+    with pytest.raises(ValidationError, match="exceeds the limit"):
+        bridge_spectrum(1.0, 0.0, OMEGA, n_max=10**18)
 
 
 def test_bridge_power_factor_near_ideal():
@@ -124,19 +132,6 @@ def test_a_large_spectrum_holds_each_amplitude_once():
         tracemalloc.stop()
     assert spectrum.n_max == 2**18 - 1
     assert held < 8 * 2**20
-
-
-def test_default_n_max_env_override(monkeypatch):
-    monkeypatch.delenv(N_MAX_ENV_VAR, raising=False)
-    assert default_n_max() == DEFAULT_N_MAX == 199
-    monkeypatch.setenv(N_MAX_ENV_VAR, "37")
-    assert default_n_max() == 37
-    monkeypatch.setenv(N_MAX_ENV_VAR, "abc")
-    with pytest.raises(ValidationError):
-        default_n_max()
-    monkeypatch.setenv(N_MAX_ENV_VAR, "0")
-    with pytest.raises(ValidationError):
-        default_n_max()
 
 
 def test_load_model_dispatch():

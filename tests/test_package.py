@@ -1,22 +1,20 @@
-"""The package's public names and the layering of its modules."""
+"""The layering of the package and its modules."""
 
 import ast
+import sys
 from pathlib import Path
 
 import memsynth
 
 
-def test_every_public_name_resolves():
-    assert len(set(memsynth.__all__)) == len(memsynth.__all__)
-    for name in memsynth.__all__:
-        assert getattr(memsynth, name) is not None, name
-
-
-def test_star_import_binds_exactly_the_public_names():
-    namespace = {}
-    exec("from memsynth import *", namespace)
-    namespace.pop("__builtins__")
-    assert sorted(namespace) == sorted(memsynth.__all__)
+def test_the_package_binds_no_name_but_its_submodules():
+    # callers import each name from the module that owns it
+    foreign = [
+        name for name, value in vars(memsynth).items()
+        if not name.startswith("_") and value is not sys.modules.get(f"memsynth.{name}")
+    ]
+    assert foreign == []
+    assert not hasattr(memsynth, "__all__")
 
 
 SOURCES = Path(memsynth.__file__).parent

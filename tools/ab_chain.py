@@ -2,9 +2,11 @@
 
     python tools/ab_chain.py TREE_A TREE_B compensate spectrum1.json spectrum2.json ...
     python tools/ab_chain.py TREE_A TREE_B hysteresis dec.json -- --branch memcapacitor --periods 1
+    python tools/ab_chain.py TREE_A TREE_B load-model rectifier bridge -- --nmax 199
 
 The input files are spectra, or decompositions for ``simulate`` and
-``hysteresis``; arguments after ``--`` are passed on to the subcommand.
+``hysteresis``; ``load-model`` takes model names in their place.  Arguments
+after ``--`` are passed on to the subcommand.
 Each tree's ``src/memsynth`` is imported into this process as its own copy of
 the package.  Each of :data:`ROUNDS` rounds runs the subcommand once per file
 and tree, A first in even rounds and B first in odd ones, and times
@@ -26,8 +28,9 @@ for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
 
 ROUNDS = 15
-#: output flags of the subcommands that read one input file
+#: output flags of the subcommands that take one input file or model name
 OUTPUTS = {
+    "load-model": ("-o",),
     "characterize": ("-o",),
     "compensate": ("-o", "--report"),
     "report": ("-o",),
