@@ -369,35 +369,38 @@ def check_series_consistency(element: MemoryElement, what: str) -> None:
 
 
 def element_to_dict(element: MemoryElement) -> dict:
+    """The element's document; its series are written as their read-only float64 arrays."""
     return {
         "kind": element.kind.value,
         "control": element.control.value if element.control else None,
         "scale": element.incremental.scale if element.incremental else None,
-        "coeffs": element.incremental.coeffs.tolist() if element.incremental else None,
-        "constitutive_coeffs": (
-            element.constitutive.coeffs.tolist() if element.constitutive else None
-        ),
+        "coeffs": element.incremental.coeffs if element.incremental else None,
+        "constitutive_coeffs": element.constitutive.coeffs if element.constitutive else None,
         "scalar_value": element.scalar_value,
         "companion": None,
     }
 
 
-def _coefficient_list(value, name: str, limit: int) -> list:
-    """A JSON list of at most ``limit`` float64-range numbers.
+def _coefficient_list(value, name: str, limit: int) -> np.ndarray:
+    """A JSON list of at most ``limit`` float64-range numbers, as a float64 array.
 
-    Strings, booleans and nested values are rejected; the length is checked
-    first, before any entry is read.
+    A 1-D float64 array, as :func:`element_to_dict` writes, is taken as it
+    is.  Strings, booleans and nested values are rejected; the length is
+    checked first, before any entry is read.
     """
-    if not isinstance(value, list):
+    is_array = isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == np.float64
+    if not (is_array or isinstance(value, list)):
         raise ValidationError(f"{name} must be a list of numbers, got {value!r}")
     if len(value) > limit:
         raise ValidationError(f"{name} holds {len(value)} entries, more than the limit of {limit}")
     # orjson yields exactly int and float for numbers, and a float for integers
     # of 2^64 and above; bool is its own type, and a Python caller's int may lie
     # beyond float64, so any non-float entry goes through _real
-    if set(map(type, value)) <= {float}:
+    if is_array:
         return value
-    return [_real(c, f"{name} entries") for c in value]
+    if set(map(type, value)) <= {float}:
+        return np.array(value, dtype=float)
+    return np.array([_real(c, f"{name} entries") for c in value], dtype=float)
 
 
 def element_from_dict(doc: dict) -> MemoryElement:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -131,25 +131,34 @@ class HarmonicSpectrum(ArrayValue):
         """Spectrum of sparse ``(n, a, b)`` triples; orders left out are zero.
 
         Orders must be integers (Python or numpy, not booleans), strictly
-        increasing and at least 1, checked term by term, and at most
-        :data:`MAX_HARMONIC_ORDER`; the largest one given sets ``n_max``.
+        increasing and at least 1, and at most :data:`MAX_HARMONIC_ORDER`;
+        the largest one given sets ``n_max``.  They are checked in term
+        order, so the first order that is not an integer or not above the one
+        before it is the one refused.
         """
         terms = list(terms)
-        last = 0
-        for n, _, _ in terms:
-            if type(n) is not int:
-                _order(n)
-            if n <= last:
-                raise ValidationError("harmonic orders must be strictly increasing and >= 1")
-            last = n
-        check_order_limit(last)
-        # a Python-list scatter: on term lists of 5 to 955 triples it beats
-        # a numpy scatter, whose column conversions cost more than this loop
-        cos = [0.0] * last
-        sin = [0.0] * last
-        for n, a, b in terms:
-            cos[n - 1] = a
-            sin[n - 1] = b
+        n, a, b = zip(*terms, strict=True) if terms else ((), (), ())
+        run = next((k for k, order in enumerate(n) if not _is_order(order)), len(n))
+        orders = _rising_orders(n[:run])
+        if run < len(n):
+            _order(n[run])
+        a, b = finite_floats(a, "cos amplitudes"), finite_floats(b, "sin amplitudes")
+        return cls._scatter(omega, dc, orders, a, b)
+
+    @classmethod
+    def _scatter(
+        cls, omega: float, dc: float, orders: np.ndarray, a: np.ndarray, b: np.ndarray
+    ) -> "HarmonicSpectrum":
+        """Spectrum with float64 amplitudes ``a`` and ``b`` at the rising ``orders``.
+
+        Orders left out are zero.  The top order is held to
+        :data:`MAX_HARMONIC_ORDER` before anything is allocated.
+        """
+        top = int(orders[-1]) if len(orders) else 0
+        check_order_limit(top)
+        cos, sin = np.zeros(top), np.zeros(top)
+        cos[orders - 1] = a
+        sin[orders - 1] = b
         return cls(omega, dc, cos, sin)
 
     @property
@@ -190,14 +199,15 @@ class HarmonicSpectrum(ArrayValue):
         # one type pass per column; orjson yields exactly int and float for
         # numbers (a float for integers of 2^64 and above), so anything else
         # goes through the per-harmonic checks, which name the first
-        # offending value
+        # offending value; typed columns reach the scatter as arrays, and the
+        # spectrum's own finite_floats takes arrays without a second type pass
         try:
             n, a, b = ([h[key] for h in harmonics] for key in ("n", "a", "b"))
             typed = set(map(type, n)) <= {int} and set(map(type, a + b)) <= {float}
         except (TypeError, KeyError):
             typed = False
         if typed:
-            return cls.from_terms(omega, dc, zip(n, a, b))
+            return cls._scatter(omega, dc, _rising_orders(n), np.array(a), np.array(b))
         try:
             terms = [
                 (_order(h["n"]), _real(h["a"], "a"), _real(h["b"], "b")) for h in harmonics
@@ -217,11 +227,32 @@ def _real(value, name: str) -> float:
         raise ValidationError(f"{name} must be a number within the float64 range") from None
 
 
+def _is_order(value) -> bool:
+    """True for an integer (Python or numpy), False for a boolean and anything else."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _order(value) -> int:
     """An integer harmonic order (Python or numpy); 1.7, 2.0 and true are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not _is_order(value):
         raise ValidationError(f"harmonic order n must be an integer, got {value!r}")
     return value
+
+
+def _rising_orders(orders: Sequence) -> np.ndarray:
+    """Integer ``orders`` as an array, refused unless strictly increasing from at least 1.
+
+    An order beyond int64 is refused here or by :func:`check_order_limit`;
+    the orders are then compared as Python ints, so the message is the one a
+    term-by-term check gives.
+    """
+    try:
+        column = np.array(orders, dtype=np.int64)
+    except OverflowError:
+        column = np.array(list(map(int, orders)), dtype=object)
+    if len(column) and not (column[0] >= 1 and (column[1:] > column[:-1]).all()):
+        raise ValidationError("harmonic orders must be strictly increasing and >= 1")
+    return column
 
 
 def check_order_limit(order: int) -> None:

@@ -87,15 +87,15 @@ def bridge_spectrum(
     if n_max < 1:
         raise ValidationError("bridge spectrum needs n_max >= 1")
     check_order_limit(n_max - 1 + n_max % 2)  # the highest odd order
-    terms = []
-    for n in range(1, n_max + 1, 2):
+    n = np.arange(1, n_max + 1, 2)
+    # math.sin and math.cos, not np.sin and np.cos, whose last bits may differ
+    angles = (n * delta).tolist()
+    with np.errstate(invalid="ignore"):  # an infinite base times a zero is nan, as in floats
         base = 4.0 * i_dc / (n * math.pi)
-        a = -base * math.sin(n * delta)
-        b = base * math.cos(n * delta)
-        if abs(a) < 1e-15 and abs(b) < 1e-15:
-            continue
-        terms.append((n, a, b))
-    return HarmonicSpectrum.from_terms(omega, 0.0, terms)
+        a = -base * np.array(list(map(math.sin, angles)))
+        b = base * np.array(list(map(math.cos, angles)))
+    kept = ~((np.abs(a) < 1e-15) & (np.abs(b) < 1e-15))  # a nan term is kept, and refused
+    return HarmonicSpectrum._scatter(omega, 0.0, n[kept], a[kept], b[kept])
 
 
 class LoadKind(str, Enum):

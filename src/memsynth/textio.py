@@ -9,17 +9,19 @@ layout, and only this module imports orjson.
 JSON out (:func:`dump_json`) is ``json.dumps(doc, indent=2)`` plus a
 newline, byte for byte, for documents of dicts with plain ASCII keys,
 lists, finite floats, ints, bools, ``None`` and plain ASCII strings
-(:func:`_plain`).  orjson's exponents (``1.5e-7``) are padded in one pass
-over the text (``1.5e-07``).  A float that orjson lays out otherwise, in
-[1e-5, 1e-4) (``0.00002``) or of magnitude 1e16 and up (``1e16``), goes to
-orjson as ``null``, as ``None`` does; their stdlib text is filled in
+(:func:`_plain`).  A 1-D float64 numpy array is written as the list of
+its floats, and element documents hold their series so; any other array
+raises ``TypeError``.  orjson's exponents (``1.5e-7``) are padded in one
+pass over the text (``1.5e-07``).  A float that orjson lays out otherwise,
+in [1e-5, 1e-4) (``0.00002``) or of magnitude 1e16 and up (``1e16``), goes
+to orjson as ``null``, as ``None`` does; their stdlib text is filled in
 afterwards, in document order.
 
 CSV out (:func:`columns_to_csv`): every cell is the ``repr`` of its float64
 sample.  orjson renders a whole chunk of a column at once
 (:func:`float_cells`), and the finite cells it lays out otherwise
 (:func:`repr_fallback`) are respelled as strings (:func:`_respell`).  The
-fills of a long float list in a JSON document are spelled the same way.
+fills of a long float array in a JSON document are spelled the same way.
 
 JSON in (:func:`read_json`) is standard UTF-8 JSON, parsed by orjson.  A
 byte order mark, invalid UTF-8, a lone surrogate escape such as
@@ -52,7 +54,7 @@ from .simulation import SimulationTrace
 #: orjson lays out the documents; :func:`dump_json` restores the stdlib spelling
 _ORJSON_OPTIONS = orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY
 
-#: float lists at least this long are checked as one numpy array; below it a
+#: float arrays at least this long are checked as one numpy array; below it a
 #: per-float check is faster (the two break even near 40 floats)
 _ARRAY_MIN = 40
 
@@ -149,8 +151,12 @@ def _not_finite(value) -> NumericalError:
     return NumericalError(f"result {value!r} is not finite and cannot be written as JSON")
 
 
-def _float_array(values: list, fills: list[str]) -> np.ndarray:
-    """``values`` as one float64 array, nan wherever a fill stands in."""
+def _float_array(values: np.ndarray, fills: list[str]) -> np.ndarray:
+    """A copy of the float64 array ``values``, nan wherever a fill stands in.
+
+    A copy, never ``values`` itself: an array a document holds may be
+    read-only, and the fills' nan must not reach the caller's floats.
+    """
     x = np.array(values)
     m = np.abs(x)
     fill = ((m >= 1e-5) & (m < 1e-4)) | ~(m < 1e16)
@@ -183,9 +189,14 @@ def _orjson_ready(value, fills: list[str]):
                 raise TypeError(f"JSON key {key!r} is not a plain string")
             out[key] = _orjson_ready(item, fills)
         return out
-    if kind is list:
-        if len(value) >= _ARRAY_MIN and set(map(type, value)) == {float}:
+    if kind is np.ndarray:
+        # OPT_SERIALIZE_NUMPY would write any numeric array; only a float list's form passes
+        if value.ndim != 1 or value.dtype != np.float64:
+            raise TypeError(f"a {value.ndim}-D {value.dtype} array is not a JSON float list")
+        if len(value) >= _ARRAY_MIN:
             return _float_array(value, fills)
+        value, kind = value.tolist(), list
+    if kind is list:
         return [_orjson_ready(item, fills) for item in value]
     if kind is str:
         if _plain(value):

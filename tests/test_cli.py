@@ -624,6 +624,24 @@ def test_order_of_2_to_the_64_is_not_an_integer(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("orders, raw, message", [
+    ([1, "@"], str(2**63), f"harmonic order {2**63} exceeds the limit"),
+    ([1, "@"], str(2**64 - 1), f"harmonic order {2**64 - 1} exceeds the limit"),
+    (["@", 3], str(2**64 - 1), "harmonic orders must be strictly increasing"),
+    (["@"], str(-(2**63) - 1), "harmonic order n must be an integer"),
+])
+def test_order_beyond_int64_exits_2_with_its_message(tmp_path, capsys, orders, raw, message):
+    # orjson reads integers from -2^63 to 2^64 - 1 as ints, floats beyond; an int64
+    # order array holds no int above 2^63 - 1
+    doc = {"omega": OMEGA, "harmonics": [{"n": n, "a": 0.0, "b": 1.0} for n in orders],
+           "supply_amplitude": AMP}
+    spec = _raw_file(tmp_path, doc, raw)
+    out = tmp_path / "out.json"
+    assert cli.main(["characterize", str(spec), "-o", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("edit, reason", [
     (lambda text: b"\xef\xbb\xbf" + text, "byte order mark"),
     (lambda text: text.replace(b'"memcapacitor"', b'"mem\xffcapacitor"'), "not valid UTF-8"),

@@ -314,7 +314,10 @@ def test_element_from_dict_validation():
      ("constitutive_coeffs", "012"), ("constitutive_coeffs", [0.0, "1"]),
      ("scale", "2"), ("scale", True), ("scale", None), ("scale", [2.0]),
      ("coeffs", [1e-4, 10**400]), ("constitutive_coeffs", [0.0, -(10**400)]),
-     ("scale", -(10**400))],
+     ("scale", -(10**400)),
+     # an array stands for a list only as the 1-D float64 array element_to_dict writes
+     ("coeffs", np.array([2, 1])), ("coeffs", np.array([[2.0, 1.0]])),
+     ("constitutive_coeffs", np.array([0.0, 1.0], dtype=np.float32))],
 )
 def test_element_from_dict_rejects_non_numeric_series_values(key, value):
     doc = element_to_dict(memcapacitance_from_cosines(SUPPLY, [2.0, -1.0]))
@@ -357,7 +360,7 @@ def test_element_from_dict_rejects_inconsistent_series(builder):
             with pytest.raises(ValidationError, match="not the derivative"):
                 element_from_dict(nudged)
     # a constitutive series for an element the incremental series does not describe
-    doc["coeffs"] = doc["coeffs"] + [doc["coeffs"][0]]
+    doc["coeffs"] = [*doc["coeffs"], doc["coeffs"][0]]
     with pytest.raises(ValidationError, match="not the derivative"):
         element_from_dict(doc)
 

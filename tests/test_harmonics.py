@@ -152,6 +152,77 @@ def test_from_terms_refuses_an_order_that_is_not_an_integer(order):
         HarmonicSpectrum.from_terms(1.0, 0.0, [(order, 1.0, 0.0)])
 
 
+_RISING = "harmonic orders must be strictly increasing and >= 1"
+
+
+def _exceeds(order):
+    return f"harmonic order {order} exceeds the limit of {MAX_HARMONIC_ORDER}"
+
+
+def _spectrum_doc(orders):
+    return {"omega": 1.0, "harmonics": [{"n": n, "a": 1.0, "b": 0.0} for n in orders]}
+
+
+@pytest.mark.parametrize("orders, message", [
+    ([0], _RISING),
+    ([-1], _RISING),
+    ([3, 3], _RISING),
+    ([5, 2], _RISING),
+    ([MAX_HARMONIC_ORDER + 1], _exceeds(MAX_HARMONIC_ORDER + 1)),
+    # a falling order is refused before the limit is checked
+    ([MAX_HARMONIC_ORDER + 1, 2], _RISING),
+    # orders beyond int64 are compared exactly, with no OverflowError
+    ([2**63], _exceeds(2**63)),
+    ([2**64], _exceeds(2**64)),
+    ([-(2**70)], _RISING),
+    ([2, -(2**70)], _RISING),
+    ([2**70, 2**71], _exceeds(2**71)),
+    ([2**70 + 1, 2**70], _RISING),
+    ([2**70, 2**70], _RISING),
+    ([2**70, 5], _RISING),
+], ids=lambda value: str(value)[:40])
+def test_an_order_out_of_range_is_refused_with_its_message(orders, message):
+    terms = [(n, 1.0, 0.0) for n in orders]
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        HarmonicSpectrum.from_terms(1.0, 0.0, terms)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        HarmonicSpectrum.from_dict(_spectrum_doc(orders))
+
+
+@pytest.mark.parametrize("orders, message", [
+    # term by term: the first fault in term order is the one refused
+    ([3, 2, True], _RISING),
+    ([3, True, 2], "harmonic order n must be an integer, got True"),
+    ([MAX_HARMONIC_ORDER + 5, np.True_], "harmonic order n must be an integer, got np.True_"),
+    ([2, np.int64(1)], _RISING),
+    ([np.uint64(2**64 - 1)], _exceeds(2**64 - 1)),
+    ([np.int64(2), 2**70, 1.0], "harmonic order n must be an integer, got 1.0"),
+    ([np.int64(2), 2**70, 3, 1.0], _RISING),
+])
+def test_from_terms_refuses_the_first_faulty_order(orders, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        HarmonicSpectrum.from_terms(1.0, 0.0, [(n, 1.0, 0.0) for n in orders])
+
+
+def test_numpy_integer_orders_scatter_like_python_ints():
+    terms = [(np.int32(1), 0.5, -0.0), (np.uint64(4), 0.0, 2.0), (np.int64(7), -3.0, 1.0)]
+    spec = HarmonicSpectrum.from_terms(1.0, 0.0, terms)
+    assert spec == HarmonicSpectrum.from_terms(1.0, 0.0, [(int(n), a, b) for n, a, b in terms])
+    assert spec.cos.tolist() == [0.5, 0.0, 0.0, 0.0, 0.0, 0.0, -3.0]
+    assert spec.sin.tolist() == [-0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 1.0]
+    assert math.copysign(1.0, spec.sin[0]) == -1.0
+
+
+def test_from_dict_scatters_its_columns():
+    doc = _spectrum_doc([2, 5, 6])
+    doc["harmonics"][1].update(a=-0.0, b=1e-300)
+    spec = HarmonicSpectrum.from_dict(doc)
+    assert spec.cos.tolist() == [0.0, 1.0, 0.0, 0.0, -0.0, 1.0]
+    assert math.copysign(1.0, spec.cos[4]) == -1.0
+    assert spec.sin.tolist() == [0.0, 0.0, 0.0, 0.0, 1e-300, 0.0]
+    assert not spec.cos.flags.writeable and not spec.sin.flags.writeable
+
+
 @pytest.mark.parametrize("term, message", [
     ((1, 10**400, 0.0), "cos amplitudes must lie within the float64 range"),
     ((1, 0.0, -(10**400)), "sin amplitudes must lie within the float64 range"),

@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from memsynth.errors import ValidationError
-from memsynth.harmonics import MAX_HARMONIC_ORDER, compute_powers, evaluate_waveform
+from memsynth.harmonics import (
+    MAX_HARMONIC_ORDER,
+    HarmonicSpectrum,
+    compute_powers,
+    evaluate_waveform,
+)
 from memsynth.loads import (
     MOTIVATING_AMPLITUDE,
     MOTIVATING_OMEGA,
@@ -105,11 +110,45 @@ def test_bridge_validation():
         bridge_spectrum(1.0, math.pi + 0.1, OMEGA)
     with pytest.raises(ValidationError):
         bridge_spectrum(1.0, 0.0, OMEGA, n_max=0)
-    # the highest odd order at or below n_max is checked before the loop
+    # the highest odd order at or below n_max is checked before anything is allocated
     with pytest.raises(ValidationError, match=f"order {MAX_HARMONIC_ORDER + 1} exceeds the limit"):
         bridge_spectrum(1.0, 0.0, OMEGA, n_max=MAX_HARMONIC_ORDER + 2)
     with pytest.raises(ValidationError, match="exceeds the limit"):
         bridge_spectrum(1.0, 0.0, OMEGA, n_max=10**18)
+
+
+def _bridge_by_loop(i_dc, delta, omega, n_max):
+    """The bridge spectrum built term by term in floats: the reference for its numpy build."""
+    terms = []
+    for n in range(1, n_max + 1, 2):
+        base = 4.0 * i_dc / (n * math.pi)
+        a = -base * math.sin(n * delta)
+        b = base * math.cos(n * delta)
+        if abs(a) < 1e-15 and abs(b) < 1e-15:
+            continue
+        terms.append((n, a, b))
+    return HarmonicSpectrum.from_terms(omega, 0.0, terms)
+
+
+@pytest.mark.parametrize("i_dc, delta, n_max", [
+    (1.0, 0.0, 1), (2.0, 0.0, 1910), (7.3, 0.61, 1001), (3.0, 2.9, 199), (1.5, math.pi, 8),
+    (1.0, math.pi / 2, 9), (19.9, 1.234, 2**14),
+    # terms below 1e-15 are left out, and a top order left out shortens n_max
+    (1e-15, 0.0, 9), (3e-15, 0.7, 31), (1e-300, 0.3, 9),
+])
+def test_bridge_matches_the_term_loop_bit_for_bit(i_dc, delta, n_max):
+    spec = bridge_spectrum(i_dc, delta, OMEGA, n_max)
+    reference = _bridge_by_loop(i_dc, delta, OMEGA, n_max)
+    assert spec.n_max == reference.n_max
+    assert spec.cos.tobytes() == reference.cos.tobytes()
+    assert spec.sin.tobytes() == reference.sin.tobytes()
+
+
+def test_bridge_with_an_infinite_term_is_refused_without_a_warning():
+    # 4 i_dc overflows, and inf * sin(0) is nan: refused as the term loop refuses it
+    for build in (bridge_spectrum, _bridge_by_loop):
+        with pytest.raises(ValidationError, match="cos amplitudes must be finite"):
+            build(1e308, 0.0, OMEGA, 5)
 
 
 def test_bridge_power_factor_near_ideal():

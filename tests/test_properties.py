@@ -112,7 +112,7 @@ def test_decomposition_documents_read_back_exactly(load):
             policy = AssignmentPolicy(mode=mode, route_even_sines=route)
             for network in (decompose_load(supply, spectrum, policy),
                             synthesize_conditioner(supply, spectrum, policy)):
-                doc = json.loads(json.dumps(network.to_dict()))
+                doc = json.loads(json.dumps(network.to_dict(), default=np.ndarray.tolist))
                 assert LoadDecomposition.from_dict(doc) == network
 
 
@@ -206,7 +206,8 @@ def test_regularization_is_transparent(drawn, gamma):
     supply, element = drawn
     assert needs_regularization(element)
     reg = regularize(element, supply, gamma)
-    assert element_from_dict(json.loads(json.dumps(element_to_dict(reg.element)))) == reg.element
+    doc = json.loads(json.dumps(element_to_dict(reg.element), default=np.ndarray.tolist))
+    assert element_from_dict(doc) == reg.element
     states = supply_states(supply, GRID)
     raw = branch_current(element, states).current
     pair = sum(branch_current(e, states).current for e in (reg.element, reg.companion))

@@ -138,10 +138,85 @@ def test_dump_json_fills_exactly_the_floats_orjson_spells_otherwise(value):
     band = 1e-5 <= value < 1e-4 or value >= 1e16
     for x in (value, -value):
         want = [repr(x)] if band else []
-        for doc, fills_wanted in ((x, want), ([x] * textio._ARRAY_MIN, want * textio._ARRAY_MIN)):
+        long = want * textio._ARRAY_MIN
+        for doc, fills_wanted in ((x, want), ([x] * textio._ARRAY_MIN, long),
+                                  (np.full(textio._ARRAY_MIN, x), long)):
             fills = []
             textio._orjson_ready(doc, fills)
             assert fills == fills_wanted
+
+
+#: array lengths either side of the switch from per-float checks to one numpy pass
+ARRAY_LENGTHS = [0, 1, textio._ARRAY_MIN - 1, textio._ARRAY_MIN, textio._ARRAY_MIN + 1]
+
+#: a float of each fill band, both zeros, subnormals and plain floats
+_ARRAY_FLOATS = [*BAND_EDGES, 2e-5, -3.5e-5, 1.5e300, -0.0, 0.0, 5e-324, -2.5e-310,
+                 2.2250738585072014e-308, 0.1, -1.0 / 3.0, 1e-12, 123456.789]
+
+
+def _read_only(values):
+    array = np.array(values, dtype=float)
+    array.flags.writeable = False
+    return array
+
+
+@st.composite
+def _array_docs(draw):
+    """A document holding float64 arrays, and the same document with lists in their place."""
+    length = st.one_of(st.sampled_from(ARRAY_LENGTHS), st.integers(0, textio._ARRAY_MIN + 8))
+    lengths = draw(st.lists(length, max_size=4))
+    lists = [draw(st.lists(_floats, min_size=n, max_size=n)) for n in lengths]
+    scalars = draw(st.lists(_json_scalars, max_size=3))
+    as_arrays = {"series": [_read_only(x) for x in lists], "x": scalars,
+                 "nested": {"coeffs": _read_only(lists[0]) if lists else None}}
+    as_lists = {"series": lists, "x": scalars, "nested": {"coeffs": lists[0] if lists else None}}
+    return as_arrays, as_lists
+
+
+@settings(max_examples=120, deadline=None)
+@given(_array_docs())
+def test_dump_json_writes_float64_arrays_as_their_lists(docs):
+    as_arrays, as_lists = docs
+    assert textio.dump_json(as_arrays) == json.dumps(as_lists, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("length", ARRAY_LENGTHS)
+def test_dump_json_writes_every_fill_band_of_an_array(length):
+    floats = np.resize(np.array(_ARRAY_FLOATS + [-x for x in _ARRAY_FLOATS]), length)
+    before = floats.copy()
+    floats.flags.writeable = False
+    doc = {"coeffs": floats, "reversed": floats[::-1]}
+    want = json.dumps({"coeffs": floats.tolist(), "reversed": floats[::-1].tolist()}, indent=2)
+    assert textio.dump_json(doc) == want + "\n"
+    # the fills' nan went into a copy
+    assert np.array_equal(floats, before) and np.array_equal(np.signbit(floats), np.signbit(before))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("length", ARRAY_LENGTHS[1:])
+def test_dump_json_refuses_a_non_finite_array_entry_before_any_text(monkeypatch, value, length):
+    floats = np.full(length, 2e-5)
+    floats[length // 2] = value
+
+    def no_text(*args, **kwargs):
+        raise AssertionError("orjson was asked for text")
+
+    monkeypatch.setattr(textio.orjson, "dumps", no_text)
+    with pytest.raises(NumericalError, match="not finite"):
+        textio.dump_json({"coeffs": _read_only(floats)})
+
+
+@pytest.mark.parametrize("array", [
+    np.arange(3), np.arange(3, dtype=np.int64), np.zeros(3, dtype=bool),
+    np.zeros((2, 2)), np.zeros((0, 3)), np.float64(1.5) * np.ones(()),
+    np.zeros(3, dtype=np.float32), np.zeros(textio._ARRAY_MIN, dtype=">f8"),
+    np.zeros(3, dtype=complex), np.array(["1.5"]), np.array([1.5], dtype=object),
+], ids=["int", "int64", "bool", "2-D", "empty-2-D", "0-D", "float32", "big-endian",
+        "complex", "str", "object"])
+def test_dump_json_refuses_every_other_array(array):
+    for doc in ({"k": array}, [array], {"k": [1.0, array]}):
+        with pytest.raises(TypeError):
+            textio.dump_json(doc)
 
 
 SPECIAL_FLOATS = [
