@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from memsynth import cli, textio
 from memsynth.harmonics import MAX_HARMONIC_ORDER
 from memsynth.loads import DEFAULT_N_MAX, rectifier_spectrum
+from memsynth.synthesis import LoadDecomposition
 
 AMP = 230.0 * math.sqrt(2.0)
 OMEGA = 100.0 * math.pi
@@ -484,6 +485,90 @@ def test_branch_label_must_match_its_element_kind(tmp_path, capsys, command, rel
     assert cli.main([command, str(dec), *branch, "-o", str(tmp_path / "x.csv")]) == 2
     assert "does not match its element kind" in capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == before
+
+
+def _every_slot_file(tmp_path, dc, name="every.json"):
+    """A decomposition holding every memory branch and two companions, plus a dc
+    source when ``dc`` is nonzero: b_1, b_2, a_3 and a_4 under the inductive policy."""
+    spec = tmp_path / f"spec_{name}"
+    terms = [{"n": 1, "a": 0.0, "b": 1.0}, {"n": 2, "a": 0.0, "b": 0.5},
+             {"n": 3, "a": 0.7, "b": 0.0}, {"n": 4, "a": 0.4, "b": 0.0}]
+    spec.write_text(json.dumps({"omega": 100.0, "dc": dc, "supply_amplitude": 10.0,
+                                "harmonics": terms}))
+    path = tmp_path / name
+    assert cli.main(["characterize", str(spec), "--policy", "inductive", "-o", str(path)]) == 0
+    return path
+
+
+def _outputs(tmp_path, dec, tag):
+    """The bytes simulate and hysteresis (on each memory branch) write for ``dec``."""
+    grid = ["--periods", "1", "--samples-per-period", "256"]
+    out = tmp_path / f"{tag}.csv"
+    assert cli.main(["simulate", str(dec), *grid, "-o", str(out)]) == 0
+    written = [out.read_bytes()]
+    for branch in ("memristor", "meminductor", "memcapacitor"):
+        loop, curve = tmp_path / f"{tag}_{branch}.csv", tmp_path / f"{tag}_{branch}_curve.csv"
+        assert cli.main(["hysteresis", str(dec), "--branch", branch, *grid, "-o", str(loop),
+                         "--constitutive-output", str(curve)]) == 0
+        written += [loop.read_bytes(), curve.read_bytes()]
+    return written
+
+
+#: document orders of the dc, memristor, meminductor, memcapacitor,
+#: companion_capacitor and companion_inductor branches (indices 0-5); the
+#: companions keep their relative order, since it sets the summation order
+BRANCH_ORDERS = {
+    "memories-reversed": [3, 2, 1, 0, 4, 5],
+    "companions-first": [4, 5, 0, 1, 2, 3],
+    "interleaved": [3, 4, 0, 5, 2, 1],
+}
+
+
+@pytest.mark.parametrize("order", BRANCH_ORDERS.values(), ids=BRANCH_ORDERS)
+def test_branch_order_in_a_document_changes_nothing_read(tmp_path, order):
+    dec = _every_slot_file(tmp_path, dc=0.3)
+    doc = json.loads(dec.read_text())
+    assert [b["label"] for b in doc["branches"]] == [
+        "dc", "memristor", "meminductor", "memcapacitor",
+        "companion_capacitor", "companion_inductor",
+    ]
+    moved = tmp_path / "moved.json"
+    moved.write_text(json.dumps({**doc, "branches": [doc["branches"][i] for i in order]}))
+    canonical = LoadDecomposition.from_dict(textio.read_json(str(dec)))
+    assert LoadDecomposition.from_dict(textio.read_json(str(moved))) == canonical
+    assert _outputs(tmp_path, moved, "moved") == _outputs(tmp_path, dec, "canonical")
+
+
+def test_two_companions_read_back_in_document_order(tmp_path):
+    dec = _every_slot_file(tmp_path, dc=0.0)
+    doc = json.loads(dec.read_text())
+    labels = [b["label"] for b in doc["branches"]]
+    assert labels == ["memristor", "meminductor", "memcapacitor",
+                      "companion_capacitor", "companion_inductor"]
+    doc["branches"][3:] = doc["branches"][:2:-1]
+    swapped = LoadDecomposition.from_dict(json.loads(json.dumps(doc)))
+    assert [label for label, _ in swapped.branches()] == [*labels[:3], *labels[:2:-1]]
+    assert json.loads(textio.dump_json(swapped.to_dict()))["branches"] == doc["branches"]
+
+
+#: (label of the branch appended a second time, element of that label's slot)
+SECOND_IN_A_SLOT = {
+    "two-memcapacitors": ("memcapacitor", None),
+    "memristor-and-resistor": ("resistor", {"kind": "resistor", "scalar_value": 2.0}),
+    "two-dc-sources": ("dc", None),
+}
+
+
+@pytest.mark.parametrize("label, element", SECOND_IN_A_SLOT.values(), ids=SECOND_IN_A_SLOT)
+@pytest.mark.parametrize("command", ["simulate", "hysteresis"])
+def test_a_second_element_in_one_slot_exits_2(tmp_path, capsys, command, label, element):
+    dec = _every_slot_file(tmp_path, dc=0.3)
+    doc = json.loads(dec.read_text())
+    if element is None:
+        (element,) = [b["element"] for b in doc["branches"] if b["label"] == label]
+    doc["branches"].append({"label": label, "element": element})
+    dec.write_text(json.dumps(doc))
+    _assert_rejected(tmp_path, capsys, command, dec, f"duplicate branch label {label!r}")
 
 
 def test_default_truncation_order(capsys):
