@@ -14,6 +14,11 @@ reconstructed currents are identical, so the terminal waveform is policy
 invariant.  Memcapacitor or meminductor branches that come out without a
 linear term are regularized in place and their LTI companion appended.
 
+A :class:`LoadDecomposition` holds its branches as one tuple in that slot
+order (:data:`BRANCH_SLOTS`), companions last.  Its constructor is the one
+place the order and the one-element-per-slot rule are checked, so every
+decomposition that can be built writes a document that reads back equal.
+
 ``synthesize_conditioner`` builds the shunt network that cancels everything
 but the active current: it negates the non-active part of the load current
 and decomposes it.  Because the non-active spectrum never contains the
@@ -25,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
@@ -89,15 +93,17 @@ class AssignmentPolicy:
 
 DEFAULT_POLICY = AssignmentPolicy()
 
-#: the label of each element kind's branch in a decomposition document
-BRANCH_LABELS = {
-    ElementKind.DC_SOURCE: "dc",
-    ElementKind.RESISTOR: "resistor",
-    ElementKind.MEMRISTOR: "memristor",
-    ElementKind.MEMINDUCTOR: "meminductor",
-    ElementKind.MEMCAPACITOR: "memcapacitor",
-    ElementKind.INDUCTOR: "companion_inductor",
-    ElementKind.CAPACITOR: "companion_capacitor",
+COMPANION_SLOT = 4
+#: each element kind's branch label and slot.  A decomposition lists its
+#: elements in slot order, at most one in each slot below COMPANION_SLOT
+BRANCH_SLOTS = {
+    ElementKind.DC_SOURCE: ("dc", 0),
+    ElementKind.RESISTOR: ("resistor", 1),
+    ElementKind.MEMRISTOR: ("memristor", 1),
+    ElementKind.MEMINDUCTOR: ("meminductor", 2),
+    ElementKind.MEMCAPACITOR: ("memcapacitor", 3),
+    ElementKind.INDUCTOR: ("companion_inductor", COMPANION_SLOT),
+    ElementKind.CAPACITOR: ("companion_capacitor", COMPANION_SLOT),
 }
 
 
@@ -105,21 +111,31 @@ BRANCH_LABELS = {
 class LoadDecomposition:
     """Parallel branch set reconstructing one current spectrum.
 
-    The memristor slot holds an LTI resistor when the sine family collapses
-    to a single positive fundamental.  Companions are the LTI partners added
-    by regularization, in the order their elements were regularized.
+    ``elements`` holds the branches in :data:`BRANCH_SLOTS` order: a dc
+    source, a memristor (an LTI resistor when the sine family collapses to a
+    single positive fundamental), a meminductor and a memcapacitor, each at
+    most once, then the LTI companions added by regularization, in the order
+    their elements were regularized.  A tuple out of slot order, or with a
+    second element in one of the first four slots, is refused.
     """
 
     supply: SupplyVoltage
-    dc: Optional[MemoryElement] = None
-    memristor: Optional[MemoryElement] = None
-    meminductor: Optional[MemoryElement] = None
-    memcapacitor: Optional[MemoryElement] = None
-    companions: tuple[MemoryElement, ...] = ()
+    elements: tuple[MemoryElement, ...] = ()
+
+    def __post_init__(self) -> None:
+        # a list would stay mutable past the check
+        object.__setattr__(self, "elements", tuple(self.elements))
+        last = -1
+        for element in self.elements:
+            label, slot = BRANCH_SLOTS[element.kind]
+            if slot < last:
+                raise ValidationError(f"branch {label!r} is out of slot order")
+            if slot == last and slot != COMPANION_SLOT:
+                raise ValidationError(f"duplicate branch label {label!r}")
+            last = slot
 
     def branches(self) -> list[tuple[str, MemoryElement]]:
-        slots = (self.dc, self.memristor, self.meminductor, self.memcapacitor, *self.companions)
-        return [(BRANCH_LABELS[element.kind], element) for element in slots if element is not None]
+        return [(BRANCH_SLOTS[element.kind][0], element) for element in self.elements]
 
     def to_dict(self) -> dict:
         return {
@@ -132,6 +148,11 @@ class LoadDecomposition:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "LoadDecomposition":
+        """Read a decomposition whose branches may come in any order.
+
+        Each label must be its element's; the elements are stably sorted by
+        slot, so companions keep their document order.
+        """
         try:
             supply = SupplyVoltage(
                 _real(doc["supply"]["amplitude"], "supply amplitude"),
@@ -140,29 +161,15 @@ class LoadDecomposition:
             raw = [(b["label"], element_from_dict(b["element"])) for b in doc["branches"]]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"bad decomposition document: {exc}") from exc
-        slots: dict[str, MemoryElement] = {}
-        companions: list[MemoryElement] = []
         for label, element in raw:
-            if label != BRANCH_LABELS[element.kind]:
+            expected = BRANCH_SLOTS[element.kind][0]
+            if label != expected:
                 raise ValidationError(
                     f"branch label {label!r} does not match its element kind"
-                    f" {element.kind.value!r}, whose label is {BRANCH_LABELS[element.kind]!r}"
+                    f" {element.kind.value!r}, whose label is {expected!r}"
                 )
-            if label in ("companion_inductor", "companion_capacitor"):
-                companions.append(element)
-                continue
-            slot = "memristor" if label == "resistor" else label
-            if slot in slots:
-                raise ValidationError(f"duplicate branch label {label!r}")
-            slots[slot] = element
-        return cls(
-            supply=supply,
-            dc=slots.get("dc"),
-            memristor=slots.get("memristor"),
-            meminductor=slots.get("meminductor"),
-            memcapacitor=slots.get("memcapacitor"),
-            companions=tuple(companions),
-        )
+        elements = sorted((element for _, element in raw), key=lambda e: BRANCH_SLOTS[e.kind][1])
+        return cls(supply, tuple(elements))
 
 
 def decompose_load(
@@ -225,14 +232,8 @@ def decompose_load(
                 element, f"{element.kind.value} on supply omega {supply.omega!r}"
             )
 
-    return LoadDecomposition(
-        supply=supply,
-        dc=dc,
-        memristor=memristor,
-        meminductor=meminductor,
-        memcapacitor=memcapacitor,
-        companions=tuple(companions),
-    )
+    elements = (dc, memristor, meminductor, memcapacitor, *companions)
+    return LoadDecomposition(supply, tuple(e for e in elements if e is not None))
 
 
 def synthesize_conditioner(

@@ -5,7 +5,6 @@ prints a single ``ACCEPTANCE <name>: PASS/FAIL (...)`` line (visible with
 ``pytest -s``) before asserting.
 """
 
-import dataclasses
 import math
 import time
 
@@ -28,12 +27,13 @@ from memsynth.simulation import (
 )
 from memsynth.synthesis import (
     AssignmentPolicy,
+    LoadDecomposition,
     decompose_load,
     synthesize_conditioner,
 )
 
 from chebyshev_identities import chebyshev_identity_suite
-from trace_branches import branch, branch_average_power
+from trace_branches import branch, branch_average_power, companions, in_slot
 
 SUPPLY = motivating_supply()
 AMP = SUPPLY.amplitude
@@ -67,7 +67,7 @@ def test_acceptance_motivating_compensation():
     spectrum = motivating_spectrum()
     pf_before = compute_powers(SUPPLY, spectrum).power_factor
     cond = synthesize_conditioner(SUPPLY, spectrum)
-    cap = cond.memcapacitor
+    cap = in_slot(cond, "memcapacitor")
     const = cap.incremental.evaluate(0.0)
     slope = cap.incremental.derivative().evaluate(0.0)
     pf_after = _compensated_pf(SUPPLY, spectrum, 2)
@@ -207,12 +207,12 @@ def test_acceptance_memcapacitor_charge_gating():
     config = SimulationConfig()
     states = supply_states(SUPPLY, config, loop_indices(config))
     for name, cond in conditioners.items():
-        assert cond.memcapacitor is not None
+        assert in_slot(cond, "memcapacitor") is not None
         trace = simulate(cond)
         q = branch(trace, "memcapacitor").charge
         mask = np.abs(trace.u) <= 1e-12 * AMP
         gate = float(np.max(np.abs(q[mask]))) / float(np.max(np.abs(q)))
-        drive, response, _, _ = hysteresis_loop(cond.memcapacitor, states)
+        drive, response, _, _ = hysteresis_loop(in_slot(cond, "memcapacitor"), states)
         closure = max(
             abs(drive[0] - drive[-1]) / AMP,
             abs(response[0] - response[-1]) / float(np.max(np.abs(response))),
@@ -238,9 +238,10 @@ def test_acceptance_regularization_is_transparent():
     dec = decompose_load(SUPPLY, spectrum)
     raw = memcapacitance_from_cosines(SUPPLY, spectrum.cos)
     gamma = default_gamma(raw, SUPPLY)
-    companion_exact = dec.companions[0].scalar_value == AMP / (OMEGA * gamma)
+    companion_exact = companions(dec)[0].scalar_value == AMP / (OMEGA * gamma)
 
-    stripped = dataclasses.replace(dec, memcapacitor=raw, companions=())
+    # the rectifier's dc and resistor with the unregularized memcapacitor
+    stripped = LoadDecomposition(SUPPLY, (in_slot(dec, "dc"), in_slot(dec, "memristor"), raw))
     config = SimulationConfig(periods=1, samples_per_period=8192)
     i_with = simulate(dec, config).i_total
     i_without = simulate(stripped, config).i_total

@@ -24,6 +24,8 @@ from memsynth.harmonics import MAX_HARMONIC_ORDER
 from memsynth.loads import DEFAULT_N_MAX, rectifier_spectrum
 from memsynth.synthesis import LoadDecomposition
 
+from trace_branches import in_slot, with_slot
+
 AMP = 230.0 * math.sqrt(2.0)
 OMEGA = 100.0 * math.pi
 
@@ -148,14 +150,15 @@ def test_characterize_gate_catches_a_tampered_memristor(tmp_path, monkeypatch, c
 
     def tampered(supply, spectrum, policy):
         dec = decompose(supply, spectrum, policy)
-        series, curve = dec.memristor.incremental, dec.memristor.constitutive
+        memristor = in_slot(dec, "memristor")
+        series, curve = memristor.incremental, memristor.constitutive
         coeffs = [series.coeffs[0] * (1.0 + 1e-3), *series.coeffs[1:]]
         scale = series.scale * scale_factor  # an element holds one scale
         series = dataclasses.replace(series, coeffs=coeffs, scale=scale)
         curve = dataclasses.replace(curve, scale=scale)
-        return dataclasses.replace(
-            dec,
-            memristor=dataclasses.replace(dec.memristor, incremental=series, constitutive=curve),
+        return with_slot(
+            dec, "memristor",
+            dataclasses.replace(memristor, incremental=series, constitutive=curve),
         )
 
     monkeypatch.setattr(cli, "decompose_load", tampered)

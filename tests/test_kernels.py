@@ -356,7 +356,8 @@ def _reference_decompose(supply, spectrum, policy):
     if memcapacitor is not None and needs_regularization(memcapacitor):
         reg = regularize(memcapacitor, supply)
         memcapacitor, companions = reg.element, companions + [reg.companion]
-    return LoadDecomposition(supply, dc, memristor, meminductor, memcapacitor, tuple(companions))
+    elements = (dc, memristor, meminductor, memcapacitor, *companions)
+    return LoadDecomposition(supply, tuple(e for e in elements if e is not None))
 
 
 def _assert_same_element(got, want):

@@ -45,3 +45,29 @@ def test_cli_does_no_arithmetic_of_its_own():
     # numbers are worked out in the library; cli parses, calls and writes
     modules = {module.split(".")[0] for module, _ in _imports(SOURCES / "cli.py")}
     assert not modules & {"numpy", "math"}
+
+
+def _unused_imports(path):
+    """Names a module imports but never reads, by the AST of its source."""
+    tree = ast.parse(path.read_text())
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_every_unused_import_is_a_name_the_benchmark_tracer_wraps():
+    # the tracer patches names where callers look them up, so such an import
+    # stays until the tracer drops it; any other unused import is dead code
+    from test_tracer_targets import _tracer_targets
+
+    unused = {
+        (f"memsynth.{path.stem}", name)
+        for path in SOURCES.glob("*.py")
+        for name in _unused_imports(path)
+    }
+    assert sorted(unused - set(_tracer_targets())) == []

@@ -6,11 +6,14 @@ random amplitude and frequency.  Each property is one of the invariants the
 decomposition promises: exact JSON round trips, a terminal current that does
 not depend on the assignment policy, a round-trip verification that holds for
 every policy, a lossless conditioner, the power factor after compensation, and
-transparent regularization.  Three more draw wide spectra, amplitudes up to
-1e308 and zeros of either sign: one holds the array-based power and Fryze code
-to the tuple-based forms it replaced, bit for bit; one keeps a spectrum's
-arrays read-only and its ``==``, ``hash`` and ``repr`` those of tuples of
-floats; one keeps copies and pickles of spectra and series read-only and equal.
+transparent regularization.  Two more assemble built elements in slot order:
+every decomposition the constructor accepts reads back exactly, and one out of
+slot order or with a second element in a slot is refused.  Three more draw
+wide spectra, amplitudes up to 1e308 and zeros of either sign: one holds the
+array-based power and Fryze code to the tuple-based forms it replaced, bit for
+bit; one keeps a spectrum's arrays read-only and its ``==``, ``hash`` and
+``repr`` those of tuples of floats; one keeps copies and pickles of spectra
+and series read-only and equal.
 """
 
 import copy
@@ -21,16 +24,20 @@ import pickle
 import struct
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memsynth.chebyshev import ChebyshevKind, ChebyshevSeries
 from memsynth.elements import (
+    ElementKind,
+    MemoryElement,
     element_from_dict,
     element_to_dict,
     inverse_meminductance_from_spectrum,
     memcapacitance_from_cosines,
+    memductance_from_sines,
     needs_regularization,
     regularize,
 )
@@ -46,6 +53,8 @@ from memsynth.harmonics import (
 )
 from memsynth.simulation import SimulationConfig, branch_current, simulate, supply_states
 from memsynth.synthesis import (
+    BRANCH_SLOTS,
+    COMPANION_SLOT,
     AssignmentPolicy,
     EvenSineRoute,
     LoadDecomposition,
@@ -55,6 +64,9 @@ from memsynth.synthesis import (
     verification_grid,
     verify_decomposition,
 )
+from memsynth.textio import dump_json
+
+from trace_branches import in_slot
 
 MAX_ORDER = 60
 #: one period at four samples per order of the highest order drawn
@@ -116,6 +128,66 @@ def test_decomposition_documents_read_back_exactly(load):
                 assert LoadDecomposition.from_dict(doc) == network
 
 
+nonzero = st.floats(0.01, 10.0).flatmap(lambda x: st.sampled_from((x, -x)))
+dense_terms = st.lists(nonzero, min_size=1, max_size=8).map(np.array)
+positive = st.floats(1e-3, 1e3)
+
+
+@st.composite
+def built_decompositions(draw):
+    """Built elements in slot order: each of the dc, memristor (or resistor),
+    meminductor and memcapacitor slots full or empty, then 0-2 companions."""
+    supply = draw(supplies())
+    elements = []
+    if draw(st.booleans()):
+        elements.append(MemoryElement(kind=ElementKind.DC_SOURCE, scalar_value=draw(amplitudes)))
+    if draw(st.booleans()):
+        elements.append(
+            MemoryElement(kind=ElementKind.RESISTOR, scalar_value=draw(positive))
+            if draw(st.booleans()) else memductance_from_sines(supply, draw(dense_terms))
+        )
+    if draw(st.booleans()):
+        terms = draw(dense_terms)
+        odd = np.arange(1, len(terms) + 1) % 2 == 1
+        elements.append(inverse_meminductance_from_spectrum(
+            supply, np.where(odd, terms, 0.0), np.where(odd, 0.0, terms)
+        ))
+    if draw(st.booleans()):
+        elements.append(memcapacitance_from_cosines(supply, draw(dense_terms)))
+    lti = st.sampled_from((ElementKind.INDUCTOR, ElementKind.CAPACITOR))
+    for kind in draw(st.lists(lti, max_size=2)):
+        elements.append(MemoryElement(kind=kind, scalar_value=draw(positive)))
+    return LoadDecomposition(supply, tuple(elements))
+
+
+@SETTINGS
+@given(built_decompositions())
+def test_every_built_decomposition_reads_back_exactly(decomposition):
+    text = dump_json(decomposition.to_dict())
+    again = LoadDecomposition.from_dict(orjson.loads(text))
+    assert again == decomposition
+    assert dump_json(again.to_dict()) == text
+
+
+@SETTINGS
+@given(built_decompositions())
+def test_no_decomposition_breaks_slot_order_or_doubles_a_slot(decomposition):
+    supply, elements = decomposition.supply, decomposition.elements
+    for i, (first, second) in enumerate(zip(elements, elements[1:])):
+        if BRANCH_SLOTS[first.kind][1] != BRANCH_SLOTS[second.kind][1]:
+            swapped = (*elements[:i], second, first, *elements[i + 2:])
+            with pytest.raises(ValidationError, match="out of slot order"):
+                LoadDecomposition(supply, swapped)
+    for i, element in enumerate(elements):
+        label, slot = BRANCH_SLOTS[element.kind]
+        doubled = (*elements[: i + 1], element, *elements[i + 1:])
+        if slot == COMPANION_SLOT:
+            assert LoadDecomposition(supply, doubled).elements == doubled
+        else:
+            with pytest.raises(ValidationError, match=f"duplicate branch label {label!r}"):
+                LoadDecomposition(supply, doubled)
+
+
 @SETTINGS
 @given(loads())
 def test_terminal_current_is_policy_and_route_invariant(load):
@@ -156,7 +228,7 @@ def test_verification_holds_on_every_policy_and_route(load):
 def test_conditioner_draws_no_average_power(load):
     supply, spectrum = load
     conditioner = synthesize_conditioner(supply, spectrum)
-    assert conditioner.dc is None
+    assert in_slot(conditioner, "dc") is None
     trace = simulate(conditioner, GRID)
     rms_i = float(np.sqrt(np.mean(trace.i_total**2)))
     assert abs(float(np.mean(trace.u * trace.i_total))) <= 1e-9 * supply.rms * (1.0 + rms_i)

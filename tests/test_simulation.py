@@ -35,7 +35,7 @@ from memsynth.simulation import (
 from memsynth.synthesis import decompose_load, synthesize_conditioner
 from memsynth.textio import TRACE_HEADER, trace_to_csv
 
-from trace_branches import branch, branch_average_power
+from trace_branches import branch, branch_average_power, in_slot
 
 SUPPLY = motivating_supply()
 AMP = SUPPLY.amplitude
@@ -152,13 +152,13 @@ def test_hysteresis_loop_closure_and_planes():
     dec = decompose_load(SUPPLY, motivating_spectrum())
     whole = supply_states(SUPPLY)
     states = _loop_states(SimulationConfig())
-    x, y, _, _ = hysteresis_loop(dec.memcapacitor, states)
+    x, y, _, _ = hysteresis_loop(in_slot(dec, "memcapacitor"), states)
     assert len(x) == 8193
     assert abs(x[0] - x[-1]) <= 1e-9 * float(np.max(np.abs(x)))
     assert abs(y[0] - y[-1]) <= 1e-9 * float(np.max(np.abs(y)))
     np.testing.assert_array_equal(x, whole.u[: len(x)])
 
-    phi_axis, i_ind, _, _ = hysteresis_loop(dec.meminductor, states)
+    phi_axis, i_ind, _, _ = hysteresis_loop(in_slot(dec, "meminductor"), states)
     np.testing.assert_array_equal(phi_axis, whole.phi[: len(phi_axis)])
     assert abs(i_ind[0] - i_ind[-1]) <= 1e-9 * float(np.max(np.abs(i_ind)))
 
@@ -175,7 +175,7 @@ def test_hysteresis_single_period_wraps():
 def test_hysteresis_conditioner_charge_closed_form():
     cond = synthesize_conditioner(SUPPLY, motivating_spectrum())
     states = _loop_states(SimulationConfig(periods=1, samples_per_period=4096))
-    _, q, _, _ = hysteresis_loop(cond.memcapacitor, states)
+    _, q, _, _ = hysteresis_loop(in_slot(cond, "memcapacitor"), states)
     t = np.append(states.t[:-1], SUPPLY.period)
     expected = (100.0 * math.sqrt(2.0) / OMEGA) * np.sin(OMEGA * t) - (
         25.0 * math.sqrt(2.0) / OMEGA
@@ -203,7 +203,7 @@ def test_capacitance_column_time_average():
     for name, spectrum in spectra.items():
         cond = synthesize_conditioner(SUPPLY, spectrum)
         trace = simulate(cond, SimulationConfig(periods=1, samples_per_period=4096))
-        coeffs = cond.memcapacitor.incremental.coeffs
+        coeffs = in_slot(cond, "memcapacitor").incremental.coeffs
         expected = sum(coeffs[::2])
         mean = float(np.mean(branch(trace, "memcapacitor").capacitance))
         assert mean == pytest.approx(expected, rel=1e-9), name
@@ -284,7 +284,7 @@ def evaluated(monkeypatch):
 
 def test_simulate_and_trace_csv_evaluate_memcapacitance_once(evaluated):
     dec = decompose_load(SUPPLY, motivating_spectrum())
-    cm = dec.memcapacitor.incremental
+    cm = in_slot(dec, "memcapacitor").incremental
     trace = simulate(dec, SimulationConfig(periods=2, samples_per_period=256))
     trace_to_csv(trace)
     memcap_calls = [series for series in evaluated if series in (cm, cm.derivative())]
@@ -292,7 +292,7 @@ def test_simulate_and_trace_csv_evaluate_memcapacitance_once(evaluated):
     assert memcap_calls[0] is cm
     # G, Gamma, C and dC of the whole network in one kernel call
     assert evaluated.passes == 1
-    assert evaluated[:-2] == [dec.meminductor.incremental]
+    assert evaluated[:-2] == [in_slot(dec, "meminductor").incremental]
 
 
 @pytest.mark.parametrize("periods", [1, 2, 3])
@@ -308,8 +308,8 @@ def test_loop_states_have_the_bits_of_the_whole_grid(periods):
 
 @pytest.mark.parametrize("make", [
     lambda: memductance_from_sines(SUPPLY, [2.0, 0.0, 0.5, 0.0, -0.25]),
-    lambda: decompose_load(SUPPLY, motivating_spectrum()).meminductor,
-    lambda: decompose_load(SUPPLY, motivating_spectrum()).memcapacitor,
+    lambda: in_slot(decompose_load(SUPPLY, motivating_spectrum()), "meminductor"),
+    lambda: in_slot(decompose_load(SUPPLY, motivating_spectrum()), "memcapacitor"),
 ])
 def test_hysteresis_draws_the_constitutive_curve_in_the_loop_pass(make, evaluated):
     element = make()
@@ -335,14 +335,14 @@ def test_hysteresis_draws_the_constitutive_curve_in_the_loop_pass(make, evaluate
 
 
 def test_memcapacitor_hysteresis_evaluates_only_memcapacitance(evaluated):
-    dec = decompose_load(SUPPLY, motivating_spectrum())
+    memcapacitor = in_slot(decompose_load(SUPPLY, motivating_spectrum()), "memcapacitor")
     config = SimulationConfig(periods=1, samples_per_period=256)
-    u, q, _, _ = hysteresis_loop(dec.memcapacitor, _loop_states(config))
+    u, q, _, _ = hysteresis_loop(memcapacitor, _loop_states(config))
     # one pass holds C_M and the constitutive curve, and no dC_M/dphi
     assert evaluated.passes == 1
     assert [id(series) for series in evaluated] == [
-        id(dec.memcapacitor.incremental), id(dec.memcapacitor.constitutive)
+        id(memcapacitor.incremental), id(memcapacitor.constitutive)
     ]
     idx = np.arange(257) % 256
     whole = supply_states(SUPPLY, config)
-    np.testing.assert_array_equal(q, branch_current(dec.memcapacitor, whole).charge[idx])
+    np.testing.assert_array_equal(q, branch_current(memcapacitor, whole).charge[idx])

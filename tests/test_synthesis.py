@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from memsynth.elements import ElementKind, memductance_from_sines
+from memsynth.elements import ElementKind, MemoryElement, memductance_from_sines
 from memsynth.errors import ValidationError
 from memsynth.harmonics import (
     HarmonicSpectrum,
@@ -37,6 +37,8 @@ from memsynth.synthesis import (
     verify_decomposition,
 )
 
+from trace_branches import companions, in_slot, with_slot
+
 AMP = MOTIVATING_AMPLITUDE
 OMEGA = MOTIVATING_OMEGA
 SUPPLY = motivating_supply()
@@ -50,11 +52,11 @@ def _labels(decomposition):
 def test_motivating_auto_decomposition():
     dec = decompose_load(SUPPLY, motivating_spectrum())
     assert _labels(dec) == ["resistor", "meminductor", "memcapacitor", "companion_inductor"]
-    assert dec.memristor.scalar_value == pytest.approx(2.875, rel=1e-12)
+    assert in_slot(dec, "memristor").scalar_value == pytest.approx(2.875, rel=1e-12)
     # lone second cosine: regularized with gamma = w A |a2|/(2 w A) = a2/2
     gamma = 50.0 * math.sqrt(2.0) / 2.0
-    assert dec.companions[0].kind is ElementKind.INDUCTOR
-    assert dec.companions[0].scalar_value == pytest.approx(AMP / (OMEGA * gamma), rel=1e-12)
+    assert companions(dec)[0].kind is ElementKind.INDUCTOR
+    assert companions(dec)[0].scalar_value == pytest.approx(AMP / (OMEGA * gamma), rel=1e-12)
     report = verify_decomposition(dec, motivating_spectrum())
     assert report.rel_rms_error <= 1e-12
     assert report.max_coefficient_error <= 1e-12
@@ -67,7 +69,7 @@ def test_motivating_forced_capacitive():
     dec = decompose_load(SUPPLY, motivating_spectrum(), policy)
     # all cosines land on the memcapacitor; its linear term is a1, no companion
     assert _labels(dec) == ["resistor", "memcapacitor"]
-    assert dec.memcapacitor.incremental.coeffs[0] != 0.0
+    assert in_slot(dec, "memcapacitor").incremental.coeffs[0] != 0.0
 
 
 def test_mode_invariance_of_terminal_current():
@@ -90,9 +92,9 @@ def test_even_sine_route_invariance():
     via_meminductor = decompose_load(
         SUPPLY, spectrum, AssignmentPolicy(route_even_sines=EvenSineRoute.MEMINDUCTOR)
     )
-    assert via_memristor.memristor.kind is ElementKind.MEMRISTOR
+    assert in_slot(via_memristor, "memristor").kind is ElementKind.MEMRISTOR
     # with the even sines removed only b1 remains, which collapses to a resistor
-    assert via_meminductor.memristor.kind is ElementKind.RESISTOR
+    assert in_slot(via_meminductor, "memristor").kind is ElementKind.RESISTOR
     i_a = simulate(via_memristor, FAST).i_total
     i_b = simulate(via_meminductor, FAST).i_total
     ref = float(np.sqrt(np.mean(i_a**2)))
@@ -104,11 +106,12 @@ def test_rectifier_decomposition_branches():
     spectrum = rectifier_spectrum(1.0, OMEGA, n_max=40)
     dec = decompose_load(supply, spectrum)
     assert _labels(dec) == ["dc", "resistor", "memcapacitor", "companion_inductor"]
-    assert dec.dc.scalar_value == pytest.approx(1.0 / math.pi, rel=1e-15)
-    assert dec.memristor.scalar_value == pytest.approx(2.0, rel=1e-15)
+    assert in_slot(dec, "dc").scalar_value == pytest.approx(1.0 / math.pi, rel=1e-15)
+    assert in_slot(dec, "memristor").scalar_value == pytest.approx(2.0, rel=1e-15)
     # the even-cosine family has no fundamental, hence the companion
-    gamma = OMEGA * 1.0 * sum(abs(c) for c in dec.memcapacitor.incremental.coeffs[1:])
-    assert dec.companions[0].scalar_value == pytest.approx(1.0 / (OMEGA * gamma), rel=1e-9)
+    memcapacitor = in_slot(dec, "memcapacitor")
+    gamma = OMEGA * 1.0 * sum(abs(c) for c in memcapacitor.incremental.coeffs[1:])
+    assert companions(dec)[0].scalar_value == pytest.approx(1.0 / (OMEGA * gamma), rel=1e-9)
 
 
 def test_bridge_decomposition_branches():
@@ -129,7 +132,7 @@ def test_bridge_zero_delta_is_memristor_only():
 def test_lone_negative_fundamental_stays_memristor():
     spectrum = HarmonicSpectrum.from_terms(OMEGA, 0.0, ((1, 0.0, -5.0),))
     dec = decompose_load(SUPPLY, spectrum)
-    assert dec.memristor.kind is ElementKind.MEMRISTOR
+    assert in_slot(dec, "memristor").kind is ElementKind.MEMRISTOR
     report = verify_decomposition(dec, spectrum)
     assert report.rel_rms_error <= 1e-12
 
@@ -144,7 +147,7 @@ def test_empty_spectrum_decomposes_to_nothing():
 def test_conditioner_motivating_is_single_memcapacitor():
     cond = synthesize_conditioner(SUPPLY, motivating_spectrum())
     assert _labels(cond) == ["memcapacitor"]
-    cap = cond.memcapacitor
+    cap = in_slot(cond, "memcapacitor")
     # C(0) = -a1/(w A) = 1/(230 pi); dC/dphi(0) = a2/A^2
     assert cap.incremental.evaluate(0.0) == pytest.approx(
         1.0 / (230.0 * math.pi), rel=1e-9
@@ -176,8 +179,8 @@ def test_conditioner_draws_no_average_power():
     spectrum = bridge_spectrum(8.0, math.pi / 5.0, OMEGA, n_max=49)
     cond = synthesize_conditioner(SUPPLY, spectrum)
     # residual odd sines (n >= 3) go to a memristor with no fundamental term
-    assert cond.memristor is not None
-    assert cond.memristor.incremental.coeffs[0] == 0.0
+    assert in_slot(cond, "memristor") is not None
+    assert in_slot(cond, "memristor").incremental.coeffs[0] == 0.0
     trace = simulate(cond, SimulationConfig(periods=1, samples_per_period=4096))
     u = trace.u
     power = float(np.mean(u * trace.i_total))
@@ -218,6 +221,23 @@ def test_decomposition_from_dict_validation():
         LoadDecomposition.from_dict(doc)
     with pytest.raises(ValidationError):
         LoadDecomposition.from_dict({})
+
+
+def test_a_list_of_elements_is_kept_as_a_tuple():
+    dec = decompose_load(SUPPLY, THREE_MEMORIES)
+    again = LoadDecomposition(SUPPLY, list(dec.elements))
+    assert type(again.elements) is tuple
+    assert again == dec and hash(again) == hash(dec)
+
+
+@pytest.mark.parametrize("labels", [("memristor", "resistor"), ("resistor", "memristor")])
+def test_a_memristor_and_a_resistor_share_one_slot(labels):
+    element = {
+        "memristor": in_slot(decompose_load(SUPPLY, THREE_MEMORIES), "memristor"),
+        "resistor": MemoryElement(kind=ElementKind.RESISTOR, scalar_value=2.0),
+    }
+    with pytest.raises(ValidationError, match=f"duplicate branch label {labels[1]!r}"):
+        LoadDecomposition(SUPPLY, tuple(element[label] for label in labels))
 
 
 def test_decompose_rejects_frequency_mismatch():
@@ -268,7 +288,7 @@ def test_verify_sizes_the_grid_by_the_decompositions_highest_order():
     dec = decompose_load(SUPPLY, spectrum)
     sines = np.zeros(64)
     sines[0], sines[63] = spectrum.b(1), 1.0
-    spurious = dataclasses.replace(dec, memristor=memductance_from_sines(SUPPLY, sines))
+    spurious = with_slot(dec, "memristor", memductance_from_sines(SUPPLY, sines))
     report = verify_decomposition(spurious, spectrum)
     assert report.samples_per_period == verification_grid(64) == 256
     assert report.n_max == 2
@@ -309,7 +329,7 @@ def test_verify_refuses_a_mirrored_element():
     # only at the orbit scale
     spectrum = motivating_spectrum()
     dec = decompose_load(SUPPLY, spectrum)
-    off = dataclasses.replace(dec, meminductor=_mirrored(dec.meminductor))
+    off = with_slot(dec, "meminductor", _mirrored(in_slot(dec, "meminductor")))
     with pytest.raises(ValidationError, match="meminductor scale .* off the steady-state orbit"):
         verify_decomposition(off, spectrum)
 
@@ -326,9 +346,7 @@ def test_verify_rejects_non_finite_current_through_projection(monkeypatch):
     supply = SupplyVoltage(10.0, 100.0)
     memristor = memductance_from_sines(supply, [1.0])
     series = dataclasses.replace(memristor.incremental, coeffs=(1e308,))
-    dec = LoadDecomposition(
-        supply=supply, memristor=dataclasses.replace(memristor, incremental=series)
-    )
+    dec = LoadDecomposition(supply, (dataclasses.replace(memristor, incremental=series),))
     spectrum = HarmonicSpectrum(100.0, 0.0, (0.0,), (1.0,))
     with pytest.raises(ValidationError, match="samples must be finite"):
         verify_decomposition(dec, spectrum)
@@ -343,14 +361,14 @@ def test_verify_rejects_non_finite_current_through_projection(monkeypatch):
 def test_elements_off_the_orbit_are_refused(slot, tamper):
     dec = decompose_load(SUPPLY, THREE_MEMORIES)
     memories = ("memristor", "meminductor", "memcapacitor")
-    assert [getattr(dec, name).kind.value for name in memories] == list(memories)
+    assert [in_slot(dec, name).kind.value for name in memories] == list(memories)
     assert steady_state_rows(dec).shape == (2, 5)
-    element = getattr(dec, slot)
+    element = in_slot(dec, slot)
     # an element holds one scale, so both series take the tampered one
     off_element = dataclasses.replace(
         element, incremental=tamper(element.incremental), constitutive=tamper(element.constitutive)
     )
-    off = dataclasses.replace(dec, **{slot: off_element})
+    off = with_slot(dec, slot, off_element)
     for check in (steady_state_rows, lambda d: verify_decomposition(d, THREE_MEMORIES)):
         with pytest.raises(ValidationError, match=f"{slot} scale .* orbit"):
             check(off)
