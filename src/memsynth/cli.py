@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+from .elements import KINDS
 from .errors import NumericalError, ValidationError
 from .harmonics import (
     PF_CONVENTIONS,
@@ -30,7 +31,6 @@ from .harmonics import (
 )
 from .loads import LoadKind, LoadModel
 from .simulation import (
-    LOOP_COLUMNS,
     SimulationConfig,
     hysteresis_loop,
     loop_indices,
@@ -169,7 +169,7 @@ def cmd_hysteresis(args: argparse.Namespace) -> int:
     states = supply_states(decomposition.supply, config, loop_indices(config))
     drive, response, control, value = hysteresis_loop(element, states)
     # both tables are rendered, and so checked, before either is written
-    loop = columns_to_csv(",".join(LOOP_COLUMNS[element.kind]), [drive, response])
+    loop = columns_to_csv(",".join(KINDS[element.kind].loop), [drive, response])
     table = columns_to_csv("control,value", [control, value])
     constitutive_path = args.constitutive_output
     if constitutive_path is None and args.output is not None:

@@ -26,6 +26,12 @@ describes an incremental value with no linear part; such memcapacitors and
 meminductors are not realizable with a single-valued constitutive curve and
 are regularized by adding a linear term plus a shunt LTI companion that
 cancels the added fundamental current exactly.
+
+Each memory kind generalizes one LTI kind: the memristor the resistor, the
+meminductor the inductor, the memcapacitor the capacitor.  Everything the
+package knows about a kind -- its branch label and slot, its trace CSV
+family column, its control and its hysteresis plane -- is one record in
+:data:`KINDS`, the only per-kind table; the other modules read it there.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -65,13 +71,40 @@ class ControlVariable(str, Enum):
     TIME_INTEGRATED_FLUX = "time_integrated_flux"
 
 
-#: the memory kinds, each with the one control a voltage supply drives it by
-CONTROL_OF_KIND = {
-    ElementKind.MEMRISTOR: ControlVariable.FLUX,
-    ElementKind.MEMCAPACITOR: ControlVariable.FLUX,
-    ElementKind.MEMINDUCTOR: ControlVariable.TIME_INTEGRATED_FLUX,
+class KindFacts(NamedTuple):
+    """Everything memsynth knows about one element kind."""
+
+    #: the label of its branch in a decomposition document
+    label: str
+    #: its place in a decomposition's branch order
+    slot: int
+    #: the trace CSV column its current is summed into: each memory kind
+    #: shares a family with the LTI kind it generalizes
+    column: str
+    #: the one control a voltage supply drives it by; None for scalar kinds
+    control: Optional[ControlVariable] = None
+    #: (drive, response) columns of its hysteresis loop, memory kinds only;
+    #: the drive is the supply-state field of that name
+    loop: Optional[tuple[str, str]] = None
+
+
+#: the slot every LTI companion takes; each slot below it holds at most one element
+COMPANION_SLOT = 4
+
+#: the one table of per-kind facts
+KINDS = {
+    ElementKind.DC_SOURCE: KindFacts("dc", 0, "i_dc"),
+    ElementKind.RESISTOR: KindFacts("resistor", 1, "i_GM"),
+    ElementKind.MEMRISTOR: KindFacts("memristor", 1, "i_GM", ControlVariable.FLUX, ("u", "i")),
+    ElementKind.MEMINDUCTOR: KindFacts(
+        "meminductor", 2, "i_GammaM", ControlVariable.TIME_INTEGRATED_FLUX, ("phi", "i")
+    ),
+    ElementKind.MEMCAPACITOR: KindFacts(
+        "memcapacitor", 3, "i_CM", ControlVariable.FLUX, ("u", "q")
+    ),
+    ElementKind.INDUCTOR: KindFacts("companion_inductor", COMPANION_SLOT, "i_GammaM"),
+    ElementKind.CAPACITOR: KindFacts("companion_capacitor", COMPANION_SLOT, "i_CM"),
 }
-LTI_KINDS = frozenset({ElementKind.RESISTOR, ElementKind.INDUCTOR, ElementKind.CAPACITOR})
 
 
 @dataclass(frozen=True)
@@ -97,7 +130,7 @@ class MemoryElement:
             object.__setattr__(self, "kind", ElementKind(self.kind))
         if self.scalar_value is not None:
             object.__setattr__(self, "scalar_value", float(self.scalar_value))
-        if self.kind in CONTROL_OF_KIND:
+        if self.is_memory:
             if self.incremental is None or self.incremental.kind is not ChebyshevKind.SECOND:
                 raise ValidationError("memory element needs a second-kind incremental series")
             if self.constitutive is None or self.constitutive.kind is not ChebyshevKind.FIRST:
@@ -112,17 +145,17 @@ class MemoryElement:
                 raise ValidationError(f"{self.kind.value} takes no series")
             if self.scalar_value is None or not math.isfinite(self.scalar_value):
                 raise ValidationError(f"{self.kind.value} needs a finite scalar value")
-            if self.kind in LTI_KINDS and self.scalar_value <= 0.0:
+            if self.kind is not ElementKind.DC_SOURCE and self.scalar_value <= 0.0:
                 raise ValidationError(f"{self.kind.value} value must be positive")
 
     @property
     def control(self) -> Optional[ControlVariable]:
         """The control variable its kind fixes; None for LTI kinds and dc sources."""
-        return CONTROL_OF_KIND.get(self.kind)
+        return KINDS[self.kind].control
 
     @property
     def is_memory(self) -> bool:
-        return self.kind in CONTROL_OF_KIND
+        return KINDS[self.kind].control is not None
 
 
 @dataclass(frozen=True)
@@ -172,7 +205,7 @@ def _memory_element(
     the terms with overflow warnings off; a term that overflowed is reported
     here, with the branch and the supply that made it.
     """
-    scale = orbit_scale(supply, CONTROL_OF_KIND[kind])
+    scale = orbit_scale(supply, KINDS[kind].control)
     u = np.zeros(n[-1])
     u[n - 1] = inc
     t = np.zeros(n[-1] + 1)
@@ -412,26 +445,31 @@ def element_from_dict(doc: dict) -> MemoryElement:
     the derivative of its ``constitutive_coeffs`` to within
     :data:`SERIES_CONSISTENCY_RTOL` of its largest coefficient, so the
     incremental and constitutive series cannot describe two different
-    elements.
+    elements.  Every key :func:`element_to_dict` writes as ``null`` for the
+    kind must be ``null`` or absent: ``scalar_value`` of a memory element,
+    the series keys of a scalar one, and ``companion`` of both.
     """
     try:
         kind = ElementKind(doc["kind"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad element kind: {exc}") from exc
-    if kind in CONTROL_OF_KIND:
+    control = KINDS[kind].control
+    unused = ("scalar_value",) if control else ("control", "scale", "coeffs", "constitutive_coeffs")
+    for key in (*unused, "companion"):
+        if doc.get(key) is not None:
+            raise ValidationError(f"{kind.value} takes no {key}: it must be null or absent")
+    if control is not None:
         try:
             scale = _real(doc["scale"], "scale")
             inc = _coefficient_list(doc["coeffs"], "coeffs", MAX_HARMONIC_ORDER)
             con = _coefficient_list(
                 doc["constitutive_coeffs"], "constitutive_coeffs", MAX_HARMONIC_ORDER + 1
             )
-            control = doc["control"]
+            written = doc["control"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad memory element document: {exc}") from exc
-        if control != CONTROL_OF_KIND[kind].value:
-            raise ValidationError(
-                f"{kind.value} needs control {CONTROL_OF_KIND[kind].value!r}, got {control!r}"
-            )
+        if written != control.value:
+            raise ValidationError(f"{kind.value} needs control {control.value!r}, got {written!r}")
         element = MemoryElement(
             kind=kind,
             incremental=ChebyshevSeries(ChebyshevKind.SECOND, inc, scale=scale),

@@ -16,6 +16,11 @@ Branch currents are evaluated element by element:
 * resistor u/R, inductor phi/L on the zero-mean flux, capacitor C u',
   dc source a constant
 
+A memory element's series runs on its kind's control (``phi`` for the
+flux, ``sigma`` for the time-integrated flux), and a memristor's or
+meminductor's value multiplies the drive of its hysteresis loop; both facts
+come from the kind's record in :data:`memsynth.elements.KINDS`.
+
 Charge columns exist where a charge is defined without integrating the
 current: the memcapacitor (q = C_M(phi) u) and the LTI capacitor (q = C u).
 Every Chebyshev series of a simulation is evaluated in one shared pass
@@ -33,7 +38,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .chebyshev import evaluate_many
-from .elements import ElementKind, MemoryElement
+from .elements import KINDS, ControlVariable, ElementKind, MemoryElement
 from .errors import ValidationError
 from .harmonics import SupplyVoltage
 
@@ -50,14 +55,6 @@ MIN_SAMPLES_PER_PERIOD = 64
 
 #: points of the constitutive curve that :func:`hysteresis_loop` draws
 CONSTITUTIVE_POINTS = 1001
-
-#: (drive, response) column names of each memory element's loop; the drive
-#: is the :class:`SupplyStates` field of that name
-LOOP_COLUMNS = {
-    ElementKind.MEMRISTOR: ("u", "i"),
-    ElementKind.MEMCAPACITOR: ("u", "q"),
-    ElementKind.MEMINDUCTOR: ("phi", "i"),
-}
 
 
 @dataclass(frozen=True)
@@ -139,16 +136,19 @@ class BranchWaveforms(NamedTuple):
 
 
 def branch_series(element: MemoryElement, states: SupplyStates) -> list:
-    """The (series, control) pairs whose samples :func:`branch_current` combines."""
-    kind = element.kind
-    if kind is ElementKind.MEMRISTOR:
-        return [(element.incremental, states.phi)]
-    if kind is ElementKind.MEMINDUCTOR:
-        return [(element.incremental, states.sigma)]
-    if kind is ElementKind.MEMCAPACITOR:
-        series = element.incremental
-        return [(series, states.phi), (series.derivative(), states.phi)]
-    return []
+    """The (series, control) pairs whose samples :func:`branch_current` combines.
+
+    A memory element's incremental series runs on its control's samples (phi
+    for the flux, sigma for the time-integrated flux); a memcapacitor adds
+    its derivative series.  A scalar kind has none.
+    """
+    if not element.is_memory:
+        return []
+    control = states.phi if element.control is ControlVariable.FLUX else states.sigma
+    pairs = [(element.incremental, control)]
+    if element.kind is ElementKind.MEMCAPACITOR:
+        pairs.append((element.incremental.derivative(), control))
+    return pairs
 
 
 def branch_current(
@@ -174,16 +174,13 @@ def branch_current(
         return BranchWaveforms(element.scalar_value * du, element.scalar_value * states.u)
     if samples is None:
         samples = evaluate_many(branch_series(element, states))
-    if kind is ElementKind.MEMRISTOR:
-        return BranchWaveforms(samples[0] * states.u)
-    if kind is ElementKind.MEMINDUCTOR:
-        return BranchWaveforms(samples[0] * states.phi)
     if kind is ElementKind.MEMCAPACITOR:
         cap, dcap = samples
         du = supply.amplitude * supply.omega * np.cos(supply.omega * states.t)
         current = cap * du + states.u * states.u * dcap
         return BranchWaveforms(current, cap * states.u, cap)
-    raise ValidationError(f"unsupported element kind {kind!r}")
+    # memristor G_M(phi) u, meminductor Gamma_M(sigma) phi: the value times the loop's drive
+    return BranchWaveforms(samples[0] * getattr(states, KINDS[kind].loop[0]))
 
 
 @dataclass(frozen=True)
@@ -241,16 +238,17 @@ def hysteresis_loop(element: MemoryElement, states: SupplyStates) -> tuple:
     """The element's characteristic, drawn in one Clenshaw pass.
 
     Returns ``(drive, response, control, value)``.  The first two are the
-    loop over exactly ``states``, named by :data:`LOOP_COLUMNS`: (u, i) for
-    a memristor, (u, q) for a memcapacitor, (phi, i) for a meminductor.  For
-    one closed period pass the states of :func:`loop_indices`, one period
-    plus the closing sample, so start and end coincide up to roundoff.  The
-    last two are the single-valued constitutive curve on
-    :data:`CONSTITUTIVE_POINTS` controls over the steady-state range
-    ``+-1/|scale|``; a scale that gives no finite range is refused with
-    :class:`ValidationError`.
+    loop over exactly ``states``, named by the kind's ``loop`` in
+    :data:`memsynth.elements.KINDS`: (u, i) for a memristor, (u, q) for a
+    memcapacitor, (phi, i) for a meminductor.  For one closed period pass
+    the states of :func:`loop_indices`, one period plus the closing sample,
+    so start and end coincide up to roundoff.  The last two are the
+    single-valued constitutive curve on :data:`CONSTITUTIVE_POINTS` controls
+    over the steady-state range ``+-1/|scale|``; a scale that gives no
+    finite range is refused with :class:`ValidationError`.
     """
-    if not element.is_memory:
+    loop = KINDS[element.kind].loop
+    if loop is None:
         raise ValidationError("hysteresis loops are defined for memory elements")
     series = element.constitutive
     scale = abs(series.scale)
@@ -261,7 +259,7 @@ def hysteresis_loop(element: MemoryElement, states: SupplyStates) -> tuple:
         control = np.linspace(-span, span, CONSTITUTIVE_POINTS)
     else:  # the step 2 * span of linspace would overflow
         control = span * np.linspace(-1.0, 1.0, CONSTITUTIVE_POINTS)
-    drive = getattr(states, LOOP_COLUMNS[element.kind][0])
+    drive = getattr(states, loop[0])
     if element.kind is ElementKind.MEMCAPACITOR:
         # q = C_M(phi) u needs no dC_M/dphi
         cap, value = evaluate_many([(element.incremental, states.phi), (series, control)])

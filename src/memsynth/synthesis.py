@@ -15,9 +15,12 @@ invariant.  Memcapacitor or meminductor branches that come out without a
 linear term are regularized in place and their LTI companion appended.
 
 A :class:`LoadDecomposition` holds its branches as one tuple in that slot
-order (:data:`BRANCH_SLOTS`), companions last.  Its constructor is the one
-place the order and the one-element-per-slot rule are checked, so every
-decomposition that can be built writes a document that reads back equal.
+order, companions last; each kind's label and slot are its record in
+:data:`memsynth.elements.KINDS`.  Its constructor is the one place the order
+and the one-element-per-slot rule are checked, so every decomposition that
+can be built writes a document that reads back equal.  Its verification
+rows (:func:`steady_state_rows`) read each branch as a series of the
+family its kind's ``column`` names.
 
 ``synthesize_conditioner`` builds the shunt network that cancels everything
 but the active current: it negates the non-active part of the load current
@@ -35,6 +38,8 @@ import numpy as np
 
 from .elements import (
     COEFF_DROP_TOLERANCE,
+    COMPANION_SLOT,
+    KINDS,
     ElementKind,
     MemoryElement,
     _dense_terms,
@@ -93,25 +98,11 @@ class AssignmentPolicy:
 
 DEFAULT_POLICY = AssignmentPolicy()
 
-COMPANION_SLOT = 4
-#: each element kind's branch label and slot.  A decomposition lists its
-#: elements in slot order, at most one in each slot below COMPANION_SLOT
-BRANCH_SLOTS = {
-    ElementKind.DC_SOURCE: ("dc", 0),
-    ElementKind.RESISTOR: ("resistor", 1),
-    ElementKind.MEMRISTOR: ("memristor", 1),
-    ElementKind.MEMINDUCTOR: ("meminductor", 2),
-    ElementKind.MEMCAPACITOR: ("memcapacitor", 3),
-    ElementKind.INDUCTOR: ("companion_inductor", COMPANION_SLOT),
-    ElementKind.CAPACITOR: ("companion_capacitor", COMPANION_SLOT),
-}
-
-
 @dataclass(frozen=True)
 class LoadDecomposition:
     """Parallel branch set reconstructing one current spectrum.
 
-    ``elements`` holds the branches in :data:`BRANCH_SLOTS` order: a dc
+    ``elements`` holds the branches in slot order (:data:`KINDS`): a dc
     source, a memristor (an LTI resistor when the sine family collapses to a
     single positive fundamental), a meminductor and a memcapacitor, each at
     most once, then the LTI companions added by regularization, in the order
@@ -127,7 +118,7 @@ class LoadDecomposition:
         object.__setattr__(self, "elements", tuple(self.elements))
         last = -1
         for element in self.elements:
-            label, slot = BRANCH_SLOTS[element.kind]
+            label, slot = KINDS[element.kind][:2]
             if slot < last:
                 raise ValidationError(f"branch {label!r} is out of slot order")
             if slot == last and slot != COMPANION_SLOT:
@@ -135,7 +126,7 @@ class LoadDecomposition:
             last = slot
 
     def branches(self) -> list[tuple[str, MemoryElement]]:
-        return [(BRANCH_SLOTS[element.kind][0], element) for element in self.elements]
+        return [(KINDS[element.kind].label, element) for element in self.elements]
 
     def to_dict(self) -> dict:
         return {
@@ -162,13 +153,13 @@ class LoadDecomposition:
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"bad decomposition document: {exc}") from exc
         for label, element in raw:
-            expected = BRANCH_SLOTS[element.kind][0]
+            expected = KINDS[element.kind].label
             if label != expected:
                 raise ValidationError(
                     f"branch label {label!r} does not match its element kind"
                     f" {element.kind.value!r}, whose label is {expected!r}"
                 )
-        elements = sorted((element for _, element in raw), key=lambda e: BRANCH_SLOTS[e.kind][1])
+        elements = sorted((element for _, element in raw), key=lambda e: KINDS[e.kind].slot)
         return cls(supply, tuple(elements))
 
 
@@ -299,6 +290,10 @@ def steady_state_rows(decomposition: LoadDecomposition) -> np.ndarray:
     * memcapacitor ``A w sum m c_k cos(m w t)``;
     * meminductor ``-(A/w) sum c_k sin(m (pi/2 - w t))``.
 
+    An LTI branch is the one-term series ``c_0`` of the family it shares
+    with a memory kind (its ``column`` in :data:`KINDS`): ``1/R``,
+    ``C`` or ``1/L``.  A dc source fills column 0.
+
     ``top`` is the longest memory series, at least 1.  The series never
     reads ``scale``, so it stands for the element only when that scale is
     exactly :func:`orbit_scale`; any other scale is refused.  A row beyond
@@ -324,23 +319,25 @@ def steady_state_rows(decomposition: LoadDecomposition) -> np.ndarray:
         kind, value = element.kind, element.scalar_value
         if kind is ElementKind.DC_SOURCE:
             ab[0, 0] += value
-        elif kind is ElementKind.RESISTOR:
-            ab[1, 1] += amp / value
-        elif kind is ElementKind.INDUCTOR:
-            ab[0, 1] -= amp / (w * value)
-        elif kind is ElementKind.CAPACITOR:
-            ab[0, 1] += value * amp * w
+            continue
+        # an LTI branch is its family's one-term series at order 1: C, or 1/R
+        # or 1/L, which are divided out below so a subnormal R or L cannot
+        # overflow them
+        c = element.incremental.coeffs if element.is_memory else value
+        m = np.arange(1, len(c) + 1) if element.is_memory else 1
+        family = KINDS[kind].column
+        if family == "i_GM":
+            row, gain = 1, amp
+        elif family == "i_CM":
+            row, gain = 0, amp * w * m
         else:
-            c = element.incremental.coeffs
-            m = np.arange(1, len(c) + 1)
-            if kind is ElementKind.MEMRISTOR:
-                ab[1, m] += amp * c
-            elif kind is ElementKind.MEMCAPACITOR:
-                ab[0, m] += amp * w * m * c
-            else:
-                # -sin(m (pi/2 - t)) is (-1)^ceil(m/2) times cos(m t) at odd m
-                # and times sin(m t) at even m
-                ab[1 - m % 2, m] += (-1.0) ** ((m + 1) // 2) * (amp / w) * c
+            # -sin(m (pi/2 - t)) is (-1)^ceil(m/2) times cos(m t) at odd m
+            # and times sin(m t) at even m
+            row, gain = 1 - m % 2, (-1.0) ** ((m + 1) // 2) * (amp / w)
+        if kind in (ElementKind.RESISTOR, ElementKind.INDUCTOR):
+            ab[row, m] += gain / value
+        else:
+            ab[row, m] += gain * c
     return ab
 
 

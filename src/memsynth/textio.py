@@ -46,7 +46,7 @@ from typing import Optional, Sequence
 import numpy as np
 import orjson
 
-from .elements import ElementKind
+from .elements import KINDS, ElementKind
 from .errors import NumericalError, ValidationError
 from .simulation import SimulationTrace
 
@@ -74,10 +74,6 @@ _DEPTH_STEPS[list(b"]}")] = -1
 
 #: brackets and quotes read per step of :func:`read_json`'s running depth
 _DEPTH_CHUNK = 1 << 16
-
-_GM_KINDS = (ElementKind.MEMRISTOR, ElementKind.RESISTOR)
-_GAMMA_KINDS = (ElementKind.MEMINDUCTOR, ElementKind.INDUCTOR)
-_CM_KINDS = (ElementKind.MEMCAPACITOR, ElementKind.CAPACITOR)
 
 TRACE_HEADER = "t,u,phi,sigma,i_total,i_dc,i_GM,i_GammaM,i_CM,q_CM,C_of_t"
 
@@ -289,21 +285,24 @@ def columns_to_csv(header: str, columns: Sequence[Optional[np.ndarray]]) -> str:
 def trace_to_csv(trace: SimulationTrace) -> str:
     """Render a trace with the fixed column layout.
 
-    Branch families are summed into their columns (an LTI companion inductor
-    lands in i_GammaM, a companion capacitor in i_CM) so every row satisfies
-    i_total = i_dc + i_GM + i_GammaM + i_CM.  q_CM and C_of_t describe the
-    memcapacitor element itself.  Families with no branch yield empty cells.
+    Each branch is summed into the family column of its kind (its
+    ``column`` in :data:`memsynth.elements.KINDS`: an LTI companion
+    inductor lands in i_GammaM, a companion capacitor in i_CM), in branch
+    order.  So every row satisfies i_total = i_dc + i_GM + i_GammaM + i_CM
+    to roundoff, not bit for bit: i_total adds the branches in slot order,
+    companions last, while a family adds each companion to its memory
+    branch.  q_CM and C_of_t describe the memcapacitor element itself.
+    Families with no branch yield empty cells.
     """
     if not trace.branches:
         return TRACE_HEADER + "\n"
 
-    def family(kinds) -> Optional[np.ndarray]:
-        picked = [b.current for b in trace.branches if b.element.kind in kinds]
+    def family(column: str) -> Optional[np.ndarray]:
+        picked = [b.current for b in trace.branches if KINDS[b.element.kind].column == column]
         return functools.reduce(np.add, picked) if picked else None
 
     memcap = next((b for b in trace.branches if b.element.kind is ElementKind.MEMCAPACITOR), None)
     charge, capacitance = (memcap.charge, memcap.capacitance) if memcap else (None, None)
     columns = [trace.t, trace.u, trace.states.phi, trace.states.sigma, trace.i_total,
-               family((ElementKind.DC_SOURCE,)), family(_GM_KINDS), family(_GAMMA_KINDS),
-               family(_CM_KINDS), charge, capacitance]
+               *map(family, ("i_dc", "i_GM", "i_GammaM", "i_CM")), charge, capacitance]
     return columns_to_csv(TRACE_HEADER, columns)

@@ -440,6 +440,29 @@ def test_decomposition_with_non_numeric_element_values_exits_2(
     _assert_rejected(tmp_path, capsys, command, dec, "must be")
 
 
+#: (branch label, element key, value) of a key the element's kind does not
+#: have, each written as null; a reader that dropped them ran on a document
+#: whose values it never used
+STRAY_ELEMENT_KEYS = [
+    ("resistor", "control", "flux"),
+    ("resistor", "coeffs", [1.0, 2.0]),
+    ("resistor", "constitutive_coeffs", "junk"),
+    ("companion_inductor", "scale", 3.0),
+    ("memcapacitor", "scalar_value", "junk"),
+    ("meminductor", "scalar_value", 0.5),
+    ("meminductor", "companion", {"kind": "capacitor", "scalar_value": 1e-4}),
+]
+
+
+@pytest.mark.parametrize("label, key, value", STRAY_ELEMENT_KEYS)
+@pytest.mark.parametrize("command", ["simulate", "hysteresis"])
+def test_decomposition_with_a_key_its_kind_does_not_have_exits_2(
+    tmp_path, capsys, command, label, key, value
+):
+    dec = _edited_dec_file(tmp_path, label, key, value)
+    _assert_rejected(tmp_path, capsys, command, dec, f"takes no {key}")
+
+
 @pytest.mark.parametrize("factor", [2.0, 1.0 + 1e-9])
 @pytest.mark.parametrize("command", ["simulate", "hysteresis"])
 def test_decomposition_with_two_different_series_exits_2(tmp_path, capsys, command, factor):

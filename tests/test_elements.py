@@ -12,7 +12,7 @@ import pytest
 
 from memsynth.chebyshev import ChebyshevKind, ChebyshevSeries
 from memsynth.elements import (
-    CONTROL_OF_KIND,
+    KINDS,
     ControlVariable,
     ElementKind,
     MemoryElement,
@@ -182,11 +182,11 @@ BUILT = {
         (kind, control)
         for kind in BUILT
         for control in ("flux", "time_integrated_flux", "charge", None)
-        if control != CONTROL_OF_KIND[kind].value
+        if control != KINDS[kind].control.value
     ],
 )
 def test_memory_element_rejects_mismatched_control(kind, control):
-    assert BUILT[kind].control is CONTROL_OF_KIND[kind]
+    assert BUILT[kind].control is KINDS[kind].control
     doc = element_to_dict(BUILT[kind])
     doc["control"] = control
     with pytest.raises(ValidationError, match="needs control"):
@@ -393,3 +393,33 @@ def test_element_from_dict_checks_an_empty_incremental_series():
         element_from_dict(doc)
     doc["constitutive_coeffs"] = [3.0]  # only the integration constant: derivative zero
     assert element_from_dict(doc).incremental.coeffs.tolist() == []
+
+
+#: one element of every kind
+EVERY_KIND = [
+    memductance_from_sines(SUPPLY, [3.0, 0.0, -1.0]),
+    inverse_meminductance_from_spectrum(SUPPLY, [2.0, 0.0, 1.0], [0.0, -0.5]),
+    memcapacitance_from_cosines(SUPPLY, [2.0, -1.0]),
+    MemoryElement(kind=ElementKind.RESISTOR, scalar_value=2.0),
+    MemoryElement(kind=ElementKind.INDUCTOR, scalar_value=0.03),
+    MemoryElement(kind=ElementKind.CAPACITOR, scalar_value=1e-4),
+    MemoryElement(kind=ElementKind.DC_SOURCE, scalar_value=-1.5),
+]
+
+
+@pytest.mark.parametrize("value", [0.0, False, "junk", [1.0, 2.0], {"kind": "capacitor"}])
+@pytest.mark.parametrize("element", EVERY_KIND, ids=lambda element: element.kind.value)
+def test_element_from_dict_rejects_a_key_its_kind_does_not_have(element, value):
+    doc = element_to_dict(element)
+    unused = sorted(key for key, held in doc.items() if held is None)
+    if element.is_memory:
+        assert unused == ["companion", "scalar_value"]
+    else:
+        assert unused == ["coeffs", "companion", "constitutive_coeffs", "control", "scale"]
+    for key in unused:
+        with pytest.raises(ValidationError, match=f"{element.kind.value} takes no {key}"):
+            element_from_dict(dict(doc, **{key: value}))
+    # null or absent, such a key reads as nothing
+    assert element_from_dict(doc) == element
+    absent = {key: held for key, held in doc.items() if key not in unused}
+    assert element_from_dict(absent) == element

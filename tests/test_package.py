@@ -71,3 +71,29 @@ def test_every_unused_import_is_a_name_the_benchmark_tracer_wraps():
         for name in _unused_imports(path)
     }
     assert sorted(unused - set(_tracer_targets())) == []
+
+
+def _kind_tables(path):
+    """Line numbers of the module-level assignments of a source file that name an ElementKind member."""
+    return [
+        node.lineno
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        and any(
+            isinstance(sub, ast.Attribute)
+            and isinstance(sub.value, ast.Name)
+            and sub.value.id == "ElementKind"
+            for sub in ast.walk(node)
+        )
+    ]
+
+
+def test_per_kind_tables_live_only_in_elements():
+    # every fact about an element kind is one record of elements.KINDS; a
+    # function body may still branch on a kind
+    tables = {
+        path.name: _kind_tables(path) for path in sorted(SOURCES.glob("*.py"))
+        if path.name != "elements.py"
+    }
+    assert {name: lines for name, lines in tables.items() if lines} == {}
+    assert _kind_tables(SOURCES / "elements.py")

@@ -31,6 +31,8 @@ from hypothesis import strategies as st
 
 from memsynth.chebyshev import ChebyshevKind, ChebyshevSeries
 from memsynth.elements import (
+    COMPANION_SLOT,
+    KINDS,
     ElementKind,
     MemoryElement,
     element_from_dict,
@@ -53,8 +55,6 @@ from memsynth.harmonics import (
 )
 from memsynth.simulation import SimulationConfig, branch_current, simulate, supply_states
 from memsynth.synthesis import (
-    BRANCH_SLOTS,
-    COMPANION_SLOT,
     AssignmentPolicy,
     EvenSineRoute,
     LoadDecomposition,
@@ -174,12 +174,12 @@ def test_every_built_decomposition_reads_back_exactly(decomposition):
 def test_no_decomposition_breaks_slot_order_or_doubles_a_slot(decomposition):
     supply, elements = decomposition.supply, decomposition.elements
     for i, (first, second) in enumerate(zip(elements, elements[1:])):
-        if BRANCH_SLOTS[first.kind][1] != BRANCH_SLOTS[second.kind][1]:
+        if KINDS[first.kind].slot != KINDS[second.kind].slot:
             swapped = (*elements[:i], second, first, *elements[i + 2:])
             with pytest.raises(ValidationError, match="out of slot order"):
                 LoadDecomposition(supply, swapped)
     for i, element in enumerate(elements):
-        label, slot = BRANCH_SLOTS[element.kind]
+        label, slot = KINDS[element.kind][:2]
         doubled = (*elements[: i + 1], element, *elements[i + 1:])
         if slot == COMPANION_SLOT:
             assert LoadDecomposition(supply, doubled).elements == doubled

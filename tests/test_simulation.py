@@ -18,6 +18,7 @@ from memsynth.elements import (
 from memsynth.errors import ValidationError
 from memsynth.harmonics import HarmonicSpectrum, evaluate_waveform
 from memsynth.loads import (
+    LoadModel,
     bridge_spectrum,
     motivating_spectrum,
     motivating_supply,
@@ -32,7 +33,14 @@ from memsynth.simulation import (
     simulate,
     supply_states,
 )
-from memsynth.synthesis import decompose_load, synthesize_conditioner
+from memsynth.synthesis import (
+    AssignmentPolicy,
+    LoadDecomposition,
+    _grid_samples,
+    decompose_load,
+    steady_state_rows,
+    synthesize_conditioner,
+)
 from memsynth.textio import TRACE_HEADER, trace_to_csv
 
 from trace_branches import branch, branch_average_power, in_slot
@@ -346,3 +354,151 @@ def test_memcapacitor_hysteresis_evaluates_only_memcapacitance(evaluated):
     idx = np.arange(257) % 256
     whole = supply_states(SUPPLY, config)
     np.testing.assert_array_equal(q, branch_current(memcapacitor, whole).charge[idx])
+
+
+def _every_family_network():
+    """dc, memristor, meminductor and memcapacitor, both regularized, so both companions."""
+    spectrum = HarmonicSpectrum(OMEGA, 2.0, [0.0, 0.0, 3.0, 1.0, -1.0], [5.0, 0.0, 1.0, 2.0, 0.0])
+    return decompose_load(SUPPLY, spectrum, AssignmentPolicy("inductive", "meminductor"))
+
+
+def _bridge_inductive():
+    model = LoadModel("bridge", delta=0.4)
+    return decompose_load(model.supply(), model.spectrum(), AssignmentPolicy("inductive"))
+
+
+def _rectifier():
+    model = LoadModel("rectifier", n_max=12)
+    return decompose_load(model.supply(), model.spectrum())
+
+
+#: networks whose branches cover every element kind
+ORACLE_NETWORKS = {
+    "rectifier-12": _rectifier,
+    "bridge-0.4-inductive": _bridge_inductive,
+    "motivating-conditioner-inductive": lambda: synthesize_conditioner(
+        SUPPLY, motivating_spectrum(), AssignmentPolicy("inductive")
+    ),
+    "every-family": _every_family_network,
+}
+
+#: one period of 1024 samples, above twice every order of the networks above
+ORACLE_CONFIG = SimulationConfig(periods=1, samples_per_period=1024)
+
+#: the element kinds each trace CSV family column sums, stated apart from the library
+FAMILIES = {
+    "i_dc": {"dc_source"},
+    "i_GM": {"memristor", "resistor"},
+    "i_GammaM": {"meminductor", "inductor"},
+    "i_CM": {"memcapacitor", "capacitor"},
+}
+
+
+def _closed_form(supply, elements):
+    """One period of the summed current of ``elements`` from their Fourier rows."""
+    rows = steady_state_rows(LoadDecomposition(supply, tuple(elements)))
+    return _grid_samples(rows, ORACLE_CONFIG.samples_per_period)
+
+
+def _closed_form_charge(supply, memcapacitor):
+    """q = C_M(phi) u on the orbit: A sum c_k sin((k+1) w t) over its incremental c_k."""
+    c = memcapacitor.incremental.coeffs
+    rows = np.zeros((2, len(c) + 1))
+    rows[1, 1:] = supply.amplitude * c
+    return _grid_samples(rows, ORACLE_CONFIG.samples_per_period)
+
+
+def _csv_columns(network):
+    header, rows = _parse_csv(trace_to_csv(simulate(network, ORACLE_CONFIG)))
+    cells = dict(zip(header, zip(*rows)))
+    return {
+        name: None if column[0] == "" else np.array([float(cell) for cell in column])
+        for name, column in cells.items()
+    }
+
+
+def _worst_gap(got, want, reference):
+    return float(np.max(np.abs(got - want))) / float(np.max(np.abs(reference)))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_NETWORKS))
+def test_trace_csv_family_columns_match_their_closed_forms(name):
+    network = ORACLE_NETWORKS[name]()
+    columns = _csv_columns(network)
+    scale = np.concatenate([columns[family] for family in FAMILIES if columns[family] is not None])
+    for family, kinds in FAMILIES.items():
+        members = [e for e in network.elements if e.kind.value in kinds]
+        if not members:
+            assert columns[family] is None, family
+            continue
+        want = _closed_form(network.supply, members)
+        assert _worst_gap(columns[family], want, scale) <= 1e-12, family
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_NETWORKS))
+def test_trace_csv_charge_and_capacitance_match_their_closed_forms(name):
+    network = ORACLE_NETWORKS[name]()
+    columns = _csv_columns(network)
+    memcapacitor = in_slot(network, "memcapacitor")
+    if memcapacitor is None:
+        assert columns["q_CM"] is None and columns["C_of_t"] is None
+        return
+    q = _closed_form_charge(network.supply, memcapacitor)
+    assert _worst_gap(columns["q_CM"], q, q) <= 1e-12
+    # C = q / u, away from the zeros of u
+    u = columns["u"]
+    away = np.abs(u) >= network.supply.amplitude / 2.0
+    capacitance = q[away] / u[away]
+    assert _worst_gap(columns["C_of_t"][away], capacitance, capacitance) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_NETWORKS))
+def test_hysteresis_loop_responses_match_their_closed_forms(name):
+    network = ORACLE_NETWORKS[name]()
+    idx = loop_indices(ORACLE_CONFIG)
+    states = supply_states(network.supply, ORACLE_CONFIG, idx)
+    for element in network.elements:
+        if not element.is_memory:
+            continue
+        _, response, _, _ = hysteresis_loop(element, states)
+        if element.kind is ElementKind.MEMCAPACITOR:
+            want = _closed_form_charge(network.supply, element)
+        else:
+            want = _closed_form(network.supply, [element])
+        assert _worst_gap(response, want[idx], want) <= 1e-12, element.kind
+
+
+@pytest.fixture
+def branch_calls(monkeypatch):
+    """The arguments of every call of ``memsynth.simulation.branch_current``.
+
+    The benchmark tracer wraps that module global and names each span by the
+    kind of its first argument.
+    """
+    calls = []
+    original = simulation.branch_current
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, "branch_current", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_NETWORKS))
+def test_simulate_calls_branch_current_once_per_element_in_order(name, branch_calls):
+    network = ORACLE_NETWORKS[name]()
+    simulate(network, ORACLE_CONFIG)
+    assert [id(args[0]) for args in branch_calls] == [id(e) for e in network.elements]
+
+
+def test_hysteresis_loop_calls_branch_current_only_for_a_current_response(branch_calls):
+    network = _every_family_network()
+    states = supply_states(SUPPLY, ORACLE_CONFIG, loop_indices(ORACLE_CONFIG))
+    for label, calls in [("memristor", 1), ("meminductor", 1), ("memcapacitor", 0)]:
+        element = in_slot(network, label)
+        branch_calls.clear()
+        hysteresis_loop(element, states)
+        assert len(branch_calls) == calls, label
+        assert all(args[0] is element for args in branch_calls)

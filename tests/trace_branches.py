@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 
-from memsynth.synthesis import BRANCH_SLOTS, COMPANION_SLOT
+from memsynth.elements import COMPANION_SLOT, KINDS
 
 #: the slots that hold at most one element, by index
 SLOTS = ("dc", "memristor", "meminductor", "memcapacitor")
@@ -22,7 +22,7 @@ def branch_average_power(trace, label):
 
 
 def _slot_of(element):
-    return BRANCH_SLOTS[element.kind][1]
+    return KINDS[element.kind].slot
 
 
 def in_slot(decomposition, name):
