@@ -10,7 +10,7 @@ Conventions used throughout the package:
 
   stored densely: ``cos[n-1]`` holds ``a_n`` and ``sin[n-1]`` holds ``b_n``
   for every order ``n = 1..n_max``; sparse ``(n, a, b)`` triples exist only
-  in the JSON form (:meth:`HarmonicSpectrum.from_terms`, ``to_dict``);
+  in the JSON form (``from_dict``, ``to_dict``);
 * a spectrum holds its amplitudes once, as read-only float64 arrays,
   converted when it is built; ``==``, ``hash`` and ``repr`` read them as
   tuples of floats (:class:`~memsynth.errors.ArrayValue`);
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -125,27 +125,6 @@ class HarmonicSpectrum(ArrayValue):
         object.__setattr__(self, "sin", sin)
 
     @classmethod
-    def from_terms(
-        cls, omega: float, dc: float, terms: Iterable[tuple[int, float, float]]
-    ) -> "HarmonicSpectrum":
-        """Spectrum of sparse ``(n, a, b)`` triples; orders left out are zero.
-
-        Orders must be integers (Python or numpy, not booleans), strictly
-        increasing and at least 1, and at most :data:`MAX_HARMONIC_ORDER`;
-        the largest one given sets ``n_max``.  They are checked in term
-        order, so the first order that is not an integer or not above the one
-        before it is the one refused.
-        """
-        terms = list(terms)
-        n, a, b = zip(*terms, strict=True) if terms else ((), (), ())
-        run = next((k for k, order in enumerate(n) if not _is_order(order)), len(n))
-        orders = _rising_orders(n[:run])
-        if run < len(n):
-            _order(n[run])
-        a, b = finite_floats(a, "cos amplitudes"), finite_floats(b, "sin amplitudes")
-        return cls._scatter(omega, dc, orders, a, b)
-
-    @classmethod
     def _scatter(
         cls, omega: float, dc: float, orders: np.ndarray, a: np.ndarray, b: np.ndarray
     ) -> "HarmonicSpectrum":
@@ -209,12 +188,11 @@ class HarmonicSpectrum(ArrayValue):
         if typed:
             return cls._scatter(omega, dc, _rising_orders(n), np.array(a), np.array(b))
         try:
-            terms = [
-                (_order(h["n"]), _real(h["a"], "a"), _real(h["b"], "b")) for h in harmonics
-            ]
+            terms = [(_order(h["n"]), _real(h["a"], "a"), _real(h["b"], "b")) for h in harmonics]
         except (TypeError, KeyError) as exc:
             raise ValidationError("each harmonic needs keys n, a, b") from exc
-        return cls.from_terms(omega, dc, terms)
+        n, a, b = zip(*terms)  # an empty list took the typed path
+        return cls._scatter(omega, dc, _rising_orders(n), np.array(a), np.array(b))
 
 
 def _real(value, name: str) -> float:
@@ -227,14 +205,9 @@ def _real(value, name: str) -> float:
         raise ValidationError(f"{name} must be a number within the float64 range") from None
 
 
-def _is_order(value) -> bool:
-    """True for an integer (Python or numpy), False for a boolean and anything else."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _order(value) -> int:
-    """An integer harmonic order (Python or numpy); 1.7, 2.0 and true are rejected."""
-    if not _is_order(value):
+    """A harmonic order as JSON gives it, an int; 1.7, 2.0, true and numpy ints are rejected."""
+    if type(value) is not int:
         raise ValidationError(f"harmonic order n must be an integer, got {value!r}")
     return value
 
@@ -243,8 +216,7 @@ def _rising_orders(orders: Sequence) -> np.ndarray:
     """Integer ``orders`` as an array, refused unless strictly increasing from at least 1.
 
     An order beyond int64 is refused here or by :func:`check_order_limit`;
-    the orders are then compared as Python ints, so the message is the one a
-    term-by-term check gives.
+    the column is then compared as Python ints.
     """
     try:
         column = np.array(orders, dtype=np.int64)

@@ -95,9 +95,7 @@ class SupplyStates:
 
 
 def supply_states(
-    supply: SupplyVoltage,
-    config: Optional[SimulationConfig] = None,
-    indices: Optional[np.ndarray] = None,
+    supply: SupplyVoltage, config: SimulationConfig, indices: Optional[np.ndarray] = None
 ) -> SupplyStates:
     """Sample u and the closed-form phi and sigma on the uniform grid of ``config``.
 
@@ -105,7 +103,6 @@ def supply_states(
     the whole grid; every sample is computed elementwise, so a picked one has
     the bits of its place in the whole grid.
     """
-    config = config or SimulationConfig()
     if indices is None:
         indices = np.arange(config.periods * config.samples_per_period)
     dt = supply.period / config.samples_per_period
@@ -152,13 +149,14 @@ def branch_series(element: MemoryElement, states: SupplyStates) -> list:
 
 
 def branch_current(
-    element: MemoryElement, states: SupplyStates, samples: Optional[Sequence[np.ndarray]] = None
+    element: MemoryElement, states: SupplyStates, samples: Sequence[np.ndarray]
 ) -> BranchWaveforms:
     """Current, charge and capacitance (where defined) of one branch.
 
-    ``samples`` are the values of the element's :func:`branch_series` on
-    ``states``, taken from a pass shared with other branches; without them
-    the branch runs its own pass.
+    ``samples`` are required: the values of the element's
+    :func:`branch_series` on ``states``, in their order, as a pass of
+    :func:`evaluate_many` shared with other branches gives them (none for a
+    scalar kind).
     """
     supply = states.supply
     kind = element.kind
@@ -172,8 +170,6 @@ def branch_current(
     if kind is ElementKind.CAPACITOR:
         du = supply.amplitude * supply.omega * np.cos(supply.omega * states.t)
         return BranchWaveforms(element.scalar_value * du, element.scalar_value * states.u)
-    if samples is None:
-        samples = evaluate_many(branch_series(element, states))
     if kind is ElementKind.MEMCAPACITOR:
         cap, dcap = samples
         du = supply.amplitude * supply.omega * np.cos(supply.omega * states.t)
@@ -200,22 +196,12 @@ class SimulationTrace:
     branches: tuple[TraceBranch, ...]
     i_total: np.ndarray
 
-    @property
-    def t(self) -> np.ndarray:
-        return self.states.t
-
-    @property
-    def u(self) -> np.ndarray:
-        return self.states.u
-
 
 # a series whose argument leaves [-1, 1] by far overflows in Clenshaw; the
 # writers refuse the non-finite samples that come of it (exit 3)
 @np.errstate(over="ignore", invalid="ignore")
-def simulate(
-    decomposition: "LoadDecomposition", config: Optional[SimulationConfig] = None
-) -> SimulationTrace:
-    """Evaluate every branch of a decomposition on a fresh state grid.
+def simulate(decomposition: "LoadDecomposition", config: SimulationConfig) -> SimulationTrace:
+    """Evaluate every branch of a decomposition on the state grid of ``config``.
 
     Every memory series of the network -- G(phi), Gamma(sigma), C(phi) and
     dC/dphi -- is sampled in one :func:`evaluate_many` pass.

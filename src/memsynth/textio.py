@@ -303,6 +303,6 @@ def trace_to_csv(trace: SimulationTrace) -> str:
 
     memcap = next((b for b in trace.branches if b.element.kind is ElementKind.MEMCAPACITOR), None)
     charge, capacitance = (memcap.charge, memcap.capacitance) if memcap else (None, None)
-    columns = [trace.t, trace.u, trace.states.phi, trace.states.sigma, trace.i_total,
+    columns = [trace.states.t, trace.states.u, trace.states.phi, trace.states.sigma, trace.i_total,
                *map(family, ("i_dc", "i_GM", "i_GammaM", "i_CM")), charge, capacitance]
     return columns_to_csv(TRACE_HEADER, columns)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from memsynth.elements import default_gamma, memcapacitance_from_cosines
-from memsynth.harmonics import HarmonicSpectrum, compute_powers, project_waveform
+from memsynth.harmonics import compute_powers, project_waveform
 from memsynth.loads import (
     bridge_spectrum,
     motivating_spectrum,
@@ -32,6 +32,7 @@ from memsynth.synthesis import (
     synthesize_conditioner,
 )
 
+from entry_paths import sparse_spectrum
 from chebyshev_identities import chebyshev_identity_suite
 from trace_branches import branch, branch_average_power, companions, in_slot
 
@@ -132,7 +133,7 @@ def test_acceptance_bridge_family():
         trace = simulate(cond, SimulationConfig(periods=1, samples_per_period=8192))
         p_c = branch_average_power(trace, "memristor")
         i_m = branch(trace, "memristor").current
-        s_c = _rms(trace.u) * _rms(i_m)
+        s_c = _rms(trace.states.u) * _rms(i_m)
         lossless_ok = abs(p_c) <= 1e-9 * s_c
 
         ok = ok and pf_ok and after_ok and lossless_ok
@@ -162,7 +163,7 @@ def test_acceptance_random_spectrum_round_trip():
                 b = 0.0
             terms.append((int(n), a, b))
         dc = float(rng.uniform(-10.0, 10.0)) if rng.random() < 0.5 else 0.0
-        spectrum = HarmonicSpectrum.from_terms(OMEGA, dc, terms)
+        spectrum = sparse_spectrum(OMEGA, dc, terms)
         policy = AssignmentPolicy(
             mode=str(rng.choice(("auto", "inductive", "capacitive"))),
             route_even_sines=str(rng.choice(("memristor", "meminductor"))),
@@ -208,9 +209,9 @@ def test_acceptance_memcapacitor_charge_gating():
     states = supply_states(SUPPLY, config, loop_indices(config))
     for name, cond in conditioners.items():
         assert in_slot(cond, "memcapacitor") is not None
-        trace = simulate(cond)
+        trace = simulate(cond, config)
         q = branch(trace, "memcapacitor").charge
-        mask = np.abs(trace.u) <= 1e-12 * AMP
+        mask = np.abs(trace.states.u) <= 1e-12 * AMP
         gate = float(np.max(np.abs(q[mask]))) / float(np.max(np.abs(q)))
         drive, response, _, _ = hysteresis_loop(in_slot(cond, "memcapacitor"), states)
         closure = max(

@@ -753,6 +753,29 @@ def test_order_beyond_int64_exits_2_with_its_message(tmp_path, capsys, orders, r
     assert not out.exists()
 
 
+@pytest.mark.parametrize("harmonics, message", [
+    # harmonic by harmonic, n then a then b, and the order of the orders last
+    ([[1, "x", None], [1.5, 0.0, 0.0]], "a must be a number, got 'x'"),
+    ([[3, 0.0, 1.0], [2, 1, 1.0], [True, 0.0, 0.0]],
+     "harmonic order n must be an integer, got True"),
+    ([[2, None, True], [1, "x", 0]], "a must be a number, got None"),
+    ([[5, 0.0, "y"], [2**21, 1.0, 0.0], [4, 0.0, 0.0]], "b must be a number, got 'y'"),
+    ([[2**21, 1, 0], [3, 0.0, 0.0]], "harmonic orders must be strictly increasing and >= 1"),
+], ids=["a-before-b-and-the-next-n", "type-before-rising", "a-before-the-next-harmonic",
+        "b-before-the-limit", "rising-before-the-limit"])
+def test_spectrum_with_several_faults_exits_2_naming_the_first(
+    tmp_path, capsys, harmonics, message
+):
+    doc = {"omega": OMEGA, "supply_amplitude": AMP,
+           "harmonics": [dict(zip("nab", values)) for values in harmonics]}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    assert cli.main(["characterize", str(spec), "-o", str(out)]) == 2
+    assert f"{message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("edit, reason", [
     (lambda text: b"\xef\xbb\xbf" + text, "byte order mark"),
     (lambda text: text.replace(b'"memcapacitor"', b'"mem\xffcapacitor"'), "not valid UTF-8"),

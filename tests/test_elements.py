@@ -28,6 +28,9 @@ from memsynth.elements import (
 )
 from memsynth.errors import ValidationError
 from memsynth.harmonics import MAX_HARMONIC_ORDER, SupplyVoltage
+from memsynth.simulation import SimulationConfig, supply_states
+
+from entry_paths import own_branch_current
 
 AMP = 230.0 * math.sqrt(2.0)
 OMEGA = 100.0 * math.pi
@@ -260,12 +263,10 @@ def test_regularized_pair_cancels_in_current():
     # the linear term injects gamma*cos(wt); the companion draws its negative
     element = memcapacitance_from_cosines(SUPPLY, [0.0, 5.0, 0.0, 0.0, 0.0, 1.0])
     reg = regularize(element, SUPPLY)
-    from memsynth.simulation import SimulationConfig, branch_current, supply_states
-
     states = supply_states(SUPPLY, SimulationConfig(periods=1, samples_per_period=2048))
-    i_raw, _, _ = branch_current(element, states)
-    i_reg, _, _ = branch_current(reg.element, states)
-    i_comp, _, _ = branch_current(reg.companion, states)
+    i_raw, _, _ = own_branch_current(element, states)
+    i_reg, _, _ = own_branch_current(reg.element, states)
+    i_comp, _, _ = own_branch_current(reg.companion, states)
     residue = i_reg + i_comp - i_raw
     assert float(np.sqrt(np.mean(residue**2))) <= 1e-9 * reg.gamma
 

@@ -9,7 +9,6 @@ import pytest
 from memsynth.errors import ValidationError
 from memsynth.harmonics import (
     MAX_HARMONIC_ORDER,
-    HarmonicSpectrum,
     compute_powers,
     evaluate_waveform,
 )
@@ -23,6 +22,8 @@ from memsynth.loads import (
     motivating_supply,
     rectifier_spectrum,
 )
+
+from entry_paths import sparse_spectrum
 
 OMEGA = MOTIVATING_OMEGA
 PERIOD = 2.0 * math.pi / OMEGA
@@ -127,7 +128,7 @@ def _bridge_by_loop(i_dc, delta, omega, n_max):
         if abs(a) < 1e-15 and abs(b) < 1e-15:
             continue
         terms.append((n, a, b))
-    return HarmonicSpectrum.from_terms(omega, 0.0, terms)
+    return sparse_spectrum(omega, 0.0, terms)
 
 
 @pytest.mark.parametrize("i_dc, delta, n_max", [

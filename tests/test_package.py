@@ -97,3 +97,49 @@ def test_per_kind_tables_live_only_in_elements():
     }
     assert {name: lines for name, lines in tables.items() if lines} == {}
     assert _kind_tables(SOURCES / "elements.py")
+
+
+def _definitions(tree):
+    """Top-level functions, classes and constants of a module, and the non-dunder
+    methods of its classes, as dotted names."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            found += [
+                f"{node.name}.{sub.name}" for sub in node.body
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not (sub.name.startswith("__") and sub.name.endswith("__"))
+            ]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [target.id for target in targets if isinstance(target, ast.Name)]
+    return found
+
+
+def _names_read(tree):
+    """Every name a module loads and every attribute it names."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+        or isinstance(node, ast.Attribute)
+    }
+
+
+def test_every_library_definition_is_read_by_the_library_or_wrapped_by_the_tracer():
+    # a definition that only tests reach is test-only surface, kept in tests/;
+    # a tracer target stays until the tracer drops it
+    from test_tracer_targets import _tracer_targets
+
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SOURCES.glob("*.py"))}
+    read = set().union(*map(_names_read, trees.values()))
+    traced = {attr.split(".")[-1] for _, attr in _tracer_targets()}
+    unread = [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in _definitions(tree)
+        if name.split(".")[-1] not in read | traced
+    ]
+    assert unread == []

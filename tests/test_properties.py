@@ -45,6 +45,7 @@ from memsynth.elements import (
 )
 from memsynth.errors import ValidationError
 from memsynth.harmonics import (
+    MAX_HARMONIC_ORDER,
     PF_CONVENTIONS,
     HarmonicSpectrum,
     SupplyVoltage,
@@ -53,7 +54,7 @@ from memsynth.harmonics import (
     fryze_split,
     spectrum_negate,
 )
-from memsynth.simulation import SimulationConfig, branch_current, simulate, supply_states
+from memsynth.simulation import SimulationConfig, simulate, supply_states
 from memsynth.synthesis import (
     AssignmentPolicy,
     EvenSineRoute,
@@ -66,6 +67,7 @@ from memsynth.synthesis import (
 )
 from memsynth.textio import dump_json
 
+from entry_paths import own_branch_current
 from trace_branches import in_slot
 
 MAX_ORDER = 60
@@ -81,13 +83,18 @@ def supplies(draw):
     return SupplyVoltage(draw(st.floats(1.0, 1000.0)), draw(st.floats(1.0, 1000.0)))
 
 
+def read_spectrum(doc):
+    """``doc`` read the way a command reads a spectrum file: JSON text, then ``from_dict``."""
+    return HarmonicSpectrum.from_dict(orjson.loads(orjson.dumps(doc)))
+
+
 @st.composite
 def spectra(draw, omega):
     orders = draw(st.lists(st.integers(1, MAX_ORDER), max_size=8, unique=True))
-    terms = [(n, draw(amplitudes), draw(amplitudes)) for n in sorted(orders)]
-    if terms and draw(st.booleans()):
-        terms[-1] = (terms[-1][0], 0.0, 0.0)  # an all-zero top order
-    return HarmonicSpectrum.from_terms(omega, draw(amplitudes), terms)
+    harmonics = [{"n": n, "a": draw(amplitudes), "b": draw(amplitudes)} for n in sorted(orders)]
+    if harmonics and draw(st.booleans()):
+        harmonics[-1].update(a=0.0, b=0.0)  # an all-zero top order
+    return read_spectrum({"omega": omega, "dc": draw(amplitudes), "harmonics": harmonics})
 
 
 @st.composite
@@ -112,6 +119,100 @@ def test_json_round_trip_is_exact(load):
         n for n in range(1, spectrum.n_max + 1)
         if spectrum.a(n) or spectrum.b(n) or n == spectrum.n_max
     ]
+
+
+#: what a JSON number may hold as an amplitude: integers, and every finite
+#: float, zeros of either sign, subnormals and +-1e308 among them
+json_numbers = st.one_of(
+    st.integers(-(2**63), 2**63 - 1),
+    st.sampled_from((0.0, -0.0, 5e-324, -2.2e-308, 1e308, -1e308)),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def spectrum_documents(draw):
+    """Sparse spectrum documents: rising orders up to a few hundred, and
+    sometimes the order limit itself as the top one."""
+    orders = sorted(draw(st.lists(st.integers(1, 300), max_size=8, unique=True)))
+    if draw(st.integers(0, 7)) == 0:
+        orders.append(MAX_HARMONIC_ORDER)
+    harmonics = [{"n": n, "a": draw(json_numbers), "b": draw(json_numbers)} for n in orders]
+    return {"omega": draw(st.floats(1e-3, 1e6)), "dc": draw(json_numbers), "harmonics": harmonics}
+
+
+@SETTINGS
+@given(spectrum_documents())
+def test_a_spectrum_document_reads_as_its_dense_scatter(doc):
+    spectrum = read_spectrum(doc)
+    top = doc["harmonics"][-1]["n"] if doc["harmonics"] else 0
+    cos, sin = np.zeros(top), np.zeros(top)
+    for h in doc["harmonics"]:
+        cos[h["n"] - 1], sin[h["n"] - 1] = float(h["a"]), float(h["b"])
+    assert spectrum.omega == doc["omega"]
+    # bytes, not ==, so that the sign of every zero counts
+    assert np.float64(spectrum.dc).tobytes() == np.float64(float(doc["dc"])).tobytes()
+    assert spectrum.cos.tobytes() == cos.tobytes()
+    assert spectrum.sin.tobytes() == sin.tobytes()
+
+
+_RISING = "harmonic orders must be strictly increasing and >= 1"
+_TEXT = st.text(st.characters(codec="utf-8"), max_size=3)
+#: JSON values that are not numbers
+_NOT_NUMBERS = st.one_of(
+    st.booleans(), _TEXT, st.none(), st.lists(st.integers(-9, 9), max_size=2),
+    st.dictionaries(_TEXT, st.integers(-9, 9), max_size=2),
+)
+
+
+@st.composite
+def faulty_spectrum_documents(draw):
+    """A spectrum document with one fault, and the message that refuses it."""
+    doc = draw(spectrum_documents().filter(lambda doc: doc["harmonics"]))
+    harmonics = doc["harmonics"]
+    i = draw(st.integers(0, len(harmonics) - 1))
+    fault = draw(st.sampled_from((
+        "order type", "amplitude type", "missing key", "not a dict",
+        "repeated", "falling", "zero", "negative", "above the limit",
+    )))
+    if fault == "order type":
+        value = draw(st.one_of(st.floats(allow_nan=False, allow_infinity=False), _NOT_NUMBERS))
+        harmonics[i]["n"] = value
+        return doc, f"harmonic order n must be an integer, got {value!r}"
+    if fault == "amplitude type":
+        key, value = draw(st.sampled_from("ab")), draw(_NOT_NUMBERS)
+        harmonics[i][key] = value
+        return doc, f"{key} must be a number, got {value!r}"
+    if fault == "missing key":
+        del harmonics[i][draw(st.sampled_from("nab"))]
+        return doc, "each harmonic needs keys n, a, b"
+    if fault == "not a dict":
+        h = harmonics[i]
+        harmonics[i] = draw(st.sampled_from(([h["n"], h["a"], h["b"]], "n", h["n"], None)))
+        return doc, "each harmonic needs keys n, a, b"
+    if fault == "repeated":
+        harmonics.insert(i, dict(harmonics[i]))
+    elif fault == "falling":  # or repeated, after an order of 1
+        order = draw(st.integers(1, max(1, harmonics[i]["n"] - 1)))
+        harmonics.insert(i + 1, {"n": order, "a": 1.0, "b": 0.0})
+    elif fault == "zero":
+        harmonics[0]["n"] = 0
+    elif fault == "negative":
+        harmonics[i]["n"] = draw(st.integers(-(2**63), -1))
+    else:
+        order = draw(st.integers(MAX_HARMONIC_ORDER + 1, 2**63 - 1))
+        harmonics[-1]["n"] = order
+        return doc, f"harmonic order {order} exceeds the limit of {MAX_HARMONIC_ORDER}"
+    return doc, _RISING
+
+
+@SETTINGS
+@given(faulty_spectrum_documents())
+def test_a_spectrum_document_with_one_fault_is_refused_with_its_message(drawn):
+    doc, message = drawn
+    with pytest.raises(ValidationError) as refused:
+        read_spectrum(doc)
+    assert str(refused.value) == message
 
 
 @SETTINGS
@@ -231,7 +332,7 @@ def test_conditioner_draws_no_average_power(load):
     assert in_slot(conditioner, "dc") is None
     trace = simulate(conditioner, GRID)
     rms_i = float(np.sqrt(np.mean(trace.i_total**2)))
-    assert abs(float(np.mean(trace.u * trace.i_total))) <= 1e-9 * supply.rms * (1.0 + rms_i)
+    assert abs(float(np.mean(trace.states.u * trace.i_total))) <= 1e-9 * supply.rms * (1.0 + rms_i)
 
 
 @SETTINGS
@@ -251,9 +352,9 @@ def test_compensated_power_factor(load):
 
     # the same figure from the load current plus the conditioner's, sampled
     trace = simulate(synthesize_conditioner(supply, spectrum), GRID)
-    current = evaluate_waveform(spectrum, trace.t) + trace.i_total
-    active_power = float(np.mean(trace.u * current))
-    apparent = float(np.sqrt(np.mean(trace.u**2) * np.mean(current**2)))
+    current = evaluate_waveform(spectrum, trace.states.t) + trace.i_total
+    active_power = float(np.mean(trace.states.u * current))
+    apparent = float(np.sqrt(np.mean(trace.states.u**2) * np.mean(current**2)))
     assert active_power / apparent == pytest.approx(expected, abs=1e-9)
 
 
@@ -281,8 +382,8 @@ def test_regularization_is_transparent(drawn, gamma):
     doc = json.loads(json.dumps(element_to_dict(reg.element), default=np.ndarray.tolist))
     assert element_from_dict(doc) == reg.element
     states = supply_states(supply, GRID)
-    raw = branch_current(element, states).current
-    pair = sum(branch_current(e, states).current for e in (reg.element, reg.companion))
+    raw = own_branch_current(element, states).current
+    pair = sum(own_branch_current(e, states).current for e in (reg.element, reg.companion))
     # the pair adds gamma cos(w t) in the element and takes it off in the companion
     assert np.max(np.abs(pair - raw)) <= 1e-9 * (float(np.max(np.abs(raw))) + reg.gamma)
 

@@ -27,7 +27,6 @@ from memsynth.loads import (
 from memsynth.simulation import (
     MAX_GRID_SAMPLES,
     SimulationConfig,
-    branch_current,
     hysteresis_loop,
     loop_indices,
     simulate,
@@ -43,6 +42,7 @@ from memsynth.synthesis import (
 )
 from memsynth.textio import TRACE_HEADER, trace_to_csv
 
+from entry_paths import own_branch_current
 from trace_branches import branch, branch_average_power, in_slot
 
 SUPPLY = motivating_supply()
@@ -55,7 +55,7 @@ def _rms(x):
 
 
 def test_supply_states_grid_and_closed_forms():
-    states = supply_states(SUPPLY)
+    states = supply_states(SUPPLY, SimulationConfig())
     n = 2 * 8192
     assert states.t.shape == (n,)
     assert states.t[0] == 0.0
@@ -85,30 +85,33 @@ def test_config_bounds_the_grid_before_allocating():
 
 def test_lti_branch_currents():
     states = supply_states(SUPPLY, SimulationConfig(periods=1, samples_per_period=1024))
-    i_r, q_r, c_r = branch_current(
+    i_r, q_r, c_r = own_branch_current(
         MemoryElement(kind=ElementKind.RESISTOR, scalar_value=2.0), states
     )
     np.testing.assert_array_equal(i_r, states.u / 2.0)
     assert q_r is None and c_r is None
 
-    i_l, _, _ = branch_current(MemoryElement(kind=ElementKind.INDUCTOR, scalar_value=0.5), states)
+    inductor = MemoryElement(kind=ElementKind.INDUCTOR, scalar_value=0.5)
+    i_l, _, _ = own_branch_current(inductor, states)
     expected = -(AMP / (OMEGA * 0.5)) * np.cos(OMEGA * states.t)
     np.testing.assert_allclose(i_l, expected, atol=1e-9 * AMP / OMEGA)
 
     cap = MemoryElement(kind=ElementKind.CAPACITOR, scalar_value=1e-4)
-    i_c, q_c, c_c = branch_current(cap, states)
+    i_c, q_c, c_c = own_branch_current(cap, states)
     assert c_c is None
     np.testing.assert_allclose(i_c, 1e-4 * AMP * OMEGA * np.cos(OMEGA * states.t), atol=1e-9)
     np.testing.assert_array_equal(q_c, 1e-4 * states.u)
 
-    i_dc, _, _ = branch_current(MemoryElement(kind=ElementKind.DC_SOURCE, scalar_value=-3.0), states)
+    i_dc, _, _ = own_branch_current(
+        MemoryElement(kind=ElementKind.DC_SOURCE, scalar_value=-3.0), states
+    )
     assert np.all(i_dc == -3.0)
 
 
 def test_memristor_current_vanishes_with_voltage():
     element = memductance_from_sines(SUPPLY, [3.0, 0.0, -1.0])
-    states = supply_states(SUPPLY)
-    current, charge, capacitance = branch_current(element, states)
+    states = supply_states(SUPPLY, SimulationConfig())
+    current, charge, capacitance = own_branch_current(element, states)
     assert charge is None and capacitance is None
     mask = states.u == 0.0
     assert np.any(mask)
@@ -124,19 +127,19 @@ def test_memcapacitor_analytic_current_matches_differenced_charge():
     # periodic central difference of the charge column
     numeric = (np.roll(memcap.charge, -1) - np.roll(memcap.charge, 1)) / (2.0 * dt)
     assert _rms(numeric - memcap.current) <= 1e-6 * _rms(memcap.current)
-    np.testing.assert_array_equal(memcap.charge, memcap.capacitance * trace.u)
+    np.testing.assert_array_equal(memcap.charge, memcap.capacitance * trace.states.u)
 
 
 def test_simulate_reconstructs_motivating_waveform():
     spectrum = motivating_spectrum()
-    trace = simulate(decompose_load(SUPPLY, spectrum))
-    target = evaluate_waveform(spectrum, trace.t)
+    trace = simulate(decompose_load(SUPPLY, spectrum), SimulationConfig())
+    target = evaluate_waveform(spectrum, trace.states.t)
     assert _rms(trace.i_total - target) <= 1e-9 * _rms(target)
     assert branch(trace, "memcapacitor").capacitance is not None
 
 
 def test_simulate_empty_decomposition():
-    trace = simulate(decompose_load(SUPPLY, HarmonicSpectrum(OMEGA)))
+    trace = simulate(decompose_load(SUPPLY, HarmonicSpectrum(OMEGA)), SimulationConfig())
     assert trace.branches == ()
     assert np.all(trace.i_total == 0.0)
     with pytest.raises(ValueError):
@@ -144,8 +147,8 @@ def test_simulate_empty_decomposition():
 
 
 def test_branch_average_power():
-    trace = simulate(decompose_load(SUPPLY, motivating_spectrum()))
-    scale = _rms(trace.u) * _rms(trace.i_total)
+    trace = simulate(decompose_load(SUPPLY, motivating_spectrum()), SimulationConfig())
+    scale = _rms(trace.states.u) * _rms(trace.i_total)
     assert branch_average_power(trace, "resistor") == pytest.approx(18400.0, rel=1e-12)
     assert abs(branch_average_power(trace, "meminductor")) <= 1e-9 * scale
     assert abs(branch_average_power(trace, "memcapacitor")) <= 1e-9 * scale
@@ -158,7 +161,7 @@ def _loop_states(config):
 
 def test_hysteresis_loop_closure_and_planes():
     dec = decompose_load(SUPPLY, motivating_spectrum())
-    whole = supply_states(SUPPLY)
+    whole = supply_states(SUPPLY, SimulationConfig())
     states = _loop_states(SimulationConfig())
     x, y, _, _ = hysteresis_loop(in_slot(dec, "memcapacitor"), states)
     assert len(x) == 8193
@@ -253,13 +256,13 @@ def test_trace_csv_empty_families_and_exact_cells():
     assert len(rows) == 128
     k = 17
     assert rows[k][5] == ""  # no dc branch
-    assert float(rows[k][0]) == float(trace.t[k])
+    assert float(rows[k][0]) == float(trace.states.t[k])
     assert float(rows[k][4]) == float(trace.i_total[k])
     assert float(rows[k][10]) == float(branch(trace, "memcapacitor").capacitance[k])
 
 
 def test_trace_csv_header_only_when_empty():
-    trace = simulate(decompose_load(SUPPLY, HarmonicSpectrum(OMEGA)))
+    trace = simulate(decompose_load(SUPPLY, HarmonicSpectrum(OMEGA)), SimulationConfig())
     assert trace_to_csv(trace) == TRACE_HEADER + "\n"
 
 
@@ -323,7 +326,7 @@ def test_hysteresis_draws_the_constitutive_curve_in_the_loop_pass(make, evaluate
     element = make()
     config = SimulationConfig(periods=2, samples_per_period=512)
     whole = supply_states(SUPPLY, config)
-    waves = branch_current(element, whole)
+    waves = own_branch_current(element, whole)
     drive, response = {
         ElementKind.MEMRISTOR: (whole.u, waves.current),
         ElementKind.MEMINDUCTOR: (whole.phi, waves.current),
@@ -353,7 +356,7 @@ def test_memcapacitor_hysteresis_evaluates_only_memcapacitance(evaluated):
     ]
     idx = np.arange(257) % 256
     whole = supply_states(SUPPLY, config)
-    np.testing.assert_array_equal(q, branch_current(memcapacitor, whole).charge[idx])
+    np.testing.assert_array_equal(q, own_branch_current(memcapacitor, whole).charge[idx])
 
 
 def _every_family_network():

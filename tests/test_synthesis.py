@@ -37,6 +37,7 @@ from memsynth.synthesis import (
     verify_decomposition,
 )
 
+from entry_paths import sparse_spectrum
 from trace_branches import companions, in_slot, with_slot
 
 AMP = MOTIVATING_AMPLITUDE
@@ -85,7 +86,7 @@ def test_mode_invariance_of_terminal_current():
 
 
 def test_even_sine_route_invariance():
-    spectrum = HarmonicSpectrum.from_terms(
+    spectrum = sparse_spectrum(
         OMEGA, 0.0, ((1, -3.0, 4.0), (2, 1.5, -2.0), (4, 0.0, 0.7))
     )
     via_memristor = decompose_load(SUPPLY, spectrum)
@@ -130,7 +131,7 @@ def test_bridge_zero_delta_is_memristor_only():
 
 
 def test_lone_negative_fundamental_stays_memristor():
-    spectrum = HarmonicSpectrum.from_terms(OMEGA, 0.0, ((1, 0.0, -5.0),))
+    spectrum = sparse_spectrum(OMEGA, 0.0, ((1, 0.0, -5.0),))
     dec = decompose_load(SUPPLY, spectrum)
     assert in_slot(dec, "memristor").kind is ElementKind.MEMRISTOR
     report = verify_decomposition(dec, spectrum)
@@ -182,7 +183,7 @@ def test_conditioner_draws_no_average_power():
     assert in_slot(cond, "memristor") is not None
     assert in_slot(cond, "memristor").incremental.coeffs[0] == 0.0
     trace = simulate(cond, SimulationConfig(periods=1, samples_per_period=4096))
-    u = trace.u
+    u = trace.states.u
     power = float(np.mean(u * trace.i_total))
     scale = float(np.sqrt(np.mean(u**2)) * np.sqrt(np.mean(trace.i_total**2)))
     assert abs(power) <= 1e-9 * scale
@@ -193,7 +194,7 @@ def test_rectifier_truncation_against_ideal_waveform():
     dec = decompose_load(SUPPLY, spectrum)
     config = SimulationConfig(periods=1, samples_per_period=8192)
     trace = simulate(dec, config)
-    ideal = np.maximum(AMP * np.sin(OMEGA * trace.t), 0.0)
+    ideal = np.maximum(AMP * np.sin(OMEGA * trace.states.t), 0.0)
     diff_rms = float(np.sqrt(np.mean((trace.i_total - ideal) ** 2)))
     assert diff_rms <= 2e-3 * AMP
     assert diff_rms <= 4e-3 * float(np.sqrt(np.mean(ideal**2)))
@@ -241,19 +242,19 @@ def test_a_memristor_and_a_resistor_share_one_slot(labels):
 
 
 def test_decompose_rejects_frequency_mismatch():
-    spectrum = HarmonicSpectrum.from_terms(2.0 * OMEGA, 0.0, ((1, 0.0, 1.0),))
+    spectrum = sparse_spectrum(2.0 * OMEGA, 0.0, ((1, 0.0, 1.0),))
     with pytest.raises(ValidationError):
         decompose_load(SUPPLY, spectrum)
-    good = HarmonicSpectrum.from_terms(OMEGA, 0.0, ((1, 0.0, 1.0),))
+    good = sparse_spectrum(OMEGA, 0.0, ((1, 0.0, 1.0),))
     with pytest.raises(ValidationError):
         verify_decomposition(decompose_load(SUPPLY, good), spectrum)
 
 
 def test_policy_resolution():
     policy = AssignmentPolicy()
-    inductive = HarmonicSpectrum.from_terms(OMEGA, 0.0, ((1, -1.0, 1.0),))
-    capacitive = HarmonicSpectrum.from_terms(OMEGA, 0.0, ((1, 1.0, 1.0),))
-    no_cosine = HarmonicSpectrum.from_terms(OMEGA, 0.0, ((1, 0.0, 1.0),))
+    inductive = sparse_spectrum(OMEGA, 0.0, ((1, -1.0, 1.0),))
+    capacitive = sparse_spectrum(OMEGA, 0.0, ((1, 1.0, 1.0),))
+    no_cosine = sparse_spectrum(OMEGA, 0.0, ((1, 0.0, 1.0),))
     assert policy.resolve(inductive) is PolicyMode.INDUCTIVE
     assert policy.resolve(capacitive) is PolicyMode.CAPACITIVE
     assert policy.resolve(no_cosine) is PolicyMode.CAPACITIVE
@@ -319,7 +320,7 @@ def _mirrored(element):
 
 
 #: a1 < 0: odd cosines to the meminductor, even ones to the memcapacitor
-THREE_MEMORIES = HarmonicSpectrum.from_terms(
+THREE_MEMORIES = sparse_spectrum(
     OMEGA, 0.3, ((1, -3.0, 4.0), (2, 1.5, -2.0), (3, 0.5, 0.7), (4, 0.0, 0.9))
 )
 

@@ -18,7 +18,7 @@ def branch(trace, label):
 
 def branch_average_power(trace, label):
     """Average of u * i over the whole (integer number of) periods."""
-    return float(np.mean(trace.u * branch(trace, label).current))
+    return float(np.mean(trace.states.u * branch(trace, label).current))
 
 
 def _slot_of(element):

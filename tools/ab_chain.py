@@ -65,6 +65,7 @@ def main(tree_a: str, tree_b: str, command: str, *files: str, extra: tuple = ())
                     argv = [command, source, *extra]
                     for flag, path in zip(OUTPUTS[command], paths):
                         argv += [flag, str(path)]
+                        path.unlink(missing_ok=True)  # a call that writes nothing reads None
                     start = time.perf_counter()
                     code = trees[tag]["memsynth.cli"].main(argv)
                     times[source, tag].append((time.perf_counter() - start) * 1e3)

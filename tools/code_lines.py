@@ -11,14 +11,16 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "memsynth"
 
+#: the nodes whose leading string is a docstring; an ``if`` or ``for`` body has none
+DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
 
 def code_lines(text: str) -> int:
     lines = text.splitlines()
     skip = set()
     for node in ast.walk(ast.parse(text)):
-        body = getattr(node, "body", None)
-        if isinstance(body, list) and body and isinstance(body[0], ast.Expr):
-            value = body[0].value
+        if isinstance(node, DOCUMENTED) and node.body and isinstance(node.body[0], ast.Expr):
+            value = node.body[0].value
             if isinstance(value, ast.Constant) and isinstance(value.value, str):
                 skip.update(range(value.lineno, value.end_lineno + 1))
     return sum(
