@@ -49,7 +49,7 @@ from .synthesis import (
 )
 from .textio import columns_to_csv, dump_json, emit, read_json, trace_to_csv
 
-#: characterize fails (exit 3) unless the round-trip error is at most this,
+#: characterize fails (exit 3) unless the relative rms verification error is at most this,
 #: so a nan error fails too
 VERIFY_GATE = 1e-6
 

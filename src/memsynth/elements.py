@@ -310,15 +310,23 @@ def default_gamma(element: MemoryElement, supply: SupplyVoltage) -> float:
     Chosen so the added linear coefficient equals the summed magnitude of
     the higher-order incremental coefficients, keeping the regularized
     incremental value from being dominated by its sign-changing part on the
-    steady-state control range.
+    steady-state control range.  A current beyond the float64 range is
+    refused, with the element kind and the supply that made it.
     """
     if element.kind not in (ElementKind.MEMCAPACITOR, ElementKind.MEMINDUCTOR):
         raise ValidationError("default gamma applies to memcapacitors and meminductors")
     # the builtin sum adds left to right, as the regularized elements' bits assume
     tail = sum(np.abs(element.incremental.coeffs[1:]).tolist())
     if element.kind is ElementKind.MEMCAPACITOR:
-        return supply.omega * supply.amplitude * tail
-    return (supply.amplitude / supply.omega) * tail
+        gamma = supply.omega * supply.amplitude * tail
+    else:
+        gamma = (supply.amplitude / supply.omega) * tail
+    if not math.isfinite(gamma):
+        raise ValidationError(
+            f"{element.kind.value} on supply amplitude {supply.amplitude!r},"
+            f" omega {supply.omega!r}: the regularization current overflows the float64 range"
+        )
+    return gamma
 
 
 def regularize(

@@ -42,8 +42,9 @@ FREQUENCY_RTOL = 1e-12
 #: figure PF = b1 / sqrt(a0^2 + b1^2 + sum a_n^2).
 PF_CONVENTIONS = {"rms": 1.0, "paper": 0.5}
 
-#: highest harmonic order a spectrum may hold (:func:`check_order_limit`): the
-#: verification grid holds at most 2^22 samples and needs four per order
+#: highest harmonic order a spectrum may hold (:func:`check_order_limit`); it
+#: bounds the spectrum and row arrays and the reported verification grid
+#: (four samples per order, at most 2^22), though no grid is allocated
 MAX_HARMONIC_ORDER = 2**20
 
 

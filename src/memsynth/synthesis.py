@@ -20,7 +20,9 @@ order, companions last; each kind's label and slot are its record in
 and the one-element-per-slot rule are checked, so every decomposition that
 can be built writes a document that reads back equal.  Its verification
 rows (:func:`steady_state_rows`) read each branch as a series of the
-family its kind's ``column`` names.
+family its kind's ``column`` names; :func:`verify_decomposition` compares
+them with the target's coefficients, the rms by Parseval, and samples
+nothing.
 
 ``synthesize_conditioner`` builds the shunt network that cancels everything
 but the active current: it negates the non-active part of the load current
@@ -61,7 +63,7 @@ from .harmonics import (
     _real,
     evaluate_waveform,  # noqa: F401 - the benchmark tracer wraps it under this name
     fryze_split,
-    project_waveform,
+    project_waveform,  # noqa: F401 - the benchmark tracer wraps it under this name
     spectrum_negate,
 )
 from .simulation import simulate  # noqa: F401 - the benchmark tracer wraps it under this name
@@ -244,7 +246,7 @@ def synthesize_conditioner(
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Round-trip fidelity of a decomposition against its target spectrum."""
+    """Fidelity of a decomposition's closed-form rows against its target spectrum."""
 
     rel_rms_error: float
     max_coefficient_error: float
@@ -253,27 +255,14 @@ class VerificationReport:
 
 
 def verification_grid(order: int) -> int:
-    """Verification samples per period for currents up to harmonic ``order``.
+    """Samples per period of the smallest alias-free grid for currents up to ``order``.
 
     The smallest power of two >= 4 order: every order then sits below a
     quarter of the grid, so none aliases and none reaches the Nyquist order.
+    No grid is built; :func:`verify_decomposition` reports it as the grid
+    on which sampled currents give its figures up to roundoff.
     """
     return 1 << (4 * order - 1).bit_length()
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _grid_samples(ab: np.ndarray, spp: int) -> np.ndarray:
-    """Samples at ``t_k = k T / spp`` of the (a, b) rows over orders 0..top < spp/2.
-
-    Column 0 holds (dc, 0); one inverse real FFT evaluates every order.  A
-    sum beyond the float64 range reads inf or nan, without a warning;
-    projecting it is refused.
-    """
-    half = (ab[0] - 1j * ab[1]) * 0.5
-    half[0] = ab[0, 0]
-    # an unscaled inverse: a coefficient times spp/2 could overflow where
-    # every sample is finite
-    return np.fft.irfft(half, n=spp, norm="forward")
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -294,7 +283,8 @@ def steady_state_rows(decomposition: LoadDecomposition) -> np.ndarray:
     with a memory kind (its ``column`` in :data:`KINDS`): ``1/R``,
     ``C`` or ``1/L``.  A dc source fills column 0.
 
-    ``top`` is the longest memory series, at least 1.  The series never
+    ``top`` is the longest memory series, at least 1.  The rows are the
+    current itself, in closed form; nothing is sampled.  The series never
     reads ``scale``, so it stands for the element only when that scale is
     exactly :func:`orbit_scale`; any other scale is refused.  A row beyond
     the float64 range reads inf, without a warning.
@@ -341,48 +331,52 @@ def steady_state_rows(decomposition: LoadDecomposition) -> np.ndarray:
     return ab
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def verify_decomposition(
     decomposition: LoadDecomposition, target: HarmonicSpectrum
 ) -> VerificationReport:
-    """Rebuild one period of the current, re-project it, and compare against ``target``.
+    """Compare the closed-form rows of a decomposition with ``target``'s coefficients.
 
-    The current is sampled from :func:`steady_state_rows`, so an element off
-    the steady-state orbit is refused.  The grid is the
-    :func:`verification_grid` of the larger of the target's ``n_max`` and
-    the rows' top order, so a term the target lacks can neither alias nor
-    vanish on the grid.
+    The rows come from :func:`steady_state_rows`, so an element off the
+    steady-state orbit is refused.  Both are compared over every order up to
+    the larger of the target's ``n_max`` and the rows' top order, so a term
+    the target lacks still counts.  Nothing is sampled: by Parseval, a
+    current with rows (a, b) has the rms ``sqrt(dc^2 + sum (a_k^2 + b_k^2) / 2)``.
 
-    ``rel_rms_error`` is the waveform mismatch normalized by the target rms
+    ``rel_rms_error`` is the rms of the mismatch normalized by the target rms
     (absolute when the target is identically zero).  The coefficient error is
-    the worst reconstructed Fourier coefficient, normalized by the largest
+    the worst coefficient over orders 0..``n_max``, normalized by the largest
     target coefficient magnitude (or 1 for an empty target).
+    ``samples_per_period`` is the :func:`verification_grid` of the larger
+    order: sampling both currents on it gives these figures up to roundoff.
+    A decomposition whose current leaves the float64 range in those units is
+    refused.
     """
     _check_frequency(decomposition.supply.omega, target.omega)
     n_max = max(target.n_max, 1)
     rows = steady_state_rows(decomposition)
-    spp = verification_grid(max(n_max, rows.shape[1] - 1))
+    top = max(n_max, rows.shape[1] - 1)
 
-    # rows (a, b) over orders 0..n_max; column 0 holds (dc, 0)
-    wanted = np.zeros((2, n_max + 1))
+    # rows (a, b) over orders 0..top; column 0 holds (dc, 0)
+    wanted = np.zeros((2, top + 1))
     wanted[:, 1 : target.n_max + 1] = target.cos, target.sin
     wanted[0, 0] = target.dc
-    # everything in units of the largest target coefficient, so that neither
-    # a sample, the FFT nor any square overflows
+    # everything in units of the largest target coefficient, so that no
+    # square of a current the target bounds overflows
     scale = float(np.max(np.abs(wanted))) or 1.0
     wanted /= scale
-    current = _grid_samples(rows / scale, spp)
-    projected = project_waveform(current, target.omega, n_max)
-    got = np.zeros((2, n_max + 1))
-    got[:, 1:] = projected.cos, projected.sin
-    got[0, 0] = projected.dc
-    target_wave = _grid_samples(wanted, spp)
-    target_rms = float(np.sqrt(np.mean(target_wave**2)))
-    err_rms = float(np.sqrt(np.mean((current - target_wave) ** 2)))
-    rel = err_rms / target_rms if target_rms > 0.0 else err_rms
+    error = -wanted
+    error[:, : rows.shape[1]] += rows / scale
 
+    def rms(ab: np.ndarray) -> float:
+        return float(np.sqrt(ab[0, 0] ** 2 + 0.5 * np.sum(ab[:, 1:] ** 2)))
+
+    err_rms, target_rms = rms(error), rms(wanted)
+    if not np.isfinite(err_rms):
+        raise ValidationError("the decomposition's current overflows float64 in target units")
     return VerificationReport(
-        rel_rms_error=rel,
-        max_coefficient_error=float(np.max(np.abs(got - wanted))),
+        rel_rms_error=err_rms / target_rms if target_rms > 0.0 else err_rms,
+        max_coefficient_error=float(np.max(np.abs(error[:, : n_max + 1]))),
         n_max=n_max,
-        samples_per_period=spp,
+        samples_per_period=verification_grid(top),
     )

@@ -937,6 +937,30 @@ def test_series_that_overflow_on_a_small_amplitude_exit_2_before_writing(
     assert not out.exists() and not report.exists()
 
 
+@pytest.mark.parametrize("command", ["characterize", "compensate"])
+@pytest.mark.parametrize("orders, policy, branch", [
+    (range(2, 21, 2), "auto", "memcapacitor"),
+    (range(3, 22, 2), "inductive", "meminductor"),
+], ids=["even-cosines", "odd-cosines-inductive"])
+def test_a_default_regularization_current_that_overflows_exits_2_before_writing(
+    tmp_path, capsys, command, orders, policy, branch
+):
+    # every series term is finite, but w A sum |c_k| (or (A/w) sum |c_k|) is not
+    harmonics = [{"n": 1, "a": 0.0, "b": 1.0}] + [{"n": n, "a": 1.7e308, "b": 0.0} for n in orders]
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(
+        {"omega": 314.1592653589793, "supply_amplitude": 325.0, "harmonics": harmonics}
+    ))
+    out, report = tmp_path / "out.json", tmp_path / "report.json"
+    extra = ["--report", str(report)] if command == "compensate" else []
+    assert cli.main([command, str(spec), "--policy", policy, "-o", str(out), *extra]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {branch} on supply amplitude 325.0, omega 314.1592653589793:"
+        " the regularization current overflows the float64 range\n"
+    )
+    assert not out.exists() and not report.exists()
+
+
 #: a spectrum whose ac terms square to inf: its rms current and apparent power overflow
 OVERFLOWING_AC_SPECTRUM = {
     "omega": OMEGA, "dc": 0.0, "supply_amplitude": 325.0,
@@ -966,7 +990,7 @@ def test_powers_that_leave_float64_exit_2_before_writing(tmp_path, capsys, comma
 #: was scaled by samples_per_period / 2 before the inverse FFT
 NEAR_LIMIT_SPECTRUM = dict(OVERFLOWING_AC_SPECTRUM, harmonics=[{"n": 1, "a": 1.7e308, "b": 1.0}])
 #: finite terms whose current sums to 2e308 at t = 0, so it leaves float64
-#: unless it is sampled in units of the target
+#: unless it is verified in units of the target
 DC_AND_FUNDAMENTAL_SPECTRUM = dict(
     OVERFLOWING_AC_SPECTRUM,
     dc=1e308,

@@ -284,6 +284,30 @@ def test_regularize_guards():
         regularize(memductance_from_sines(SUPPLY, [0.0, 1.0]), SUPPLY)
 
 
+@pytest.mark.parametrize("build, kind", [
+    (lambda: memcapacitance_from_cosines(
+        SUPPLY, [1.7e308 if n % 2 == 0 else 0.0 for n in range(1, 21)]), "memcapacitor"),
+    (lambda: inverse_meminductance_from_spectrum(
+        SUPPLY, [1.7e308 if n % 2 == 1 and n > 1 else 0.0 for n in range(1, 22)], []),
+     "meminductor"),
+], ids=["memcapacitor", "meminductor"])
+def test_a_default_gamma_beyond_float64_names_the_element_and_supply(build, kind):
+    # every coefficient is finite, but their summed magnitudes times w A (or A/w) are not
+    element = build()
+    assert needs_regularization(element)
+    message = (
+        f"{kind} on supply amplitude {AMP!r}, omega {OMEGA!r}:"
+        " the regularization current overflows the float64 range"
+    )
+    for call in (default_gamma, regularize):
+        with pytest.raises(ValidationError) as refused:
+            call(element, SUPPLY)
+        assert str(refused.value) == message
+    # a gamma given by the caller is refused as given
+    with pytest.raises(ValidationError, match="gamma must be positive and finite"):
+        regularize(element, SUPPLY, gamma=math.inf)
+
+
 def test_element_dict_round_trip_memory():
     element = memcapacitance_from_cosines(SUPPLY, [2.0, -1.0])
     doc = element_to_dict(element)

@@ -2,9 +2,9 @@
 
 The reference loops live here, not in the library.  Kernels that keep the
 loop's arithmetic order must match it exactly; the FFT projection and the
-verification's steady-state current (its Fourier rows sampled by one inverse
-FFT, against Clenshaw simulation) sum in a different order and must match to
-a tolerance fixed by float64 round-off.
+steady-state current (its Fourier rows sampled by one inverse FFT, against
+Clenshaw simulation) sum in a different order and must match to a tolerance
+fixed by float64 round-off.
 """
 
 import math
@@ -35,7 +35,6 @@ from memsynth.synthesis import (
     EvenSineRoute,
     LoadDecomposition,
     PolicyMode,
-    _grid_samples,
     decompose_load,
     steady_state_rows,
     synthesize_conditioner,
@@ -44,6 +43,7 @@ from memsynth.synthesis import (
 from memsynth.simulation import MIN_SAMPLES_PER_PERIOD, SimulationConfig, simulate
 
 from test_properties import SETTINGS, loads
+from verify_reference import grid_samples
 
 
 def _direct_projection(samples, n_max):
@@ -416,7 +416,7 @@ def _assert_spectral_current_matches_clenshaw(supply, spectrum):
             policy = AssignmentPolicy(mode=mode, route_even_sines=route)
             for network in (decompose_load(supply, spectrum, policy),
                             synthesize_conditioner(supply, spectrum, policy)):
-                got = _grid_samples(steady_state_rows(network), spp)
+                got = grid_samples(steady_state_rows(network), spp)
                 want = simulate(network, SimulationConfig(1, spp)).i_total
                 tol = 1e-12 * float(np.max(np.abs(want)))
                 assert np.max(np.abs(got - want)) <= tol, (mode, route)

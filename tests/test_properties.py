@@ -4,8 +4,9 @@ Spectra have up to eight harmonics of order <= 60, some amplitudes exactly
 zero (sometimes the whole top order), and a random dc term; supplies have a
 random amplitude and frequency.  Each property is one of the invariants the
 decomposition promises: exact JSON round trips, a terminal current that does
-not depend on the assignment policy, a round-trip verification that holds for
-every policy, a lossless conditioner, the power factor after compensation, and
+not depend on the assignment policy, a verification that holds for every
+policy and gives the figures of sampling the currents and projecting them
+back, a lossless conditioner, the power factor after compensation, and
 transparent regularization.  Two more assemble built elements in slot order:
 every decomposition the constructor accepts reads back exactly, and one out of
 slot order or with a second element in a slot is refused.  Three more draw
@@ -69,6 +70,7 @@ from memsynth.textio import dump_json
 
 from entry_paths import own_branch_current
 from trace_branches import in_slot
+from verify_reference import round_trip_figures
 
 MAX_ORDER = 60
 #: one period at four samples per order of the highest order drawn
@@ -322,6 +324,45 @@ def test_verification_holds_on_every_policy_and_route(load):
                 assert top <= max(target.n_max, 1), (mode, route)
                 grid = verification_grid(max(target.n_max, top))
                 assert report.samples_per_period == grid, (mode, route)
+
+
+def _with_spurious_memristor(network, order, amplitude):
+    """``network`` with its memristor slot holding one sine term of ``order`` alone."""
+    sines = np.zeros(order)
+    sines[-1] = amplitude
+    spurious = memductance_from_sines(network.supply, sines)
+    slot = KINDS[spurious.kind].slot
+    kept = [e for e in network.elements if KINDS[e.kind].slot != slot]
+    elements = sorted([*kept, spurious], key=lambda e: KINDS[e.kind].slot)
+    return LoadDecomposition(network.supply, tuple(elements))
+
+
+def _both_figures(network, target):
+    """The reports of ``verify_decomposition`` and of the sample-and-project oracle."""
+    return verify_decomposition(network, target), round_trip_figures(network, target)
+
+
+@SETTINGS
+@given(loads(), st.integers(1, 50), st.floats(0.01, 10.0))
+def test_parseval_figures_match_the_sample_and_project_round_trip(load, above, amplitude):
+    supply, spectrum = load
+    _, nonactive, _ = fryze_split(supply, spectrum)
+    cancelled = spectrum_negate(nonactive)
+    for mode in PolicyMode:
+        for route in EvenSineRoute:
+            policy = AssignmentPolicy(mode=mode, route_even_sines=route)
+            for network, target in ((decompose_load(supply, spectrum, policy), spectrum),
+                                    (synthesize_conditioner(supply, spectrum, policy), cancelled)):
+                report, oracle = _both_figures(network, target)
+                assert abs(report.rel_rms_error - oracle.rel_rms_error) <= 1e-15, (mode, route)
+                assert abs(report.max_coefficient_error - oracle.max_coefficient_error) <= 1e-15
+                assert (report.n_max, report.samples_per_period) == (
+                    oracle.n_max, oracle.samples_per_period)
+                # a term above the target's order counts in the rms
+                spurious = _with_spurious_memristor(network, report.n_max + above, amplitude)
+                report, oracle = _both_figures(spurious, target)
+                assert report.rel_rms_error == pytest.approx(oracle.rel_rms_error, rel=1e-12)
+                assert report.samples_per_period == oracle.samples_per_period
 
 
 @SETTINGS

@@ -35,7 +35,6 @@ from memsynth.simulation import (
 from memsynth.synthesis import (
     AssignmentPolicy,
     LoadDecomposition,
-    _grid_samples,
     decompose_load,
     steady_state_rows,
     synthesize_conditioner,
@@ -44,6 +43,7 @@ from memsynth.textio import TRACE_HEADER, trace_to_csv
 
 from entry_paths import own_branch_current
 from trace_branches import branch, branch_average_power, in_slot
+from verify_reference import grid_samples
 
 SUPPLY = motivating_supply()
 AMP = SUPPLY.amplitude
@@ -400,7 +400,7 @@ FAMILIES = {
 def _closed_form(supply, elements):
     """One period of the summed current of ``elements`` from their Fourier rows."""
     rows = steady_state_rows(LoadDecomposition(supply, tuple(elements)))
-    return _grid_samples(rows, ORACLE_CONFIG.samples_per_period)
+    return grid_samples(rows, ORACLE_CONFIG.samples_per_period)
 
 
 def _closed_form_charge(supply, memcapacitor):
@@ -408,7 +408,7 @@ def _closed_form_charge(supply, memcapacitor):
     c = memcapacitor.incremental.coeffs
     rows = np.zeros((2, len(c) + 1))
     rows[1, 1:] = supply.amplitude * c
-    return _grid_samples(rows, ORACLE_CONFIG.samples_per_period)
+    return grid_samples(rows, ORACLE_CONFIG.samples_per_period)
 
 
 def _csv_columns(network):

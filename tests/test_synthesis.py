@@ -1,4 +1,4 @@
-"""Branch assignment, conditioner synthesis, and round-trip verification."""
+"""Branch assignment, conditioner synthesis, and coefficient-domain verification."""
 
 import dataclasses
 import math
@@ -23,14 +23,12 @@ from memsynth.loads import (
     rectifier_spectrum,
 )
 from memsynth.simulation import SimulationConfig, simulate
-from memsynth import synthesis
 from memsynth.synthesis import (
     AssignmentPolicy,
     EvenSineRoute,
     LoadDecomposition,
     PolicyMode,
     decompose_load,
-    _grid_samples,
     steady_state_rows,
     synthesize_conditioner,
     verification_grid,
@@ -39,6 +37,7 @@ from memsynth.synthesis import (
 
 from entry_paths import sparse_spectrum
 from trace_branches import companions, in_slot, with_slot
+from verify_reference import grid_samples
 
 AMP = MOTIVATING_AMPLITUDE
 OMEGA = MOTIVATING_OMEGA
@@ -335,23 +334,20 @@ def test_verify_refuses_a_mirrored_element():
         verify_decomposition(off, spectrum)
 
 
-def test_verify_rejects_non_finite_current_through_projection(monkeypatch):
-    projected = []
-
-    def spy_project(samples, omega, n_max):
-        projected.append(n_max)
-        return project_waveform(samples, omega, n_max)
-
-    monkeypatch.setattr(synthesis, "project_waveform", spy_project)
-    # an on-orbit memristor whose current A c_0 leaves float64
+@pytest.mark.parametrize("coefficient, b1", [
+    (1e308, 1.0),  # the row A c_0 leaves float64
+    (1e200, 1.0),  # the row is finite, its square is not
+    (1e300, 1e-10),  # the row is finite, but not in units of the target
+], ids=["row-overflows", "square-overflows", "row-overflows-in-target-units"])
+def test_verify_refuses_a_current_that_overflows_in_target_units(coefficient, b1):
+    # an on-orbit memristor with a huge c_0
     supply = SupplyVoltage(10.0, 100.0)
     memristor = memductance_from_sines(supply, [1.0])
-    series = dataclasses.replace(memristor.incremental, coeffs=(1e308,))
+    series = dataclasses.replace(memristor.incremental, coeffs=(coefficient,))
     dec = LoadDecomposition(supply, (dataclasses.replace(memristor, incremental=series),))
-    spectrum = HarmonicSpectrum(100.0, 0.0, (0.0,), (1.0,))
-    with pytest.raises(ValidationError, match="samples must be finite"):
+    spectrum = HarmonicSpectrum(100.0, 0.0, (0.0,), (b1,))
+    with pytest.raises(ValidationError, match="current overflows float64 in target units"):
         verify_decomposition(dec, spectrum)
-    assert projected == [1]
 
 
 @pytest.mark.parametrize("slot", ["memristor", "meminductor", "memcapacitor"])
@@ -379,6 +375,6 @@ def test_steady_state_current_matches_simulation_on_every_branch_kind():
     for policy in (AssignmentPolicy(), AssignmentPolicy(route_even_sines="meminductor")):
         for network in (decompose_load(SUPPLY, THREE_MEMORIES, policy),
                         synthesize_conditioner(SUPPLY, THREE_MEMORIES, policy)):
-            current = _grid_samples(steady_state_rows(network), 2048)
+            current = grid_samples(steady_state_rows(network), 2048)
             clenshaw = simulate(network, FAST).i_total
             assert np.max(np.abs(current - clenshaw)) <= 1e-12 * np.max(np.abs(clenshaw))

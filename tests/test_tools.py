@@ -26,8 +26,8 @@ def test_ab_chain_times_one_tree_against_itself(tmp_path):
     assert any(line.startswith(f"{spectrum}: A ") for line in lines), run.stdout
 
 
-def _fake_tree(root, writes_every_call):
-    """A source tree whose ``cli.main`` writes its ``-o`` file on every call or on its first."""
+def _fake_tree(root, writes_every_call, data=b"the same bytes"):
+    """A source tree whose ``cli.main`` writes ``data`` to ``-o`` on every call or the first."""
     package = root / "src" / "memsynth"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("")
@@ -38,10 +38,18 @@ def _fake_tree(root, writes_every_call):
         "    global calls\n"
         "    calls += 1\n"
         f"    if {writes_every_call} or calls == 1:\n"
-        "        Path(argv[argv.index('-o') + 1]).write_bytes(b'the same bytes')\n"
+        f"        Path(argv[argv.index('-o') + 1]).write_bytes({data!r})\n"
         "    return 0\n"
     )
     return root
+
+
+def _ab_chain(tree_a, tree_b, source, command="characterize"):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_chain.py"), str(tree_a), str(tree_b),
+         command, str(source)],
+        capture_output=True, text=True, timeout=60,
+    )
 
 
 def test_ab_chain_reads_a_call_that_writes_nothing_as_a_difference(tmp_path):
@@ -50,18 +58,36 @@ def test_ab_chain_reads_a_call_that_writes_nothing_as_a_difference(tmp_path):
     spectrum = tmp_path / "spectrum.json"
     spectrum.write_text("{}")
 
-    def ab_chain(tree_a, tree_b):
-        return subprocess.run(
-            [sys.executable, str(ROOT / "tools" / "ab_chain.py"), str(tree_a), str(tree_b),
-             "characterize", str(spectrum)],
-            capture_output=True, text=True, timeout=60,
-        )
-
-    assert ab_chain(writes, writes).returncode == 0
+    assert _ab_chain(writes, writes, spectrum).returncode == 0
     # round 0 runs A first and both write; round 1 runs B first, and B writes nothing
-    run = ab_chain(writes, once)
+    run = _ab_chain(writes, once, spectrum)
     assert run.returncode == 1
     assert run.stderr.splitlines()[0] == f"round 1: {spectrum}: outputs differ", run.stderr
+
+
+#: the tail of a ``characterize`` document, as the CLI writes it
+CHARACTERIZED = (
+    '{{\n  "branches": [{branches}],\n  "verification": {{\n'
+    '    "max_rel_rms_error": {error},\n    "max_coefficient_error": 0.0,\n'
+    '    "n_max": 2,\n    "samples_per_period": 8\n  }}\n}}\n'
+)
+
+
+def test_ab_chain_compares_characterize_documents_without_their_verification_block(tmp_path):
+    spectrum = tmp_path / "spectrum.json"
+    spectrum.write_text("{}")
+
+    def tree(name, branches, error):
+        data = CHARACTERIZED.format(branches=branches, error=error).encode()
+        return _fake_tree(tmp_path / name, True, data)
+
+    base = tree("base", "", "1.1e-16")
+    figures = tree("figures", "", "2.2e-16")
+    branches = tree("branches", "{}", "1.1e-16")
+    assert _ab_chain(base, figures, spectrum).returncode == 0
+    assert _ab_chain(base, branches, spectrum).returncode == 1
+    # another command's output is compared byte for byte
+    assert _ab_chain(base, figures, spectrum, "report").returncode == 1
 
 
 def _code_lines():

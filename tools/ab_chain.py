@@ -12,12 +12,15 @@ the package.  Each of :data:`ROUNDS` rounds runs the subcommand once per file
 and tree, A first in even rounds and B first in odd ones, and times
 ``cli.main``.  Prints the median milliseconds per file and tree, then over all
 calls, with B's change against A.  Exits 1 if a call exits non-zero or an
-output file differs between the trees in any round.  BLAS is held to one
-thread, as in ``bench/run.py``.
+output file differs between the trees in any round.  A ``characterize``
+document is compared without its ``verification`` block, whose error figures
+may differ in their last bits, as the golden tests and the benchmark digest
+do.  BLAS is held to one thread, as in ``bench/run.py``.
 """
 
 import importlib
 import os
+import re
 import statistics
 import sys
 import tempfile
@@ -37,6 +40,8 @@ OUTPUTS = {
     "simulate": ("-o",),
     "hysteresis": ("-o", "--constitutive-output"),
 }
+#: the last key of a ``characterize`` document, as the CLI writes it
+VERIFICATION = re.compile(rb',\n  "verification": \{[^{}]*\}')
 
 
 def load(tree: str) -> dict:
@@ -49,6 +54,14 @@ def load(tree: str) -> dict:
     finally:
         sys.path.pop(0)
     return {m: mod for m, mod in sys.modules.items() if m.partition(".")[0] == "memsynth"}
+
+
+def compared(command: str, path: Path):
+    """The bytes of an output file as the trees are compared on them; None if it is missing."""
+    if not path.exists():
+        return None
+    data = path.read_bytes()
+    return VERIFICATION.sub(b"", data) if command == "characterize" else data
 
 
 def main(tree_a: str, tree_b: str, command: str, *files: str, extra: tuple = ()) -> int:
@@ -69,7 +82,7 @@ def main(tree_a: str, tree_b: str, command: str, *files: str, extra: tuple = ())
                     start = time.perf_counter()
                     code = trees[tag]["memsynth.cli"].main(argv)
                     times[source, tag].append((time.perf_counter() - start) * 1e3)
-                    outputs[tag] = [p.read_bytes() if p.exists() else None for p in paths]
+                    outputs[tag] = [compared(command, p) for p in paths]
                     failed |= code != 0
                 if outputs["A"] != outputs["B"]:
                     print(f"round {r}: {source}: outputs differ", file=sys.stderr)
